@@ -8,7 +8,7 @@ exhaustive maximum-clique enumeration at small q.
 from .chartable import CharTable, IrreducibleChar, build_table
 from .charsums import CharacterSums
 from .cyclotomic import CycNum, cyclotomic_polynomial
-from .derangement import DerangementModel, exact_rank
+from .derangement import DerangementModel
 from .ekr import (
     FamilyClassification,
     IntersectionGraph,
@@ -37,7 +37,6 @@ __all__ = [
     "build_table",
     "classify_family",
     "cyclotomic_polynomial",
-    "exact_rank",
     "factor_prime_power",
     "field_ctx_for_q",
     "make_field_ctx",

@@ -28,6 +28,7 @@ from .cyclotomic import CycNum
 from .errors import (
     ArityMismatchError,
     DomainMismatchError,
+    IdentityViolationError,
     NotIntegralParametersError,
     TrivialCharacterError,
 )
@@ -243,7 +244,8 @@ class CharacterSums:
                     inv = CycNum.rational(-1)  # g(trivial) = -1
                 else:
                     inv = g.conjugate() * Fraction(1, q)  # |g|^2 = q for nontrivial
-                assert (g * inv) == 1
+                if g * inv != 1:
+                    raise IdentityViolationError(f"Gauss sum g({j}) times its claimed inverse is not 1")
                 gauss_inv[j] = inv
             return gauss_inv[j]
 
@@ -302,7 +304,8 @@ class CharacterSums:
         out = []
         for name, vec, norm_sq in self.orthogonal_basis():
             c = self.l2_inner(f, vec)
-            assert c.is_real()
+            if not c.is_real():
+                raise IdentityViolationError(f"coefficient <f, {name}> is not real")
             out.append((name, c * c * (Fraction(1) / norm_sq)))
         return out
 

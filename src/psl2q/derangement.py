@@ -28,11 +28,9 @@ import numpy as np
 from .chartable import CharTable, IrreducibleChar
 from .charsums import CharacterSums
 from .cyclotomic import CycNum
-from .errors import NotInOmegaError, UnsupportedCharacterError
+from .errors import IdentityViolationError, NotInOmegaError, UnsupportedCharacterError
 from .groups import PGL2
-from .intrank import bareiss_rank
-
-exact_rank = bareiss_rank
+from .intrank import rank_with_kernel
 
 
 class DerangementModel:
@@ -49,6 +47,8 @@ class DerangementModel:
         self.zero_inf = self.omega_index[(0, inf)]
         self._m_matrix: np.ndarray | None = None
         self._gram: np.ndarray | None = None
+        self._kernel: np.ndarray | None = None
+        self._rank_m: tuple[int, str] | None = None
         self._constraint_counter_cache: dict[tuple, Counter] = {}
 
     # -- matrices -----------------------------------------------------------
@@ -94,7 +94,8 @@ class DerangementModel:
             - Fraction(ctx.phi_int(ctx.sub(1, dd)), 2)
             - Fraction(q, 4) * self.sums.legendre_phi(ctx.sub(ctx.add(dd, dd), 1))
         )
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise IdentityViolationError(f"Gram entry N[(0, inf), ({c}, {d})] = {val} is not an integer")
         return int(val)
 
     def gram_entry_closed(self, row_pair, col_pair) -> int:
@@ -156,6 +157,20 @@ class DerangementModel:
                 left[(a, b)] = lv
                 right[(a, b)] = rv
         return left, right
+
+    def kernel_basis(self) -> np.ndarray:
+        """The 2q witnesses l[0,b] and r[0,b], b != 0, stacked as rows."""
+        if self._kernel is None:
+            left, right = self.kernel_vectors()
+            others = [b for b in self.group.points if b != 0]
+            self._kernel = np.array([left[(0, b)] for b in others] + [right[(0, b)] for b in others])
+        return self._kernel
+
+    def rank_of_m(self) -> tuple[int, str]:
+        """rank(M) over Q and the method that decided it; computed once."""
+        if self._rank_m is None:
+            self._rank_m = rank_with_kernel(self.build_m(), self.kernel_basis())
+        return self._rank_m
 
     # -- character moments ----------------------------------------------------------
 
@@ -310,7 +325,8 @@ class DerangementModel:
             r_beta = [sums.soto_andrade_sum(beta, a) for a in range(q)]
             inner = sums.l2_inner(f_vec, r_beta)
             alt = (CycNum.rational(q * q + q) + inner * (phi2 * q * q)) * quarter
-        assert value == alt, f"closed forms disagree for {chi.name()}"
+        if value != alt:
+            raise IdentityViolationError(f"closed forms disagree for {chi.name()}")
         return value
 
     def lambda1_value(self) -> Fraction:
@@ -330,8 +346,7 @@ class DerangementModel:
         """Rank of M plus the nonvanishing verdicts, as a JSON-ready report."""
         q = self.q
         expected = q * (q - 1)
-        m = self.build_m()
-        rank = bareiss_rank(m.tolist())
+        rank, method = self.rank_of_m()
         characters = []
         all_nonzero = True
         for chi in self.target_characters():
@@ -354,6 +369,7 @@ class DerangementModel:
         return {
             "q": q,
             "rank": rank,
+            "rank_method": method,
             "expected_rank": expected,
             "characters": characters,
             "dimension_ledger": self.dimension_ledger(),

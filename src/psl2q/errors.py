@@ -39,3 +39,8 @@ class UnsupportedCharacterError(ValueError):
 
 class NotIntersectingError(ValueError):
     """A set of group elements is not pairwise intersecting."""
+
+
+class IdentityViolationError(ArithmeticError):
+    """Two exact computations of the same quantity disagree, or an exact value
+    lacks a property it must have; the results built on it cannot be trusted."""

@@ -1,15 +1,34 @@
-"""Exact rank of integer matrices by fraction-free elimination.
+"""Exact rank of integer matrices.
 
-One-step Bareiss elimination: at every step the update
-(p * a[i][j] - a[i][c] * p_row[j]) is exactly divisible by the previous
-pivot, so all intermediate entries stay integers (they are minors of the
-input matrix).  Rows are swapped to pick the nonzero pivot of smallest
-magnitude, which keeps the minors small; row swaps do not affect exactness.
-The result is the rank over the rationals, hence over any field of
-characteristic zero.
+`bareiss_rank` is one-step fraction-free Bareiss elimination: at every step
+the update (p * a[i][j] - a[i][c] * p_row[j]) is exactly divisible by the
+previous pivot, so all intermediate entries stay integers (they are minors
+of the input matrix).  Rows are swapped to pick the nonzero pivot of
+smallest magnitude, which keeps the minors small; row swaps do not affect
+exactness.  The result is the rank over the rationals, hence over any field
+of characteristic zero.
+
+`rank_with_kernel` certifies the same rational rank much faster when a
+basis of (part of) the right kernel is known.  Two bounds meet:
+
+- lower: rank over F_p <= rank over Q, because a minor that is nonzero mod
+  p is a nonzero integer;
+- upper: rank over Q <= cols - k when k linearly independent integer
+  vectors are annihilated by the matrix, checked exactly, and always
+  rank <= rows.
+
+`modular_rank` gives the lower bound by vectorised Gaussian elimination
+over a word-size prime field.  When the two bounds differ, a second prime
+is tried, then Bareiss decides.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+# The two largest primes below 2^31: products of reduced entries stay below
+# 2^62, so one multiply-subtract fits in int64 before it is reduced.
+PRIMES = (2147483629, 2147483587)
 
 
 def bareiss_rank(matrix) -> int:
@@ -46,3 +65,86 @@ def bareiss_rank(matrix) -> int:
         prev = p
         rank += 1
     return rank
+
+
+def _integer_array(matrix, n_cols: int | None = None) -> np.ndarray:
+    """A 2-d integer array: int64 when every entry fits, object dtype otherwise.
+
+    An empty input becomes a (0, n_cols) array."""
+    try:
+        arr = np.array(matrix, dtype=np.int64)
+    except OverflowError:
+        arr = np.array(matrix, dtype=object)
+    if arr.size == 0:
+        return np.zeros((0, n_cols or 0), dtype=np.int64)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-d integer matrix, got shape {arr.shape}")
+    return arr
+
+
+def _max_abs(arr: np.ndarray) -> int:
+    if arr.size == 0:
+        return 0
+    return max(int(arr.max()), -int(arr.min()))
+
+
+def modular_rank(matrix, p: int = PRIMES[0]) -> int:
+    """Rank over F_p of an integer matrix, for a prime p < 2^31."""
+    if not 2 <= p < 2**31:
+        raise ValueError(f"modulus {p} is outside [2, 2^31)")
+    a = _integer_array(matrix)
+    if a.size == 0:
+        return 0
+    a = (a % p).astype(np.int64, copy=False)
+    n_rows, n_cols = a.shape
+    rank = 0
+    for col in range(n_cols):
+        if rank == n_rows:
+            break
+        nonzero = np.flatnonzero(a[rank:, col])
+        if nonzero.size == 0:
+            continue
+        pivot = rank + int(nonzero[0])
+        if pivot != rank:
+            a[[rank, pivot]] = a[[pivot, rank]]
+        prow = a[rank, col:] * pow(int(a[rank, col]), -1, p) % p
+        a[rank, col:] = prow
+        below = rank + 1 + np.flatnonzero(a[rank + 1 :, col])
+        if below.size:
+            a[below, col:] = (a[below, col:] - a[below, col, None] * prow) % p
+        rank += 1
+    return rank
+
+
+def _annihilates(a: np.ndarray, kernel: np.ndarray) -> bool:
+    """Exactly whether a @ kernel^T == 0, in int64 only when it cannot overflow."""
+    if max(_max_abs(a), 1) * max(_max_abs(kernel), 1) * a.shape[1] < 2**63:
+        product = a.astype(np.int64) @ kernel.astype(np.int64).T
+    else:
+        product = a.astype(object) @ kernel.astype(object).T
+    return not product.any()
+
+
+def rank_with_kernel(matrix, kernel=()) -> tuple[int, str]:
+    """The rational rank of an integer matrix and the method that decided it.
+
+    `kernel` holds integer row vectors claimed to lie in the right kernel.
+    The claim is checked exactly (annihilation, and full row rank mod p)
+    before it bounds the rank; a kernel that fails the check is ignored.
+    The method reads "mod <p>, kernel bound <b>" when the rank over F_p met
+    the upper bound b, and "Bareiss" when fraction-free elimination decided.
+    """
+    a = _integer_array(matrix)
+    if a.size == 0:
+        return 0, "Bareiss"
+    n_rows, n_cols = a.shape
+    k = _integer_array(kernel, n_cols)
+    if k.shape[1] != n_cols:
+        raise ValueError(f"kernel rows have {k.shape[1]} entries, the matrix has {n_cols} columns")
+    if _annihilates(a, k) and modular_rank(k) == k.shape[0]:
+        bound = min(n_rows, n_cols - k.shape[0])
+        for p in PRIMES:
+            rank = modular_rank(a, p)
+            if rank == bound:
+                return rank, f"mod {p}, kernel bound {bound}"
+    return bareiss_rank(a.tolist()), "Bareiss"

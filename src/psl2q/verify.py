@@ -12,16 +12,15 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
 from .chartable import build_table
 from .charsums import CharacterSums
 from .cyclotomic import CycNum
 from .derangement import DerangementModel
 from .ekr import classify_family, is_intersecting, max_intersecting_families, stabilizer_coset
+from .errors import IdentityViolationError
 from .fields import field_ctx_for_q
 from .groups import PGL2
-from .intrank import bareiss_rank
+from .intrank import rank_with_kernel
 
 SUITES = ("table", "sums", "rank", "ekr")
 
@@ -392,19 +391,20 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
         )
     checks.add("gram_relabeling_invariance_sample", ok, "200 seeded samples")
 
-    rank_m = bareiss_rank(m.tolist())
-    checks.add("rank_of_m", rank_m == q * (q - 1), f"rank {rank_m}, expected {q * (q - 1)}")
-    rank_n = bareiss_rank(gram.tolist())
-    checks.add("rank_of_gram_matches", rank_n == rank_m, f"rank(N) = {rank_n}")
+    # N v = M^T (M v), so the kernel witnesses of M bound rank(N) as well
+    kernel = model.kernel_basis()
+    rank_m, method_m = model.rank_of_m()
+    checks.add(
+        "rank_of_m", rank_m == q * (q - 1), f"rank {rank_m} ({method_m}), expected {q * (q - 1)}"
+    )
+    rank_n, method_n = rank_with_kernel(gram, kernel)
+    checks.add("rank_of_gram_matches", rank_n == rank_m, f"rank(N) = {rank_n} ({method_n})")
 
     left, right = model.kernel_vectors()
     ok = all(not (m @ v).any() for v in left.values()) and all(
         not (m @ v).any() for v in right.values()
     )
-    stack = [left[(0, b)] for b in group.points if b != 0] + [
-        right[(0, b)] for b in group.points if b != 0
-    ]
-    ok = ok and bareiss_rank(np.array(stack).tolist()) == 2 * q
+    ok = ok and rank_with_kernel(kernel)[0] == 2 * q
     ok = ok and not (gram @ left[(0, 1)]).any()
     a_pt, b_pt, c_pt = 0, 1, 2
     ok = ok and (left[(a_pt, b_pt)] - left[(a_pt, c_pt)] == left[(c_pt, b_pt)]).all()
@@ -464,17 +464,19 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
         "exact nonvanishing for the full target set",
     )
 
-    ok = True
-    details = []
-    f_vec = sums.f_vector()
-    for beta in ctx.beta_set():
-        r_beta = [sums.soto_andrade_sum(beta, a) for a in range(q)]
-        coeff = sums.l2_inner(f_vec, r_beta)
-        ok = ok and coeff.is_real()
-        # normalized coefficient <f, R_beta> / ||R_beta|| must have magnitude <= 1
-        normalized_sq = abs(complex(coeff)) ** 2 * q / (q + 1)
-        ok = ok and normalized_sq <= 1 + 1e-9
-    details.append("eta coefficients real with normalized magnitude <= 1")
+    # Each <f, b>^2 / ||b||^2 over the orthogonal basis is the square of a real
+    # number (orthonormal_coefficient_squares raises otherwise), hence >= 0; the
+    # terms sum exactly to ||f||^2 <= 1, so every normalized eta coefficient
+    # <f, R_beta> / ||R_beta|| has magnitude <= 1 as well
+    try:
+        total = CycNum.zero()
+        for _, sq in sums.orthonormal_coefficient_squares():
+            total = total + sq
+        f_norm = sums.f_norm_squared()
+        ok = total == f_norm and f_norm <= 1
+    except IdentityViolationError:
+        ok = False
+    details = ["eta coefficients real with normalized magnitude <= 1"]
     if q >= 7:
         lhs, rhs = sums.f_coefficient_identity(ctx.quadratic_char())
         w = rhs.as_fraction()
@@ -487,7 +489,8 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
     checks.add(
         "rank_certificate",
         certificate["pass"],
-        f"rank {certificate['rank']}, ledger {certificate['dimension_ledger']}",
+        f"rank {certificate['rank']} ({certificate['rank_method']}), "
+        f"ledger {certificate['dimension_ledger']}",
     )
 
     return _report(q, "rank", seed, checks, extra={"certificate": certificate})

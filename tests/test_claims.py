@@ -1,0 +1,67 @@
+"""Identities the computations rely on are checked by raised errors, not by
+`assert`, so they hold under `python -O` as well."""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import psl2q
+from psl2q.chartable import build_table
+from psl2q.charsums import CharacterSums
+from psl2q.cyclotomic import CycNum
+from psl2q.derangement import DerangementModel
+from psl2q.errors import IdentityViolationError
+from psl2q.fields import field_ctx_for_q
+from psl2q.groups import PGL2
+
+
+@pytest.fixture
+def model():
+    return DerangementModel(build_table(PGL2(field_ctx_for_q(5))))
+
+
+def test_non_integral_gram_entry_raises(model, monkeypatch):
+    monkeypatch.setattr(model.sums, "legendre_phi", lambda a: Fraction(1, 3))
+    with pytest.raises(IdentityViolationError, match="not an integer"):
+        model._entry_for_row_zero_inf(1, 2)  # the generic case
+
+
+def test_disagreeing_closed_forms_raise(model, monkeypatch):
+    l2_inner = model.sums.l2_inner
+    monkeypatch.setattr(model.sums, "l2_inner", lambda f, g: l2_inner(f, g) + 1)
+    chi = next(c for c in model.target_characters() if c.kind == "eta")
+    with pytest.raises(IdentityViolationError, match="closed forms disagree"):
+        model.character_sum_closed_form(chi)
+
+
+def test_wrong_gauss_sum_inverse_raises(monkeypatch):
+    ctx = field_ctx_for_q(5)
+    gauss_sum = ctx.gauss_sum
+    monkeypatch.setattr(ctx, "gauss_sum", lambda char: gauss_sum(char) * 2)
+    half = [Fraction(1, 2)] * 4
+    with pytest.raises(IdentityViolationError, match="Gauss sum"):
+        CharacterSums(ctx).katz_h(half, [Fraction(1)] * 4, 1)
+
+
+def test_non_real_coefficient_raises(monkeypatch):
+    sums = CharacterSums(field_ctx_for_q(5))
+    monkeypatch.setattr(sums, "l2_inner", lambda f, g: CycNum.root_of_unity(4, 1))
+    with pytest.raises(IdentityViolationError, match="not real"):
+        sums.orthonormal_coefficient_squares()
+
+
+def test_optimized_interpreter_writes_the_same_report(tmp_path):
+    src = str(Path(psl2q.__file__).resolve().parents[1])
+    reports = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / ("optimized" if flags else "plain")
+        cmd = [sys.executable, *flags, "-m", "psl2q.cli", "verify", "--q", "5", "--suite", "rank"]
+        subprocess.run(
+            cmd + ["--out", str(out)], env={"PYTHONPATH": src}, check=True, capture_output=True, timeout=120
+        )
+        reports.append((out / "verify_q5_rank.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert b'"pass": true' in reports[0]

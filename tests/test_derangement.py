@@ -10,7 +10,7 @@ from psl2q.derangement import DerangementModel
 from psl2q.errors import NotInOmegaError, UnsupportedCharacterError
 from psl2q.fields import field_ctx_for_q
 from psl2q.groups import PGL2
-from psl2q.intrank import bareiss_rank
+from psl2q.intrank import PRIMES, bareiss_rank, rank_with_kernel
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,13 @@ def test_rank(models, q, rank):
     assert bareiss_rank(D.build_m().tolist()) == rank
     assert bareiss_rank(D.gram_bruteforce().tolist()) == rank
     assert rank + 2 * q <= q * (q + 1)
+    # the kernel-witnessed modular rank agrees with Bareiss without falling back
+    kernel = D.kernel_basis()
+    assert kernel.shape == (2 * q, q * (q + 1))
+    method = f"mod {PRIMES[0]}, kernel bound {rank}"
+    assert D.rank_of_m() == (rank, method)
+    assert D.rank_of_m() is D.rank_of_m()
+    assert rank_with_kernel(D.gram_bruteforce(), kernel) == (rank, method)
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -258,6 +265,7 @@ def test_rank_certificate(models, q):
     report = models[q].rank_certificate()
     assert report["pass"]
     assert report["rank"] == report["expected_rank"] == q * (q - 1)
+    assert report["rank_method"] == f"mod {PRIMES[0]}, kernel bound {q * (q - 1)}"
     assert all(c["nonzero"] for c in report["characters"])
     kinds = [c["kind"] for c in report["characters"]]
     assert kinds.count("eta") == (q - 1) // 2

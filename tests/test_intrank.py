@@ -1,12 +1,17 @@
-"""Tests for fraction-free integer rank computation."""
+"""Tests for exact integer rank: fraction-free Bareiss elimination, rank
+over F_p, and the kernel-witnessed modular rank."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2q.intrank import bareiss_rank
+from psl2q.intrank import PRIMES, bareiss_rank, modular_rank, rank_with_kernel
+
+P, P2 = PRIMES
 
 
 def rational_rank(matrix):
@@ -72,3 +77,119 @@ def test_numpy_rows_accepted():
 
     a = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], dtype=np.int64)
     assert bareiss_rank(a.tolist()) == 2
+
+
+# Up to 6 x 6 with entries in [-9, 9], every minor is below the Hadamard bound
+# (9 * sqrt(6))^6 < 1.2e8 < p, so a nonzero minor stays nonzero mod p and the
+# rank over F_p must equal the rational rank.
+small_entries = st.integers(min_value=-9, max_value=9)
+small_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=1, max_size=6)
+)
+# Entries at and beyond p, and beyond int64, where reduction and overflow matter.
+wide_entries = st.one_of(
+    small_entries, st.sampled_from([P - 1, P, P + 3, -P, 2 * P, 2**62, -(2**63), 2**70])
+)
+
+
+def _with_kernel(gen, n_rows, n_cols, rank):
+    """A random integer matrix B [I | X] of rank <= `rank`, and the integer
+    basis [-X^T | I] of the kernel of [I | X], with the columns shuffled."""
+    x = gen.integers(-4, 5, size=(rank, n_cols - rank))
+    b = gen.integers(-3, 4, size=(n_rows, rank))
+    rows = np.hstack([np.eye(rank, dtype=np.int64), x])
+    kernel = np.hstack([-x.T, np.eye(n_cols - rank, dtype=np.int64)])
+    perm = gen.permutation(n_cols)
+    return (b @ rows)[:, perm].tolist(), kernel[:, perm].tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrices)
+def test_modular_rank_against_oracles_hypothesis(mat):
+    expected = rational_rank(mat)
+    assert bareiss_rank(mat) == expected
+    assert modular_rank(mat) == modular_rank(mat, P2) == expected
+    # with no kernel the bound is min(rows, cols), met only at full rank
+    full = expected == min(len(mat), len(mat[0]))
+    assert rank_with_kernel(mat) == (expected, f"mod {P}, kernel bound {expected}" if full else "Bareiss")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(wide_entries, min_size=n, max_size=n), min_size=1, max_size=5)
+    )
+)
+def test_wide_entries_hypothesis(mat):
+    expected = rational_rank(mat)
+    assert bareiss_rank(mat) == expected
+    # rank over F_p never exceeds the rational rank, and reducing mod p first changes nothing
+    reduced = [[v % P for v in row] for row in mat]
+    assert modular_rank(mat) == modular_rank(reduced) <= expected
+    assert modular_rank([[-v for v in row] for row in mat]) == modular_rank(mat)
+    assert rank_with_kernel(mat)[0] == expected
+
+
+def test_modular_path_against_oracles_random():
+    gen = np.random.default_rng(11)
+    methods = set()
+    for _ in range(150):
+        n_rows, n_cols = gen.integers(1, 9), gen.integers(2, 9)
+        rank = gen.integers(1, min(n_rows, n_cols) + 1)
+        mat, kernel = _with_kernel(gen, n_rows, n_cols, rank)
+        if gen.random() < 0.3:  # a column of multiples of p, which the kernel does not touch
+            mat = [row + [row[0] * P] for row in mat]
+            kernel = [row + [0] for row in kernel]
+        expected = rational_rank(mat)
+        assert bareiss_rank(mat) == expected
+        got, method = rank_with_kernel(mat, kernel)
+        assert got == expected
+        assert method in ("Bareiss", f"mod {P}, kernel bound {expected}", f"mod {P2}, kernel bound {expected}")
+        methods.add(method.split(",")[0])
+        # a partial kernel gives a weaker bound; the answer must not change
+        assert rank_with_kernel(mat, kernel[1:])[0] == expected
+    assert methods == {"Bareiss", f"mod {P}"}
+
+
+def test_modular_rank_simple_cases():
+    assert modular_rank([]) == 0
+    assert modular_rank([[0, 0], [0, 0]]) == 0
+    assert modular_rank([[1, 2], [2, 4]]) == 1
+    assert modular_rank([[P, 0], [0, 1]]) == 1  # p is zero in F_p
+    assert modular_rank([[P, 0], [0, 1]], P2) == 2
+    with pytest.raises(ValueError):
+        modular_rank([[1]], 2**31 + 11)
+
+
+def test_rank_drop_mod_both_primes_falls_back_to_bareiss():
+    kernel = [[0, 0, 1]]
+    mat = [[P * P2, 0, 0], [0, 1, 0], [0, 5, 0]]
+    assert rank_with_kernel(mat, kernel) == (2, "Bareiss")
+    # a drop mod the first prime alone is settled by the second
+    assert rank_with_kernel([[P, 0, 0], [0, 1, 0]], kernel) == (2, f"mod {P2}, kernel bound 2")
+    # p * I: rank 0 mod p, full rank over Q
+    big = (P * np.eye(4, dtype=np.int64)).tolist()
+    assert rank_with_kernel(big, np.zeros((0, 4), dtype=np.int64)) == (4, f"mod {P2}, kernel bound 4")
+    assert rank_with_kernel((P * P2 * np.eye(3, dtype=object)).tolist()) == (3, "Bareiss")
+
+
+def test_unannihilated_kernel_is_not_trusted():
+    # (0, 1) is annihilated mod p and mod the second prime, but not over Q;
+    # trusting it would certify rank 1 from the rank mod p
+    mat = [[1, 0], [0, P * P2]]
+    assert modular_rank(mat) == modular_rank(mat, P2) == 1
+    assert rank_with_kernel(mat, [[0, 1]]) == (2, "Bareiss")
+    assert rank_with_kernel([[1, 2], [3, 4]], [[1, 0]]) == (2, "Bareiss")
+
+
+def test_dependent_kernel_is_not_trusted():
+    # both rows are annihilated but span one dimension; trusting them would
+    # give the bound 1, which the rank mod p meets
+    mat = [[1, 0, 0], [0, P * P2, 0]]
+    assert rank_with_kernel(mat, [[0, 0, 1], [0, 0, 2]]) == (2, "Bareiss")
+    assert rank_with_kernel(mat, [[0, 0, 1]]) == (2, "Bareiss")  # the valid kernel: bound 2, rank mod p 1
+
+
+def test_kernel_shape_is_checked():
+    with pytest.raises(ValueError):
+        rank_with_kernel([[1, 0, 0]], [[1, 0]])

@@ -1,7 +1,12 @@
 """Tests for the verification suite runners."""
 
+from fractions import Fraction
+
 import pytest
 
+from psl2q.charsums import CharacterSums
+from psl2q.cyclotomic import CycNum
+from psl2q.errors import IdentityViolationError
 from psl2q.verify import run_suite
 
 
@@ -45,3 +50,23 @@ def test_seeded_reports_stable():
 def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("bogus", 5)
+
+
+def _non_real(self):
+    raise IdentityViolationError("coefficient <f, R_beta[1]> is not real")
+
+
+@pytest.mark.parametrize(
+    "squares",
+    [
+        _non_real,
+        # a term above 1 cannot sum to ||f||^2 < 1
+        lambda self: [("R_beta[1]", CycNum.rational(Fraction(3, 2)))],
+    ],
+    ids=["non_real", "wrong_sum"],
+)
+def test_margin_fails_without_the_norm_bound(monkeypatch, squares):
+    monkeypatch.setattr(CharacterSums, "orthonormal_coefficient_squares", squares)
+    report = run_suite("rank", 5)
+    margins = next(c for c in report["checks"] if c["name"] == "nonvanishing_margins")
+    assert margins["pass"] is False and report["pass"] is False
