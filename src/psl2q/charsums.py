@@ -253,13 +253,18 @@ class CharacterSums:
         twist = lam if m_count % 2 == 0 else ctx.neg(lam)
         if twist == 0:
             return CycNum.zero()  # omega^k(0) = 0 under the zero convention
+        inverses = CycNum.rational(1)  # the k-independent factors
+        for ae in a_exps:
+            inverses = inverses * g_inv_of(ae)
+        for be in b_exps:
+            inverses = inverses * g_inv_of(-be)
         total = CycNum.zero()
         for k in range(q - 1):
-            term = CycNum.rational(1)
+            term = inverses
             for ae in a_exps:
-                term = term * g_of(k + ae) * g_inv_of(ae)
+                term = term * g_of(k + ae)
             for be in b_exps:
-                term = term * g_of(-k - be) * g_inv_of(-be)
+                term = term * g_of(-k - be)
             e = (omega_exponent * k * ctx.log[twist]) % (q - 1)
             total = total + term * CycNum.root_of_unity(q - 1, e)
         return total * Fraction(1, 1 - q)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CycNum
+from .errors import IdentityViolationError
 from .fields import MultCharB, MultCharFq
 from .groups import PGL2, ClassLabel
 
@@ -47,7 +48,8 @@ class CharTable:
         self.classes: list[ClassLabel] = group.class_labels()
         self.class_index = {lab: i for i, lab in enumerate(self.classes)}
         self.sizes = [group.class_size(lab) for lab in self.classes]
-        assert sum(self.sizes) == self.order
+        if sum(self.sizes) != self.order:
+            raise IdentityViolationError(f"class sizes sum to {sum(self.sizes)}, not |G| = {self.order}")
         self.representatives = [group.class_representative(lab) for lab in self.classes]
         self.delta = [1 if group.in_psl(rep) else -1 for rep in self.representatives]
 
@@ -61,7 +63,11 @@ class CharTable:
             + [IrreducibleChar("eta", beta, q - 1) for beta in self.ctx.beta_set()]
             + [IrreducibleChar("nu", gamma, q + 1) for gamma in self.ctx.gamma_set()]
         )
-        assert len(self.chars) == len(self.classes)
+        if len(self.chars) != len(self.classes):
+            raise IdentityViolationError(
+                f"{len(self.chars)} irreducible characters but {len(self.classes)} classes"
+            )
+        self._char_index = {chi: i for i, chi in enumerate(self.chars)}
         self.values = [self._build_row(chi) for chi in self.chars]
 
     def _build_row(self, chi: IrreducibleChar) -> list[CycNum]:
@@ -120,7 +126,10 @@ class CharTable:
     # -- evaluation -----------------------------------------------------------
 
     def char_index(self, chi: IrreducibleChar) -> int:
-        return self.chars.index(chi)
+        try:
+            return self._char_index[chi]
+        except KeyError:
+            raise ValueError(f"{chi} is not a character of this table") from None
 
     def char_row(self, chi: IrreducibleChar) -> list[CycNum]:
         return self.values[self.char_index(chi)]

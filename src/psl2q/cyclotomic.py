@@ -3,11 +3,19 @@
 A value is stored as its canonical representative in the power basis
 1, x, ..., x^(phi(m)-1) of Q[x]/(Phi_m(x)), where x stands for the primitive
 m-th root of unity exp(2*pi*i/m) and Phi_m is the m-th cyclotomic polynomial.
-Coefficients are `fractions.Fraction`, so equality (in particular equality to
-zero) is decidable and exact.  Values with different conductors are combined
-by lifting both to the least common multiple conductor; the lift
+The representative is kept as a tuple of integer numerators over one
+positive integer denominator, in lowest terms (gcd(den, *nums) == 1), so
+equal values have equal (nums, den) and equality, in particular equality to
+zero, is a plain tuple comparison.  Values with different conductors are
+combined by lifting both to the least common multiple conductor; the lift
 zeta_m -> zeta_M^(M/m) is a field embedding, so canonical representatives of
 equal values agree after lifting.
+
+A product is the integer convolution of the two numerator vectors, which
+skips zero coefficients (most factors in the character sums are single
+powers of zeta), reduced mod Phi_m with precomputed rows x^(phi(m)+k) mod
+Phi_m, stored as their nonzero (index, coefficient) pairs because
+cyclotomic polynomials are sparse.
 
 Phi_m is computed by iterated exact division of x^m - 1 by Phi_d over the
 proper divisors d of m.
@@ -17,11 +25,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 
+from .errors import IdentityViolationError
+
 _PHI_CACHE: dict[int, list[int]] = {}
-# m -> list of integer coefficient rows; row k is x^(phi(m)+k) reduced mod Phi_m
-_ROW_CACHE: dict[int, list[list[int]]] = {}
+# m -> rows of (index, coefficient) pairs; row k holds the nonzero
+# coefficients of x^(phi(m)+k) reduced mod Phi_m
+_ROW_CACHE: dict[int, list[list[tuple[int, int]]]] = {}
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -34,12 +46,14 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
         c = num[k]
         if c == 0:
             continue
-        assert c % lead == 0
+        if c % lead:
+            raise IdentityViolationError("inexact cyclotomic division")
         f = c // lead
         quot[k - dd] = f
         for i, d in enumerate(den):
             num[k - dd + i] -= f * d
-    assert all(c == 0 for c in num), "inexact cyclotomic division"
+    if any(num):
+        raise IdentityViolationError("inexact cyclotomic division")
     return quot
 
 
@@ -57,7 +71,11 @@ def cyclotomic_polynomial(m: int) -> list[int]:
     return poly
 
 
-def _reduction_rows(m: int) -> list[list[int]]:
+def _degree(m: int) -> int:
+    return len(cyclotomic_polynomial(m)) - 1
+
+
+def _reduction_rows(m: int) -> list[list[tuple[int, int]]]:
     rows = _ROW_CACHE.get(m)
     if rows is None:
         phi_poly = cyclotomic_polynomial(m)
@@ -66,74 +84,95 @@ def _reduction_rows(m: int) -> list[list[int]]:
         rows = []
         if deg >= 1 and top >= deg:
             cur = [-c for c in phi_poly[:deg]]  # x^deg mod Phi_m
-            rows.append(cur)
-            for _ in range(deg + 1, top + 1):
-                nxt = [0] + cur[:-1]
+            for _ in range(deg, top + 1):
+                rows.append([(i, c) for i, c in enumerate(cur) if c])
                 head = cur[-1]
+                cur = [0] + cur[:-1]
                 if head:
-                    xrow = rows[0]
-                    for i in range(deg):
-                        nxt[i] += head * xrow[i]
-                cur = nxt
-                rows.append(cur)
+                    for i, c in rows[0]:
+                        cur[i] += head * c
         _ROW_CACHE[m] = rows
     return rows
 
 
-def _reduce_int_poly(vec: list[int], m: int, deg: int) -> list[int]:
+def _reduce_int_poly(vec: list[int], m: int, deg: int) -> tuple[int, ...]:
     """Reduce an integer polynomial (ascending, any length) mod Phi_m."""
-    head = vec[:deg] + [0] * (deg - len(vec))
-    if len(vec) > deg:
+    head = vec[:deg]
+    if len(head) < deg:
+        head += [0] * (deg - len(head))
+    elif len(vec) > deg:
         rows = _reduction_rows(m)
-        for k in range(deg, len(vec)):
-            c = vec[k]
+        if len(vec) - deg > len(rows):
+            raise ValueError(f"polynomial of degree {len(vec) - 1} is too long to reduce mod Phi_{m}")
+        for c, row in zip(vec[deg:], rows):
             if c:
-                row = rows[k - deg]
-                for i in range(deg):
-                    head[i] += c * row[i]
-    return head
+                for i, r in row:
+                    head[i] += c * r
+    return tuple(head)
 
 
-def _int_vector(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _convolve(a, b) -> list[int]:
+    """Coefficients of the product of two integer polynomials (ascending)."""
+    conv = [0] * (len(a) + len(b) - 1)
+    terms_b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms_b:
+                conv[i + j] += x * y
+    return conv
+
+
+def _canonical(m: int, nums: tuple[int, ...], den: int) -> "CycNum":
+    """The value nums/den (den > 0) in lowest terms."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = tuple([c // g for c in nums])
+        den //= g
+    return CycNum(m, nums, den)
+
+
+def _combine(a: "CycNum", b: "CycNum", op) -> "CycNum":
+    """a op b for op in {add, sub}; both have the same conductor."""
+    g = math.gcd(a.den, b.den)
+    fa, fb = b.den // g, a.den // g
+    return _canonical(a.m, tuple([op(x * fa, y * fb) for x, y in zip(a.nums, b.nums)]), a.den * fa)
 
 
 class CycNum:
-    """An element of Q(zeta_m), reduced mod Phi_m."""
+    """An element of Q(zeta_m), reduced mod Phi_m: sum_j nums[j] zeta_m^j / den."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "nums", "den")
 
-    def __init__(self, m: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, m: int, nums: tuple[int, ...], den: int = 1):
         self.m = m
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def rational(cls, value) -> "CycNum":
-        return cls(1, (Fraction(value),))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return cls(1, (value.numerator,), value.denominator)
 
     @classmethod
     def zero(cls) -> "CycNum":
-        return cls(1, (Fraction(0),))
+        return cls(1, (0,), 1)
 
     @classmethod
     def root_of_unity(cls, m: int, j: int) -> "CycNum":
         """zeta_m^j as a canonical element of Q(zeta_m)."""
         j %= m
-        deg = len(cyclotomic_polynomial(m)) - 1
         vec = [0] * (j + 1)
         vec[j] = 1
-        head = _reduce_int_poly(vec, m, deg)
-        return cls(m, tuple(Fraction(c) for c in head))
+        return cls(m, _reduce_int_poly(vec, m, _degree(m)))
 
     @classmethod
     def from_zeta_powers(cls, m: int, powers: list[int], scale: Fraction = Fraction(1)) -> "CycNum":
         """sum_j powers[j] * zeta_m^j, times a rational scale."""
-        deg = len(cyclotomic_polynomial(m)) - 1
-        head = _reduce_int_poly(list(powers), m, deg)
-        return cls(m, tuple(Fraction(c) * scale for c in head))
+        head = _reduce_int_poly(list(powers), m, _degree(m))
+        return _canonical(m, tuple([c * scale.numerator for c in head]), scale.denominator)
 
     # -- structure ---------------------------------------------------------
 
@@ -144,14 +183,9 @@ class CycNum:
         if target % self.m:
             raise ValueError("conductor lift requires a multiple")
         step = target // self.m
-        deg = len(cyclotomic_polynomial(target)) - 1
-        nums, den = _int_vector(self.coeffs)
-        vec = [0] * ((len(nums) - 1) * step + 1) if nums else [0]
-        for j, c in enumerate(nums):
-            if c:
-                vec[j * step] += c
-        head = _reduce_int_poly(vec, target, deg)
-        return CycNum(target, tuple(Fraction(c, den) for c in head))
+        vec = [0] * ((len(self.nums) - 1) * step + 1)
+        vec[::step] = self.nums
+        return CycNum(target, _reduce_int_poly(vec, target, _degree(target)), self.den)
 
     def _pair(self, other: "CycNum") -> tuple["CycNum", "CycNum"]:
         if self.m == other.m:
@@ -160,37 +194,35 @@ class CycNum:
         return self.lift(m), other.lift(m)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def conjugate(self) -> "CycNum":
         """Complex conjugation, zeta_m -> zeta_m^(m-1)."""
-        nums, den = _int_vector(self.coeffs)
-        vec = [0] * self.m
-        for j, c in enumerate(nums):
-            if c:
-                vec[(self.m - j) % self.m] += c
-        deg = len(cyclotomic_polynomial(self.m)) - 1
-        head = _reduce_int_poly(vec, self.m, deg)
-        return CycNum(self.m, tuple(Fraction(c, den) for c in head))
+        m = self.m
+        vec = [0] * m
+        vec[0] = self.nums[0]
+        vec[m - len(self.nums) + 1 :] = self.nums[:0:-1]
+        return CycNum(m, _reduce_int_poly(vec, m, len(self.nums)), self.den)
 
     def is_real(self) -> bool:
         return self.conjugate() == self
 
     def __complex__(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.m)
+        den = self.den
         total = 0j
         power = 1 + 0j
-        for c in self.coeffs:
+        for c in self.nums:
             if c:
-                total += float(c) * power
+                total += (c / den) * power
             power *= z
         return total
 
@@ -200,46 +232,37 @@ class CycNum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._pair(other)
-        return CycNum(a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return _combine(*self._pair(other), operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.m, tuple(-c for c in self.coeffs))
+        return CycNum(self.m, tuple([-c for c in self.nums]), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._pair(other)
-        return CycNum(a.m, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return _combine(*self._pair(other), operator.sub)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
+
+    def _scaled(self, num: int, den: int) -> "CycNum":
+        return _canonical(self.m, tuple([c * num for c in self.nums]), self.den * den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return CycNum.zero()
-            f = Fraction(other)
-            return CycNum(self.m, tuple(c * f for c in self.coeffs))
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, CycNum):
             return NotImplemented
-        a, b = self._pair(other)
-        if a.is_zero() or b.is_zero():
+        if self.is_zero() or other.is_zero():
             return CycNum.zero()
-        na, da = _int_vector(a.coeffs)
-        nb, db = _int_vector(b.coeffs)
-        conv = [0] * (len(na) + len(nb) - 1)
-        for i, x in enumerate(na):
-            if x:
-                for j, y in enumerate(nb):
-                    if y:
-                        conv[i + j] += x * y
-        head = _reduce_int_poly(conv, a.m, len(a.coeffs))
-        den = da * db
-        return CycNum(a.m, tuple(Fraction(c, den) for c in head))
+        a, b = self._pair(other)
+        conv = _convolve(a.nums, b.nums)
+        return _canonical(a.m, _reduce_int_poly(conv, a.m, len(a.nums)), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -253,7 +276,7 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     __hash__ = None  # cross-conductor equality makes hashing unreliable
 
@@ -261,7 +284,8 @@ class CycNum:
 
     def coeff_string(self) -> str:
         """Exact rendering "c0,c1,.../m" of the reduced coefficient vector."""
-        return ",".join(str(c) for c in self.coeffs) + "/" + str(self.m)
+        den = self.den
+        return ",".join(str(Fraction(c, den)) for c in self.nums) + "/" + str(self.m)
 
     def approx_string(self, digits: int = 12) -> str:
         z = complex(self)
@@ -270,9 +294,10 @@ class CycNum:
         return f"{re}{'+' if z.imag >= 0 else ''}{im}j"
 
     def __repr__(self):
+        den = self.den
         if self.is_rational():
-            return f"CycNum({self.coeffs[0]})"
-        return f"CycNum(m={self.m}, {list(self.coeffs)})"
+            return f"CycNum({Fraction(self.nums[0], den)})"
+        return f"CycNum(m={self.m}, {[Fraction(c, den) for c in self.nums]})"
 
 
 def _coerce(value):

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum
-from .errors import BudgetExceededError, NotOddPrimeError
+from .errors import BudgetExceededError, IdentityViolationError, NotOddPrimeError
 
 DEFAULT_MAX_Q = 64
 
@@ -114,7 +114,8 @@ class FieldCtx:
         self.modulus2 = self._smallest_quadratic_irreducible()
         self._build_ext_tables()
         self.i_elem = self.exp2[(q + 1) // 2]
-        assert self.q2_mul(self.i_elem, self.i_elem) < q and self.i_elem >= q
+        if not (self.q2_mul(self.i_elem, self.i_elem) < q and self.i_elem >= q):
+            raise IdentityViolationError("i = g^((q+1)/2) must lie outside GF(q) with i^2 in GF(q)")
 
     # -- construction ------------------------------------------------------
 
@@ -218,7 +219,8 @@ class FieldCtx:
             for _ in range(e - 1):
                 t = self.pow(t, p)
                 acc_t = self.add_table[acc_t][t]
-            assert acc_t < p
+            if acc_t >= p:
+                raise IdentityViolationError(f"trace of {x} is not in the prime field")
             self.trace_table.append(acc_t)
 
     def _find_generator(self, order: int, mul, candidates) -> int:
@@ -276,8 +278,10 @@ class FieldCtx:
         self.frob_table = [0] + [self.exp2[(self.log2[x] * q) % (q * q - 1)] for x in range(1, q * q)]
         self.trace2_table = [self.q2_add(x, self.frob_table[x]) for x in range(q * q)]
         self.norm2_table = [mul2(x, self.frob_table[x]) for x in range(q * q)]
-        assert all(t < q for t in self.trace2_table)
-        assert all(n < q for n in self.norm2_table)
+        if not all(t < q for t in self.trace2_table):
+            raise IdentityViolationError("a GF(q^2) trace is not in GF(q)")
+        if not all(n < q for n in self.norm2_table):
+            raise IdentityViolationError("a GF(q^2) norm is not in GF(q)")
 
     # -- GF(q) operations ----------------------------------------------------
 

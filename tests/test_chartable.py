@@ -126,3 +126,12 @@ def test_permutation_character_matches_brute_force(tables, q):
         fixed = G.fixed_points(rep)
         count = len(fixed) * (len(fixed) - 1)
         assert value == count, label
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_char_index_matches_list_index(tables, q):
+    T = tables[q]
+    for chi in T.chars:
+        assert T.char_index(chi) == T.chars.index(chi)
+    with pytest.raises(ValueError):
+        build_table(PGL2(field_ctx_for_q(7 if q != 7 else 5))).char_index(T.chars[-1])

@@ -1,6 +1,7 @@
 """Identities the computations rely on are checked by raised errors, not by
 `assert`, so they hold under `python -O` as well."""
 
+import ast
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 import psl2q
 from psl2q.chartable import build_table
 from psl2q.charsums import CharacterSums
-from psl2q.cyclotomic import CycNum
+from psl2q.cyclotomic import CycNum, _poly_div_exact
 from psl2q.derangement import DerangementModel
 from psl2q.errors import IdentityViolationError
 from psl2q.fields import field_ctx_for_q
@@ -65,3 +66,30 @@ def test_optimized_interpreter_writes_the_same_report(tmp_path):
         reports.append((out / "verify_q5_rank.json").read_bytes())
     assert reports[0] == reports[1]
     assert b'"pass": true' in reports[0]
+
+
+def test_inexact_cyclotomic_division_raises():
+    with pytest.raises(IdentityViolationError, match="inexact"):
+        _poly_div_exact([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
+    with pytest.raises(IdentityViolationError, match="inexact"):
+        _poly_div_exact([1, 1], [0, 2])  # leading coefficient 1 is not divisible by 2
+
+
+def test_wrong_class_sizes_raise(monkeypatch):
+    group = PGL2(field_ctx_for_q(5))
+    class_size = group.class_size
+    monkeypatch.setattr(group, "class_size", lambda label: class_size(label) + 1)
+    with pytest.raises(IdentityViolationError, match="class sizes"):
+        build_table(group)
+
+
+def test_no_assert_statements_remain():
+    """Every claim in the package is a raised error, which python -O keeps."""
+    package = Path(psl2q.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []

@@ -1,13 +1,14 @@
 """Tests for exact cyclotomic arithmetic."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2q.cyclotomic import CycNum, cyclotomic_polynomial
+from psl2q.cyclotomic import CycNum, _convolve, cyclotomic_polynomial
 
 
 def test_cyclotomic_polynomials():
@@ -100,3 +101,196 @@ def test_exact_equality_matches_embedding(a):
     assert a == a
     if not a.is_zero():
         assert abs(complex(a)) > 1e-9 or a.is_zero()
+
+
+# -- an independent reference implementation ---------------------------------
+#
+# RefCyc is the dense Fraction algorithm: coefficients are a tuple of
+# Fraction, products are schoolbook convolutions, and reduction mod Phi_m
+# applies dense rows x^(phi(m)+k) mod Phi_m obtained by long division.  It
+# follows the same conductor rules as CycNum (sums and products live in the
+# lcm conductor; a product with a zero factor, or a scaling by 0, is the
+# conductor-1 zero), so the two must agree on the conductor as well as on
+# the coefficients.
+
+_REF_ROWS: dict[int, list[list[int]]] = {}
+
+
+def _ref_rows(m):
+    if m not in _REF_ROWS:
+        phi = cyclotomic_polynomial(m)
+        deg = len(phi) - 1
+        rows = []
+        for k in range(deg, max(m, 2 * deg - 1)):
+            rem = [0] * k + [1]
+            for top in range(k, deg - 1, -1):  # Phi_m is monic
+                c = rem[top]
+                if c:
+                    for i, p in enumerate(phi):
+                        rem[top - deg + i] -= c * p
+            rows.append(rem[:deg])
+        _REF_ROWS[m] = rows
+    return _REF_ROWS[m]
+
+
+def _ref_reduce(m, vec):
+    deg = len(cyclotomic_polynomial(m)) - 1
+    head = [Fraction(c) for c in vec[:deg]] + [Fraction(0)] * (deg - len(vec))
+    for k in range(deg, len(vec)):
+        row = _ref_rows(m)[k - deg]
+        for i in range(deg):
+            head[i] += vec[k] * row[i]
+    return tuple(head)
+
+
+def _schoolbook(a, b):
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return conv
+
+
+class RefCyc:
+    def __init__(self, m, coeffs):
+        self.m = m
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_powers(cls, m, powers):
+        return cls(m, _ref_reduce(m, powers))
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def lift(self, target):
+        step = target // self.m
+        vec = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        for j, c in enumerate(self.coeffs):
+            vec[j * step] += c
+        return RefCyc(target, _ref_reduce(target, vec))
+
+    def pair(self, other):
+        m = math.lcm(self.m, other.m)
+        return self.lift(m), other.lift(m)
+
+    def conjugate(self):
+        vec = [Fraction(0)] * self.m
+        for j, c in enumerate(self.coeffs):
+            vec[-j % self.m] += c
+        return RefCyc(self.m, _ref_reduce(self.m, vec))
+
+    def add(self, other, sign=1):
+        a, b = self.pair(other)
+        return RefCyc(a.m, tuple(x + sign * y for x, y in zip(a.coeffs, b.coeffs)))
+
+    def mul(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                return RefCyc(1, (Fraction(0),))
+            return RefCyc(self.m, tuple(c * other for c in self.coeffs))
+        a, b = self.pair(other)
+        if a.is_zero() or b.is_zero():
+            return RefCyc(1, (Fraction(0),))
+        return RefCyc(a.m, _ref_reduce(a.m, _schoolbook(a.coeffs, b.coeffs)))
+
+    def eq(self, other):
+        a, b = self.pair(other)
+        return a.coeffs == b.coeffs
+
+
+def _agrees(x: CycNum, ref: RefCyc) -> bool:
+    """x is in lowest terms over a positive denominator and equals ref exactly."""
+    assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
+    assert len(x.nums) == len(cyclotomic_polynomial(x.m)) - 1
+    return x.m == ref.m and tuple(Fraction(c, x.den) for c in x.nums) == ref.coeffs
+
+
+# Ambient conductors of the two operands: each operand's conductor divides
+# one of these, so every lcm the arithmetic lifts to is at most 342.
+# 180 = lcm(18, 20) and 342 = lcm(18, 19) are the character-table and
+# Gauss-sum conductors at q = 19.
+AMBIENT_CONDUCTORS = [12, 36, 180, 342]
+
+coefficients = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def oracle_pair(draw, ambient):
+    """(CycNum, RefCyc) built from the same sparse zeta-power vector, with a
+    conductor that divides ambient."""
+    m = draw(st.sampled_from(_divisors(ambient)))
+    powers = [0] * m
+    for j, c in draw(st.lists(st.tuples(st.integers(0, m - 1), coefficients), max_size=min(m, 16))):
+        powers[j] += c
+    den = draw(st.integers(min_value=1, max_value=12))
+    x = CycNum.from_zeta_powers(m, powers, Fraction(1, den))
+    ref = RefCyc.from_powers(m, [Fraction(c, den) for c in powers])
+    return x, ref
+
+
+@st.composite
+def oracle_operands(draw, ambients=AMBIENT_CONDUCTORS):
+    ambient = draw(st.sampled_from(ambients))
+    return ambient, draw(oracle_pair(ambient)), draw(oracle_pair(ambient))
+
+
+def test_x_to_the_m_minus_1_is_the_product_of_the_phi_d():
+    for m in sorted(set(_divisors(180) + _divisors(342))):
+        prod = [1]
+        for d in _divisors(m):
+            prod = _schoolbook(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (m - 1) + [1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_operands())
+def test_arithmetic_matches_the_fraction_oracle(operands):
+    ambient, (a, ra), (b, rb) = operands
+    assert _agrees(a, ra) and _agrees(b, rb)
+    assert _agrees(a + b, ra.add(rb))
+    assert _agrees(a - b, ra.add(rb, -1))
+    assert _agrees(a * b, ra.mul(rb))
+    assert _agrees(-a, ra.mul(-1))
+    assert _agrees(a * Fraction(-3, 4), ra.mul(Fraction(-3, 4)))
+    assert _agrees(a * 0, ra.mul(0))
+    assert _agrees(a.conjugate(), ra.conjugate())
+    assert _agrees(a.lift(ambient), ra.lift(ambient))
+    assert (a == b) == ra.eq(rb)
+    assert a == a.lift(ambient) and a - a == 0
+    assert a.is_zero() == ra.is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_operands([180, 342]))
+def test_dense_products_at_the_q19_conductors_match_the_fraction_oracle(operands):
+    _, (a, ra), (b, rb) = operands
+    a2, ra2 = a * a.conjugate() + b, ra.mul(ra.conjugate()).add(rb)  # a dense operand
+    assert _agrees(a2, ra2)
+    assert _agrees(a2 * b, ra2.mul(rb))
+    assert _agrees(a2 * a2, ra2.mul(ra2))
+
+
+PRODUCT_CASES = [
+    ([3], [5]),
+    ([-3], [5]),
+    ([0], [0]),
+    ([0, 0, 0], [1, -1]),
+    ([2**70, -5], [0]),
+    ([1, -2, 3, -4], [-5, 6, -7]),
+    ([0, 0, 4], [-1] * 30),
+    ([2**64, -(2**64) - 1, 3], [2**65 + 7, -1]),
+    ([-(2**100), 0, 2**99], [2**64, 2**64, -(2**63)]),
+]
+
+
+@pytest.mark.parametrize("a, b", PRODUCT_CASES)
+def test_convolution_matches_schoolbook(a, b):
+    assert _convolve(a, b) == _schoolbook(a, b)
