@@ -28,7 +28,6 @@ from .groups import PGL2
 from .verify import SUITES, run_suite
 
 MAX_VERIFY_Q = 19  # dense exact linear algebra is not meant to scale further
-EKR_DEFAULT_QS = (3, 5, 7)
 
 
 def _parse_q_list(text: str) -> list[int]:
@@ -44,25 +43,11 @@ def _parse_q_list(text: str) -> list[int]:
     return values
 
 
-def _suites_for(q: int, requested: str, ekr_q9: bool) -> list[str]:
+def _suites_for(q: int, requested: str) -> list[str]:
     """Applicable suites for one q, validating explicit requests."""
-    ekr_ok = q in EKR_DEFAULT_QS or (q == 9 and ekr_q9)
     if requested == "all":
-        suites = []
-        if q >= 5:
-            suites += ["table", "sums", "rank"]
-        if ekr_ok:
-            suites.append("ekr")
-        if not suites:
-            raise ValueError(f"no suite applies to q = {q}")
-        return suites
-    if requested == "ekr":
-        if not ekr_ok:
-            raise ValueError(
-                f"ekr enumeration is limited to q in {EKR_DEFAULT_QS} (q = 9 with --ekr-q9); got {q}"
-            )
-        return ["ekr"]
-    if q < 5:
+        return ["table", "sums", "rank", "ekr"] if q >= 5 else ["ekr"]
+    if requested != "ekr" and q < 5:
         raise ValueError(f"suite {requested!r} requires q >= 5; q = 3 only supports ekr")
     return [requested]
 
@@ -80,7 +65,7 @@ def cmd_verify(args) -> int:
         for q in q_values:
             if q > MAX_VERIFY_Q:
                 raise ValueError(f"q = {q} exceeds the verification budget {MAX_VERIFY_Q}")
-        plan = [(q, suite) for q in q_values for suite in _suites_for(q, args.suite, args.ekr_q9)]
+        plan = [(q, suite) for q in q_values for suite in _suites_for(q, args.suite)]
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
@@ -93,9 +78,7 @@ def cmd_verify(args) -> int:
         if args.budget_seconds is not None and time.monotonic() - started > args.budget_seconds:
             print(f"budget of {args.budget_seconds}s exceeded, aborting", file=sys.stderr)
             return 1
-        report = run_suite(
-            suite, q, seed=args.seed, allow_q9=args.ekr_q9, approx_digits=args.approx_digits
-        )
+        report = run_suite(suite, q, seed=args.seed, approx_digits=args.approx_digits)
         _write_json(out_dir / f"verify_q{q}_{suite}.json", report)
         for check in report["checks"]:
             status = "PASS" if check["pass"] else "FAIL"
@@ -212,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled spot checks")
     p_verify.add_argument("--budget-seconds", type=float, default=None, help="wall-clock cap")
     p_verify.add_argument("--approx-digits", type=int, default=12)
-    p_verify.add_argument("--ekr-q9", action="store_true", help="allow the q = 9 clique enumeration")
     p_verify.set_defaults(func=cmd_verify)
 
     p_dump = sub.add_parser("dump", help="write CSV artifacts")

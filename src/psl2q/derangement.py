@@ -111,15 +111,16 @@ class DerangementModel:
         return self._entry_for_row_zero_inf(c, d)
 
     def gram_closed(self) -> np.ndarray:
-        n = len(self.omega)
-        out = np.zeros((n, n), dtype=np.int64)
+        """Row (a, b) is the closed-form row (0, inf) read at the images of
+        each (c, d) under an element sending a -> 0 and b -> inf."""
+        row = np.array(self.gram_row_zero_inf_closed(), dtype=np.int64)
+        out = np.zeros((len(self.omega), len(self.omega)), dtype=np.int64)
         group = self.group
         inf = group.infinity
         for i, (a, b) in enumerate(self.omega):
             g = group.elements_with_constraints([(a, 0), (b, inf)])[0]
             images = [group.act(pt, g) for pt in group.points]
-            for j, (c, d) in enumerate(self.omega):
-                out[i, j] = self._entry_for_row_zero_inf(images[c], images[d])
+            out[i] = row[[self.omega_index[images[c], images[d]] for c, d in self.omega]]
         return out
 
     def gram_row_zero_inf_closed(self) -> list[int]:

@@ -1,15 +1,25 @@
 """Exhaustive search for maximum intersecting families in PSL(2,q).
 
-Two elements g1, g2 intersect when g1 * g2^(-1) fixes a projective point.
-Intersecting families are exactly the cliques of the graph on PSL(2,q) with
-that adjacency, which is invariant under right translation.  Maximum cliques
-are therefore enumerated up to translation: every maximum family contains
-some element g, and translating by g^(-1) gives a maximum family through the
-identity, so it suffices to enumerate maximum cliques through the identity
-and re-expand by all right translations.
+Two elements g1, g2 intersect when x^g1 = x^g2 for some projective point x,
+that is, when g1 * g2^(-1) fixes a point.  Intersecting families are exactly
+the cliques of the graph on PSL(2,q) with that adjacency.
 
-The clique search is a branch and bound over bitmask candidate sets with a
-greedy coloring bound.
+The graph is built from the image tuple of each element on the q+1 points,
+computed once.  The stabilizer coset {g : x^g = y} is a bitmask over the
+vertices, and the neighbourhood of g is the OR over x of the cosets
+{x -> x^g}, less g itself.  By sharp 3-transitivity the images of 0, 1 and
+infinity determine an element, so a right translation g -> g*h is three
+tuple lookups and one dict lookup, with no matrix product.  Families are
+bitmasks inside this module; the public functions take and return sets of
+Element tuples.
+
+The adjacency is invariant under right translation, so every maximum family
+is a translate of one through the identity.  One branch and bound over the
+identity's neighbourhood, with a greedy coloring bound, finds the largest
+clique size and every clique of that size, and each is re-expanded by all
+right translations.  A stabilizer {g : x^g = x} translates by h to the coset
+{x -> x^h}, so only a family that is no coset (q = 3) is translated element
+by element.
 """
 
 from __future__ import annotations
@@ -19,8 +29,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, NotIntersectingError
 from .groups import PGL2, Element
 
-DEFAULT_MAX_Q = 7
-OPT_IN_MAX_Q = 9
+MAX_Q = 19
 
 
 @dataclass(frozen=True)
@@ -29,26 +38,88 @@ class FamilyClassification:
     point_pair: tuple[int, int] | None = None
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class IntersectionGraph:
-    def __init__(self, group: PGL2, max_q: int = OPT_IN_MAX_Q):
-        if group.q > max_q:
-            raise BudgetExceededError(f"q = {group.q} exceeds the clique-search budget {max_q}")
+    """Vertex i is vertices[i]; the vertices are sorted, so the ascending bit
+    indices of a family list its elements in sorted order."""
+
+    def __init__(self, group: PGL2):
+        if group.q > MAX_Q:
+            raise BudgetExceededError(f"q = {group.q} exceeds the clique-search budget {MAX_Q}")
         self.group = group
-        self.vertices: list[Element] = group.elements("psl")
+        self.vertices: list[Element] = sorted(group.elements("psl"))
         self.index = {g: i for i, g in enumerate(self.vertices)}
-        n = len(self.vertices)
-        inverses = [group.inv(g) for g in self.vertices]
-        adj = [0] * n
-        for i in range(n):
-            gi = self.vertices[i]
-            for j in range(i + 1, n):
-                if not group.is_derangement(group.mul(gi, inverses[j])):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+        points = group.points
+        self.images = [tuple(group.act(x, g) for x in points) for g in self.vertices]
+        coset = [[0] * len(points) for _ in points]
+        for i, image in enumerate(self.images):
+            bit = 1 << i
+            for x, y in enumerate(image):
+                coset[x][y] |= bit
+        self.coset = coset
+        adj = []
+        for i, image in enumerate(self.images):
+            row = 0
+            for x, y in enumerate(image):
+                row |= coset[x][y]
+            adj.append(row & ~(1 << i))
         self.adjacency = adj
+        inf = group.infinity
+        self._by_triple = {(img[0], img[1], img[inf]): i for i, img in enumerate(self.images)}
 
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
+
+    def mask(self, members) -> int:
+        mask = 0
+        for g in members:
+            i = self.index.get(g)
+            if i is None:
+                raise ValueError(f"{g} is not an element of PSL(2,{self.group.q})")
+            mask |= 1 << i
+        return mask
+
+    def members(self, mask: int) -> frozenset[Element]:
+        return frozenset(self.vertices[i] for i in _bits(mask))
+
+    def is_clique(self, mask: int) -> bool:
+        """Every member g has the whole family inside adj[g] + {g}."""
+        adj = self.adjacency
+        return all((mask & ~adj[i]) == 1 << i for i in _bits(mask))
+
+    def coset_of(self, mask: int) -> tuple[int, int] | None:
+        """The first (x, y), by x, whose coset {g : x^g = y} is exactly mask."""
+        if mask:
+            image = self.images[(mask & -mask).bit_length() - 1]
+            for x, y in enumerate(image):
+                if self.coset[x][y] == mask:
+                    return x, y
+        return None
+
+    def translate(self, mask: int, h: int) -> int:
+        """{g*h : g in mask}: x^(g*h) = (x^g)^h on the three points that fix g*h."""
+        image_h = self.images[h]
+        inf = self.group.infinity
+        out = 0
+        for i in _bits(mask):
+            image = self.images[i]
+            out |= 1 << self._by_triple[image_h[image[0]], image_h[image[1]], image_h[image[inf]]]
+        return out
+
+    def translates(self, mask: int) -> set[int]:
+        """Every right translate of a family."""
+        pair = self.coset_of(mask)
+        if pair is None:
+            return {self.translate(mask, h) for h in range(len(self.vertices))}
+        x, y = pair
+        return {self.coset[x][image[y]] for image in self.images}
 
 
 def _color_bound_order(adj: list[int], cand: int) -> tuple[list[int], list[int]]:
@@ -71,85 +142,81 @@ def _color_bound_order(adj: list[int], cand: int) -> tuple[list[int], list[int]]
     return order, bounds
 
 
-def _max_clique_size(adj: list[int], cand: int, current: int, best: int) -> int:
-    if cand == 0:
-        return max(best, current)
-    order, bounds = _color_bound_order(adj, cand)
-    for idx in range(len(order) - 1, -1, -1):
-        if current + bounds[idx] <= best:
-            return best
-        v = order[idx]
-        best = _max_clique_size(adj, cand & adj[v], current + 1, best)
-        cand &= ~(1 << v)
-    return best
+def _maximum_cliques(adj: list[int], cand: int) -> tuple[int, list[int]]:
+    """Size of the largest clique inside cand and every clique of that size.
 
+    A branch is cut only when it cannot reach the best size so far, so ties
+    are explored; a clique is recorded when nothing extends it, and each
+    clique is reached along one path because a vertex leaves the candidates
+    once its branch is done.
+    """
+    best, found = 0, []
 
-def _collect_cliques(adj: list[int], cand: int, need: int, prefix: list[int], out: list[list[int]]):
-    if need == 0:
-        out.append(list(prefix))
-        return
-    if cand.bit_count() < need:
-        return
-    order, bounds = _color_bound_order(adj, cand)
-    for idx in range(len(order) - 1, -1, -1):
-        if bounds[idx] < need:
+    def extend(cand: int, clique: int, size: int):
+        nonlocal best, found
+        if not cand:
+            if size > best:
+                best, found = size, [clique]
+            elif size == best:
+                found.append(clique)
             return
-        v = order[idx]
-        prefix.append(v)
-        _collect_cliques(adj, cand & adj[v], need - 1, prefix, out)
-        prefix.pop()
-        cand &= ~(1 << v)
+        order, bounds = _color_bound_order(adj, cand)
+        for idx in range(len(order) - 1, -1, -1):
+            if size + bounds[idx] < best:
+                return
+            v = order[idx]
+            extend(cand & adj[v], clique | 1 << v, size + 1)
+            cand &= ~(1 << v)
+
+    extend(cand, 0, 0)
+    return best, found
+
+
+def _graph_for(group: PGL2, graph: IntersectionGraph | None) -> IntersectionGraph:
+    if graph is None:
+        return IntersectionGraph(group)
+    if graph.group is not group:
+        raise ValueError("the intersection graph was built for another group")
+    return graph
 
 
 def max_intersecting_families(
-    group: PGL2, allow_q9: bool = False
+    group: PGL2, graph: IntersectionGraph | None = None
 ) -> tuple[int, list[frozenset[Element]]]:
-    """Size of the largest intersecting family and every family of that size."""
-    max_q = OPT_IN_MAX_Q if allow_q9 else DEFAULT_MAX_Q
-    graph = IntersectionGraph(group, max_q=max_q)
-    adj = graph.adjacency
-    id_idx = graph.index[group.identity]
-    neighborhood = adj[id_idx]
-    best = 1 + _max_clique_size(adj, neighborhood, 0, 0)
-
-    raw: list[list[int]] = []
-    _collect_cliques(adj, neighborhood, best - 1, [], raw)
-    through_identity = [
-        frozenset([group.identity] + [graph.vertices[i] for i in clique]) for clique in raw
-    ]
-
-    families = set()
-    for base in through_identity:
-        for h in graph.vertices:
-            families.add(frozenset(group.mul(g, h) for g in base))
-    ordered = sorted(families, key=lambda fam: sorted(fam))
-    return best, ordered
+    """Size of the largest intersecting family and every family of that size,
+    ordered by their sorted elements."""
+    graph = _graph_for(group, graph)
+    identity = graph.index[group.identity]
+    size, cliques = _maximum_cliques(graph.adjacency, graph.adjacency[identity])
+    families: set[int] = set()
+    for clique in cliques:
+        families |= graph.translates(clique | 1 << identity)
+    ordered = sorted(families, key=lambda mask: list(_bits(mask)))
+    return size + 1, [graph.members(mask) for mask in ordered]
 
 
-def is_intersecting(group: PGL2, members) -> bool:
-    members = list(members)
-    for i, g1 in enumerate(members):
-        for g2 in members[i + 1 :]:
-            if group.is_derangement(group.mul(g1, group.inv(g2))):
-                return False
-    return True
+def is_intersecting(group: PGL2, members, graph: IntersectionGraph | None = None) -> bool:
+    graph = _graph_for(group, graph)
+    return graph.is_clique(graph.mask(members))
 
 
-def stabilizer_coset(group: PGL2, x: int, y: int) -> frozenset[Element]:
+def stabilizer_coset(
+    group: PGL2, x: int, y: int, graph: IntersectionGraph | None = None
+) -> frozenset[Element]:
     """{g in PSL : x^g = y}; the extremal families of the classification."""
-    return frozenset(g for g in group.elements("psl") if group.act(x, g) == y)
+    graph = _graph_for(group, graph)
+    return graph.members(graph.coset[x][y])
 
 
-def classify_family(group: PGL2, members) -> FamilyClassification:
+def classify_family(
+    group: PGL2, members, graph: IntersectionGraph | None = None
+) -> FamilyClassification:
     """Decide whether an intersecting family is exactly a stabilizer coset."""
-    fam = frozenset(members)
-    if not is_intersecting(group, fam):
+    graph = _graph_for(group, graph)
+    mask = graph.mask(members)
+    if not graph.is_clique(mask):
         raise NotIntersectingError("the set is not pairwise intersecting")
-    for x in group.points:
-        images = {group.act(x, g) for g in fam}
-        if len(images) != 1:
-            continue
-        y = next(iter(images))
-        if fam == stabilizer_coset(group, x, y):
-            return FamilyClassification("stabilizer_coset", (x, y))
-    return FamilyClassification("other")
+    pair = graph.coset_of(mask)
+    if pair is None:
+        return FamilyClassification("other")
+    return FamilyClassification("stabilizer_coset", pair)

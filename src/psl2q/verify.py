@@ -16,7 +16,13 @@ from .chartable import build_table
 from .charsums import CharacterSums
 from .cyclotomic import CycNum
 from .derangement import DerangementModel
-from .ekr import classify_family, is_intersecting, max_intersecting_families, stabilizer_coset
+from .ekr import (
+    IntersectionGraph,
+    classify_family,
+    is_intersecting,
+    max_intersecting_families,
+    stabilizer_coset,
+)
 from .errors import IdentityViolationError
 from .fields import field_ctx_for_q
 from .groups import PGL2
@@ -499,8 +505,9 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
 # -- ekr suite -----------------------------------------------------------------------
 
 
-def run_ekr_suite(q: int, seed: int = 0, allow_q9: bool = False) -> dict:
+def run_ekr_suite(q: int, seed: int = 0) -> dict:
     group = PGL2(field_ctx_for_q(q))
+    graph = IntersectionGraph(group)
     checks = _Checks()
     rng = _rng(seed, q, "ekr")
     psl = group.elements("psl")
@@ -522,17 +529,17 @@ def run_ekr_suite(q: int, seed: int = 0, allow_q9: bool = False) -> dict:
         ok = ok and lhs == rhs
     checks.add("adjacency_translation_invariance_sample", ok, "100 seeded triples")
 
-    size, families = max_intersecting_families(group, allow_q9=allow_q9)
+    size, families = max_intersecting_families(group, graph)
     expected_size = q * (q - 1) // 2
     checks.add("maximum_family_size", size == expected_size, f"size {size}")
 
-    classifications = [classify_family(group, fam) for fam in families]
+    classifications = [classify_family(group, fam, graph) for fam in families]
     coset_count = sum(1 for c in classifications if c.kind == "stabilizer_coset")
     other_count = len(families) - coset_count
 
-    cosets = {stabilizer_coset(group, x, y) for x in group.points for y in group.points}
+    cosets = {stabilizer_coset(group, x, y, graph) for x in group.points for y in group.points}
     coset_check = len(cosets) == (q + 1) ** 2 and all(
-        len(c) == expected_size and is_intersecting(group, c) for c in cosets
+        len(c) == expected_size and is_intersecting(group, c, graph) for c in cosets
     )
     checks.add(
         "stabilizer_cosets_are_maximum_families",
@@ -553,9 +560,9 @@ def run_ekr_suite(q: int, seed: int = 0, allow_q9: bool = False) -> dict:
             f"{len(families)} families, all stabilizer cosets",
         )
 
-    some_coset = sorted(stabilizer_coset(group, 0, 0), key=repr)
+    some_coset = sorted(stabilizer_coset(group, 0, 0, graph), key=repr)
     subset = some_coset[: max(2, len(some_coset) // 2)]
-    checks.add("subfamilies_stay_intersecting", is_intersecting(group, subset))
+    checks.add("subfamilies_stay_intersecting", is_intersecting(group, subset, graph))
 
     extra = {
         "max_size": size,
@@ -571,7 +578,7 @@ def run_ekr_suite(q: int, seed: int = 0, allow_q9: bool = False) -> dict:
     return _report(q, "ekr", seed, checks, extra=extra)
 
 
-def run_suite(suite: str, q: int, seed: int = 0, allow_q9: bool = False, approx_digits: int = 12) -> dict:
+def run_suite(suite: str, q: int, seed: int = 0, approx_digits: int = 12) -> dict:
     if suite == "table":
         return run_table_suite(q, seed)
     if suite == "sums":
@@ -579,5 +586,5 @@ def run_suite(suite: str, q: int, seed: int = 0, allow_q9: bool = False, approx_
     if suite == "rank":
         return run_rank_suite(q, seed, approx_digits=approx_digits)
     if suite == "ekr":
-        return run_ekr_suite(q, seed, allow_q9=allow_q9)
+        return run_ekr_suite(q, seed)
     raise ValueError(f"unknown suite {suite!r}")

@@ -16,8 +16,7 @@ def test_invalid_q_exits_2(capsys):
 
 def test_budget_validation(capsys):
     assert main(["verify", "--q", "23"]) == 2
-    assert main(["verify", "--q", "11", "--suite", "ekr"]) == 2
-    assert main(["verify", "--q", "9", "--suite", "ekr"]) == 2  # q = 9 needs the flag
+    assert main(["verify", "--q", "23", "--suite", "ekr"]) == 2
     assert main(["verify", "--q", "3", "--suite", "rank"]) == 2
     capsys.readouterr()
 

@@ -14,6 +14,7 @@ from psl2q.ekr import (
 from psl2q.errors import BudgetExceededError, NotIntersectingError
 from psl2q.fields import field_ctx_for_q
 from psl2q.groups import PGL2
+from psl2q.verify import run_suite
 
 
 @pytest.fixture(scope="module")
@@ -21,11 +22,12 @@ def psl_groups():
     return {q: PGL2(field_ctx_for_q(q)) for q in (3, 5, 7)}
 
 
-def test_graph_budget(psl_groups):
+def test_graph_budget():
+    G = PGL2(field_ctx_for_q(23))
     with pytest.raises(BudgetExceededError):
-        IntersectionGraph(PGL2(field_ctx_for_q(11)))
+        IntersectionGraph(G)
     with pytest.raises(BudgetExceededError):
-        max_intersecting_families(PGL2(field_ctx_for_q(9)))  # needs the opt-in
+        max_intersecting_families(G)
 
 
 def test_graph_q5(psl_groups):
@@ -94,6 +96,22 @@ def test_classify_stabilizer(psl_groups):
     assert result.kind == "stabilizer_coset" and result.point_pair == (0, 0)
 
 
+def test_proper_subfamily_is_not_a_coset(psl_groups):
+    G = psl_groups[7]
+    coset = sorted(stabilizer_coset(G, 2, 5))
+    assert classify_family(G, coset[1:]).kind == "other"
+    assert classify_family(G, []).kind == "other"
+
+
+def test_foreign_input_is_rejected(psl_groups):
+    G = psl_groups[5]
+    outside = next(g for g in G.elements("pgl") if not G.in_psl(g))
+    with pytest.raises(ValueError):
+        is_intersecting(G, [G.identity, outside])
+    with pytest.raises(ValueError):
+        classify_family(G, [G.identity], IntersectionGraph(psl_groups[7]))
+
+
 def test_classify_rejects_non_intersecting(psl_groups):
     G = psl_groups[5]
     der = next(g for g in G.elements("psl") if G.is_derangement(g))
@@ -109,11 +127,77 @@ def test_subfamilies_stay_intersecting(psl_groups):
     assert is_intersecting(G, coset[::3])
 
 
-@pytest.mark.slow
-def test_q9_opt_in():
+def test_q9_all_families_are_cosets():
     G = PGL2(field_ctx_for_q(9))
-    size, families = max_intersecting_families(G, allow_q9=True)
+    size, families = max_intersecting_families(G)
     assert size == 36
     assert len(families) == 100
     for fam in families:
         assert classify_family(G, fam).kind == "stabilizer_coset"
+
+
+def _intersect(G, g1, g2) -> bool:
+    return not G.is_derangement(G.mul(g1, G.inv(g2)))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_adjacency_matches_the_derangement_relation(q):
+    G = PGL2(field_ctx_for_q(q))
+    graph = IntersectionGraph(G)
+    for i, g1 in enumerate(graph.vertices):
+        for j, g2 in enumerate(graph.vertices):
+            assert bool(graph.adjacency[i] >> j & 1) == (i != j and _intersect(G, g1, g2))
+
+
+@pytest.mark.parametrize("q", [9, 11])
+def test_identity_row_matches_the_derangement_relation(q):
+    G = PGL2(field_ctx_for_q(q))
+    graph = IntersectionGraph(G)
+    row = graph.adjacency[graph.index[G.identity]]
+    for j, g in enumerate(graph.vertices):
+        assert bool(row >> j & 1) == (g != G.identity and _intersect(G, G.identity, g))
+
+
+def test_is_intersecting_matches_the_pairwise_relation(psl_groups):
+    G = psl_groups[5]
+    rng = random.Random(5)
+    psl = G.elements("psl")
+    outcomes = set()
+    for _ in range(300):
+        members = rng.sample(psl, rng.randint(2, 5))
+        expected = all(_intersect(G, g1, g2) for g1 in members for g2 in members)
+        assert is_intersecting(G, members) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_translation_matches_group_mul(q):
+    G = PGL2(field_ctx_for_q(q))
+    graph = IntersectionGraph(G)
+    rng = random.Random(q)
+    for _ in range(200):
+        g, h = rng.choice(graph.vertices), rng.choice(graph.vertices)
+        got = graph.translate(1 << graph.index[g], graph.index[h])
+        assert graph.members(got) == {G.mul(g, h)}
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_families_match_a_group_mul_reexpansion(q):
+    G = PGL2(field_ctx_for_q(q))
+    size, families = max_intersecting_families(G)
+    through_identity = [fam for fam in families if G.identity in fam]
+    for fam in through_identity:
+        assert all(_intersect(G, g1, g2) for g1 in fam for g2 in fam)
+    expanded = {
+        frozenset(G.mul(g, h) for g in base) for base in through_identity for h in G.elements("psl")
+    }
+    assert expanded == set(families)
+    assert families == sorted(families, key=sorted)
+
+
+def test_ekr_suite_q11():
+    report = run_suite("ekr", 11)
+    assert report["pass"] is True
+    assert report["max_size"] == 55
+    assert report["family_count"] == 144

@@ -1,6 +1,6 @@
 """The `verify` reports and the `dump table|legendre` CSVs are byte-identical
-to the files recorded in tests/golden (q = 5, 7, 9), with and without
-`python -O`."""
+to the files recorded in tests/golden (q = 5, 7, 9, and q = 3 for ekr), with
+and without `python -O`."""
 
 import subprocess
 import sys
@@ -12,12 +12,13 @@ import psl2q
 
 GOLDEN = Path(__file__).parent / "golden"
 QS = "5,7,9"
+EKR_QS = "3,5,7,9"
 
 
-def _run(flags, args, out):
+def _run(flags, args, out, qs=QS):
     src = str(Path(psl2q.__file__).resolve().parents[1])
     subprocess.run(
-        [sys.executable, *flags, "-m", "psl2q.cli", *args, "--q", QS, "--out", str(out)],
+        [sys.executable, *flags, "-m", "psl2q.cli", *args, "--q", qs, "--out", str(out)],
         env={"PYTHONPATH": src}, check=True, capture_output=True, timeout=300,
     )
 
@@ -27,6 +28,7 @@ def regenerated(request, tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
     for suite in ("table", "sums", "rank"):
         _run(request.param, ["verify", "--suite", suite], out)
+    _run(request.param, ["verify", "--suite", "ekr"], out, EKR_QS)
     for what in ("table", "legendre"):
         _run(request.param, ["dump", what], out)
     return out
@@ -38,6 +40,7 @@ def _golden_names():
 
 def test_golden_set_is_complete():
     expected = {f"verify_q{q}_{s}.json" for q in (5, 7, 9) for s in ("table", "sums", "rank")}
+    expected |= {f"verify_q{q}_ekr.json" for q in (3, 5, 7, 9)}
     expected |= {f"{w}_q{q}.csv" for q in (5, 7, 9) for w in ("table", "legendre")}
     assert set(_golden_names()) == expected
 
