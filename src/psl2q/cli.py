@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -27,7 +28,9 @@ from .fields import factor_prime_power, field_ctx_for_q
 from .groups import PGL2
 from .verify import SUITES, run_suite
 
-MAX_VERIFY_Q = 19  # dense exact linear algebra is not meant to scale further
+# The ekr clique search stops at ekr.MAX_Q = 19, where it takes about 10 s;
+# rank and sums take seconds there too.  Larger q is neither budgeted nor timed.
+MAX_VERIFY_Q = 19
 
 
 def _parse_q_list(text: str) -> list[int]:
@@ -52,6 +55,11 @@ def _suites_for(q: int, requested: str) -> list[str]:
     return [requested]
 
 
+def _check_approx_digits(digits: int):
+    if digits < 0:
+        raise ValueError(f"--approx-digits must be >= 0, not {digits}")
+
+
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -65,6 +73,10 @@ def cmd_verify(args) -> int:
         for q in q_values:
             if q > MAX_VERIFY_Q:
                 raise ValueError(f"q = {q} exceeds the verification budget {MAX_VERIFY_Q}")
+        _check_approx_digits(args.approx_digits)
+        budget = args.budget_seconds
+        if budget is not None and not (math.isfinite(budget) and budget >= 0):
+            raise ValueError(f"--budget-seconds must be a finite number >= 0, not {budget}")
         plan = [(q, suite) for q in q_values for suite in _suites_for(q, args.suite)]
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
@@ -165,6 +177,7 @@ def cmd_dump(args) -> int:
                 raise ValueError(f"q = {q} exceeds the budget {MAX_VERIFY_Q}")
             if args.what in ("table", "legendre") and q < 5:
                 raise ValueError(f"{args.what} dump requires q >= 5")
+        _check_approx_digits(args.approx_digits)
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -57,11 +57,12 @@ class DerangementModel:
         """Rows: derangements of PSL(2,q) in enumeration order; q+1 ones per row."""
         if self._m_matrix is None:
             group = self.group
+            index = group.image_index()
             ders = group.derangements()
             m = np.zeros((len(ders), len(self.omega)), dtype=np.int64)
             for i, g in enumerate(ders):
-                for a in group.points:
-                    m[i, self.omega_index[(a, group.act(a, g))]] = 1
+                for a, b in enumerate(index.image(g)):
+                    m[i, self.omega_index[(a, b)]] = 1
             self._m_matrix = m
         return self._m_matrix
 
@@ -105,10 +106,10 @@ class DerangementModel:
             if a == b or not (0 <= a <= self.q) or not (0 <= b <= self.q):
                 raise NotInOmegaError(f"{pair} is not an ordered pair of distinct points")
         a, b = row_pair
-        g = self.group.elements_with_constraints([(a, 0), (b, self.group.infinity)])[0]
-        c = self.group.act(col_pair[0], g)
-        d = self.group.act(col_pair[1], g)
-        return self._entry_for_row_zero_inf(c, d)
+        group = self.group
+        g = group.elements_with_constraints([(a, 0), (b, group.infinity)])[0]
+        image = group.image_index().image(g)
+        return self._entry_for_row_zero_inf(image[col_pair[0]], image[col_pair[1]])
 
     def gram_closed(self) -> np.ndarray:
         """Row (a, b) is the closed-form row (0, inf) read at the images of
@@ -116,10 +117,10 @@ class DerangementModel:
         row = np.array(self.gram_row_zero_inf_closed(), dtype=np.int64)
         out = np.zeros((len(self.omega), len(self.omega)), dtype=np.int64)
         group = self.group
+        index = group.image_index()
         inf = group.infinity
         for i, (a, b) in enumerate(self.omega):
-            g = group.elements_with_constraints([(a, 0), (b, inf)])[0]
-            images = [group.act(pt, g) for pt in group.points]
+            images = index.image(group.elements_with_constraints([(a, 0), (b, inf)])[0])
             out[i] = row[[self.omega_index[images[c], images[d]] for c, d in self.omega]]
         return out
 

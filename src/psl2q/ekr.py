@@ -4,14 +4,14 @@ Two elements g1, g2 intersect when x^g1 = x^g2 for some projective point x,
 that is, when g1 * g2^(-1) fixes a point.  Intersecting families are exactly
 the cliques of the graph on PSL(2,q) with that adjacency.
 
-The graph is built from the image tuple of each element on the q+1 points,
-computed once.  The stabilizer coset {g : x^g = y} is a bitmask over the
-vertices, and the neighbourhood of g is the OR over x of the cosets
-{x -> x^g}, less g itself.  By sharp 3-transitivity the images of 0, 1 and
-infinity determine an element, so a right translation g -> g*h is three
-tuple lookups and one dict lookup, with no matrix product.  Families are
-bitmasks inside this module; the public functions take and return sets of
-Element tuples.
+The graph reads the point-image index of PSL(2,q) (`PGL2.image_index`):
+the vertices are its sorted elements, and the stabilizer coset
+{g : x^g = y} is its coset mask.  The neighbourhood of g is the OR over x of
+the cosets {x -> x^g}, less g itself.  By sharp 3-transitivity the images of
+0, 1 and infinity determine an element, so a right translation g -> g*h is
+three tuple lookups and one dict lookup, with no matrix product.  Families
+are bitmasks over PSL positions inside this module; the public functions
+take and return sets of Element tuples.
 
 The adjacency is invariant under right translation, so every maximum family
 is a translate of one through the identity.  One branch and bound over the
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, NotIntersectingError
-from .groups import PGL2, Element
+from .groups import PGL2, Element, mask_bits
 
 MAX_Q = 19
 
@@ -38,14 +38,6 @@ class FamilyClassification:
     point_pair: tuple[int, int] | None = None
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class IntersectionGraph:
     """Vertex i is vertices[i]; the vertices are sorted, so the ascending bit
     indices of a family list its elements in sorted order."""
@@ -54,16 +46,13 @@ class IntersectionGraph:
         if group.q > MAX_Q:
             raise BudgetExceededError(f"q = {group.q} exceeds the clique-search budget {MAX_Q}")
         self.group = group
-        self.vertices: list[Element] = sorted(group.elements("psl"))
-        self.index = {g: i for i, g in enumerate(self.vertices)}
-        points = group.points
-        self.images = [tuple(group.act(x, g) for x in points) for g in self.vertices]
-        coset = [[0] * len(points) for _ in points]
-        for i, image in enumerate(self.images):
-            bit = 1 << i
-            for x, y in enumerate(image):
-                coset[x][y] |= bit
-        self.coset = coset
+        psl = group.image_index("psl")
+        self.vertices: list[Element] = psl.elements
+        self.index = psl.position
+        self.images = psl.images
+        self.coset = psl.coset
+        self._by_triple = psl.by_triple
+        coset = self.coset
         adj = []
         for i, image in enumerate(self.images):
             row = 0
@@ -71,8 +60,6 @@ class IntersectionGraph:
                 row |= coset[x][y]
             adj.append(row & ~(1 << i))
         self.adjacency = adj
-        inf = group.infinity
-        self._by_triple = {(img[0], img[1], img[inf]): i for i, img in enumerate(self.images)}
 
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
@@ -87,12 +74,12 @@ class IntersectionGraph:
         return mask
 
     def members(self, mask: int) -> frozenset[Element]:
-        return frozenset(self.vertices[i] for i in _bits(mask))
+        return frozenset(self.vertices[i] for i in mask_bits(mask))
 
     def is_clique(self, mask: int) -> bool:
         """Every member g has the whole family inside adj[g] + {g}."""
         adj = self.adjacency
-        return all((mask & ~adj[i]) == 1 << i for i in _bits(mask))
+        return all((mask & ~adj[i]) == 1 << i for i in mask_bits(mask))
 
     def coset_of(self, mask: int) -> tuple[int, int] | None:
         """The first (x, y), by x, whose coset {g : x^g = y} is exactly mask."""
@@ -108,7 +95,7 @@ class IntersectionGraph:
         image_h = self.images[h]
         inf = self.group.infinity
         out = 0
-        for i in _bits(mask):
+        for i in mask_bits(mask):
             image = self.images[i]
             out |= 1 << self._by_triple[image_h[image[0]], image_h[image[1]], image_h[image[inf]]]
         return out
@@ -191,7 +178,7 @@ def max_intersecting_families(
     families: set[int] = set()
     for clique in cliques:
         families |= graph.translates(clique | 1 << identity)
-    ordered = sorted(families, key=lambda mask: list(_bits(mask)))
+    ordered = sorted(families, key=lambda mask: list(mask_bits(mask)))
     return size + 1, [graph.members(mask) for mask in ordered]
 
 

@@ -7,6 +7,11 @@ on the right, point * matrix.
 A group element is a 4-tuple (a, b, c, d) of GF(q) indices read row-major,
 normalized so that the first nonzero entry equals 1; two matrices represent
 the same element of PGL(2,q) exactly when their normal forms are equal.
+
+`act` is the one place that computes the action.  `image_index` lists, once
+per group (PGL or PSL), every element's images on the q+1 points and the
+stabilizer cosets {g : x^g = y} as bitmasks over the sorted elements, so a
+point-mapping constraint query is an AND of coset masks.
 """
 
 from __future__ import annotations
@@ -40,6 +45,39 @@ SPLIT_MINUS_ONE_LABEL = ClassLabel("split_minus_one")
 NONSPLIT_I_LABEL = ClassLabel("nonsplit_i")
 
 
+def mask_bits(mask: int):
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True)
+class PointImageIndex:
+    """A group as permutations of the q+1 points.
+
+    Element i is elements[i], in sorted order, and images[i] is the tuple of
+    its images x^g for x = 0..q.  A set of elements is a bitmask over the
+    positions: coset[x][y] is the stabilizer coset {g : x^g = y}.  By sharp
+    3-transitivity the images of 0, 1 and infinity determine an element, and
+    by_triple maps them back to its position.
+    """
+
+    elements: list[Element]
+    images: list[tuple[int, ...]]
+    position: dict[Element, int]
+    coset: list[list[int]]
+    by_triple: dict[tuple[int, int, int], int]
+
+    def image(self, g: Element) -> tuple[int, ...]:
+        return self.images[self.position[g]]
+
+    def members(self, mask: int) -> list[Element]:
+        """The elements of a mask, in sorted order."""
+        return [self.elements[i] for i in mask_bits(mask)]
+
+
 class PGL2:
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
@@ -50,6 +88,7 @@ class PGL2:
         self._classify_cache: dict[Element, ClassLabel] = {}
         self._elements_pgl: list[Element] | None = None
         self._elements_psl: list[Element] | None = None
+        self._image_index: dict[str, PointImageIndex] = {}
 
     # -- element plumbing ---------------------------------------------------
 
@@ -217,108 +256,57 @@ class PGL2:
         labels += [ClassLabel("nonsplit", j) for j in range(1, (q + 1) // 2)]
         return labels
 
-    # -- constrained elements ---------------------------------------------------
+    # -- point images ---------------------------------------------------------
 
-    def _point_vector(self, pt: int) -> tuple[int, int]:
-        return (0, 1) if pt == self.infinity else (1, pt)
+    def image_index(self, which: str = "pgl") -> PointImageIndex:
+        """The point-image index of PGL(2,q) or PSL(2,q), built once."""
+        index = self._image_index.get(which)
+        if index is None:
+            index = self._build_image_index(which)
+            self._image_index[which] = index
+        return index
+
+    def _build_image_index(self, which: str) -> PointImageIndex:
+        elements = sorted(self.elements(which))
+        points = self.points
+        images = [tuple(self.act(x, g) for x in points) for g in elements]
+        coset = [[0] * len(points) for _ in points]
+        for i, image in enumerate(images):
+            bit = 1 << i
+            for x, y in enumerate(image):
+                coset[x][y] |= bit
+        inf = self.infinity
+        return PointImageIndex(
+            elements=elements,
+            images=images,
+            position={g: i for i, g in enumerate(elements)},
+            coset=coset,
+            by_triple={(img[0], img[1], img[inf]): i for i, img in enumerate(images)},
+        )
 
     def elements_with_constraints(self, pairs, which: str = "pgl") -> list[Element]:
-        """All elements sending src -> tgt for each (src, tgt) pair.
+        """All elements sending src -> tgt for each (src, tgt) pair, sorted.
 
-        One to three constraints; sources must be pairwise distinct, likewise
-        targets.  With two constraints PGL(2,q) has exactly q-1 solutions and
-        with three exactly one (sharp 3-transitivity).
+        The answer is the intersection of the cosets {g : src^g = tgt}.  One
+        to three constraints on points 0..q; sources must be pairwise
+        distinct, likewise targets.  With two constraints PGL(2,q) has
+        exactly q-1 solutions and with three exactly one (sharp
+        3-transitivity).
         """
         pairs = list(pairs)
         if not 1 <= len(pairs) <= 3:
             raise InvalidConstraintError("need 1 to 3 constraints")
+        for pair in pairs:
+            for pt in pair:
+                if not isinstance(pt, int) or not 0 <= pt <= self.q:
+                    raise InvalidConstraintError(f"{pt!r} is not a point of PG(1,{self.q})")
         if len({s for s, _ in pairs}) != len(pairs) or len({t for _, t in pairs}) != len(pairs):
             raise InvalidConstraintError("repeated source or target point")
-        ctx = self.ctx
-        rows = []
+        index = self.image_index(which)
+        mask = -1
         for src, tgt in pairs:
-            v0, v1 = self._point_vector(src)
-            w0, w1 = self._point_vector(tgt)
-            # (v . M) proportional to w, one linear condition on (a, b, c, d)
-            rows.append(
-                (
-                    ctx.mul(v0, w1),
-                    ctx.neg(ctx.mul(v0, w0)),
-                    ctx.mul(v1, w1),
-                    ctx.neg(ctx.mul(v1, w0)),
-                )
-            )
-        basis = self._nullspace4(rows)
-        out = []
-        seen = set()
-        for vec in self._projective_combinations(basis):
-            if self.det(vec) == 0:
-                continue
-            g = self.normalize(vec)
-            if g in seen:
-                continue
-            seen.add(g)
-            if which == "pgl" or self.in_psl(g):
-                out.append(g)
-        out.sort()
-        return out
-
-    def _nullspace4(self, rows: list[tuple[int, int, int, int]]) -> list[Element]:
-        ctx = self.ctx
-        mat = [list(r) for r in rows]
-        pivots = []
-        rank = 0
-        for col in range(4):
-            piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            inv = ctx.inv(mat[rank][col])
-            mat[rank] = [ctx.mul(v, inv) for v in mat[rank]]
-            for i in range(len(mat)):
-                if i != rank and mat[i][col]:
-                    f = mat[i][col]
-                    mat[i] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(mat[i], mat[rank])]
-            pivots.append(col)
-            rank += 1
-        free = [c for c in range(4) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = [0, 0, 0, 0]
-            vec[fc] = 1
-            for r, pc in enumerate(pivots):
-                vec[pc] = ctx.neg(mat[r][fc])
-            basis.append(tuple(vec))
-        return basis
-
-    def _projective_combinations(self, basis: list[Element]):
-        ctx = self.ctx
-        q = self.q
-
-        def combine(coeffs):
-            acc = [0, 0, 0, 0]
-            for c, vec in zip(coeffs, basis):
-                if c:
-                    for i in range(4):
-                        acc[i] = ctx.add(acc[i], ctx.mul(c, vec[i]))
-            return tuple(acc)
-
-        k = len(basis)
-        if k == 0:
-            return
-        if k == 1:
-            yield basis[0]
-        elif k == 2:
-            for t in range(q):
-                yield combine((1, t))
-            yield basis[1]
-        else:
-            for s in range(q):
-                for t in range(q):
-                    yield combine((1, s, t))
-            for t in range(q):
-                yield combine((0, 1, t))
-            yield basis[-1]
+            mask &= index.coset[src][tgt]
+        return index.members(mask)
 
     def swap_one_infinity(self) -> Element:
         """The unique element fixing 0 and exchanging 1 with infinity.

@@ -6,19 +6,34 @@ import json
 from psl2q.cli import main
 
 
-def test_invalid_q_exits_2(capsys):
+def test_invalid_q_exits_2(tmp_path, capsys):
     assert main(["verify", "--q", "4"]) == 2
     assert "not an odd prime power" in capsys.readouterr().err
     assert main(["verify", "--q", "15"]) == 2
     assert main(["verify", "--q", ""]) == 2
     assert main(["verify", "--q", "5", "--suite", "bogus"]) == 2
+    capsys.readouterr()
+    out = str(tmp_path)
+    for argv in (
+        ["verify", "--q", "5", "--suite", "rank", "--approx-digits", "-3", "--out", out],
+        ["dump", "table", "--q", "5", "--approx-digits", "-1", "--out", out],
+    ):
+        assert main(argv) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
-def test_budget_validation(capsys):
+def test_budget_validation(tmp_path, capsys):
     assert main(["verify", "--q", "23"]) == 2
     assert main(["verify", "--q", "23", "--suite", "ekr"]) == 2
     assert main(["verify", "--q", "3", "--suite", "rank"]) == 2
     capsys.readouterr()
+    out = str(tmp_path)
+    for budget in ("-1", "nan", "inf", "-inf"):
+        argv = ["verify", "--q", "5", "--suite", "table", f"--budget-seconds={budget}", "--out", out]
+        assert main(argv) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_rank_q5(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the PGL(2,q) element model, action and conjugacy classes."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -143,6 +144,12 @@ def test_constrained_elements(groups, q):
         G.elements_with_constraints([(0, 1), (0, 2)])
     with pytest.raises(InvalidConstraintError):
         G.elements_with_constraints([])
+    # every point must be an int in 0..q; -1 must not wrap around to q
+    for bad in ([(0, q + 1)], [(0, -1)], [(-1, 0)], [(q + 1, 0), (0, 1)], [(0.0, 1)], [("0", 1)]):
+        with pytest.raises(InvalidConstraintError):
+            G.elements_with_constraints(bad)
+        with pytest.raises(InvalidConstraintError):
+            G.elements_with_constraints(bad, "psl")
 
 
 def test_constraints_psl_example():
@@ -151,13 +158,37 @@ def test_constraints_psl_example():
     assert len(sols) == 3  # half of the q-1 solutions in PGL
 
 
-@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("q", [5, 7, 9])
 def test_single_constraint_fiber(groups, q):
+    """Constraint queries against a brute-force filter of the group by act."""
     G = groups[q]
-    sols = G.elements_with_constraints([(0, 3)])
-    assert len(sols) == q * (q - 1)
-    brute = sorted(g for g in G.elements("pgl") if G.act(0, g) == 3)
-    assert brute == sols
+    points = list(G.points)
+    queries = [[(s, t)] for s in points for t in points]
+    if q == 5:
+        queries += [
+            [(s1, t1), (s2, t2)]
+            for s1 in points
+            for s2 in points
+            for t1 in points
+            for t2 in points
+            if s1 != s2 and t1 != t2
+        ]
+    else:
+        rng = random.Random(q)
+        for k in (2, 3):
+            queries += [list(zip(rng.sample(points, k), rng.sample(points, k))) for _ in range(150)]
+    for which, order in (("pgl", q**3 - q), ("psl", (q**3 - q) // 2)):
+        elements = G.elements(which)
+        for pairs in queries:
+            brute = sorted(g for g in elements if all(G.act(s, g) == t for s, t in pairs))
+            assert G.elements_with_constraints(pairs, which) == brute, (which, pairs)
+            if len(pairs) == 1:
+                assert len(brute) * (q + 1) == order
+    # sharp 3-transitivity: one element of PGL per image of (0, 1, infinity)
+    sources = (0, 1, G.infinity)
+    for targets in itertools.permutations(points, 3):
+        (g,) = G.elements_with_constraints(list(zip(sources, targets)))
+        assert tuple(G.act(s, g) for s in sources) == targets
 
 
 def test_two_point_transitivity_q5(groups):
