@@ -16,7 +16,7 @@ from .ekr import (
     max_intersecting_families,
     stabilizer_coset,
 )
-from .fields import FieldCtx, MultCharB, MultCharFq, factor_prime_power, field_ctx_for_q, make_field_ctx
+from .fields import FieldCtx, MultCharB, MultCharFq, factor_prime_power, field_ctx_for_q
 from .groups import PGL2, ClassLabel
 from .intrank import bareiss_rank
 
@@ -39,7 +39,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "factor_prime_power",
     "field_ctx_for_q",
-    "make_field_ctx",
     "max_intersecting_families",
     "stabilizer_coset",
 ]

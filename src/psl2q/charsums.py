@@ -17,6 +17,14 @@ weighted Hermitian form whose weight is q+1 at the two points +-1 and 1
 elsewhere.  Greene's hypergeometric sums are implemented directly from
 their defining sum and inductive product formula, and the Katz-normalized
 hypergeometric sum from its Gauss-sum expression.
+
+Each summand is a signed root of unity zeta_m^j, so a sum is an integer
+vector counting the powers j, times one rational scale, reduced mod Phi_m
+by a single `CycNum.from_zeta_powers` call.  Greene's inductive step
+rotates count vectors, which live in Z[x]/(x^(q-1) - 1), a ring mapping
+onto Q(zeta_(q-1)).  The Soto-Andrade summand is constant on the cosets
+r * GF(q)* (trace and norm scale by u and u^2, beta is trivial on GF(q)*),
+so R_beta walks the q+1 coset representatives gen2^j.
 """
 
 from __future__ import annotations
@@ -61,12 +69,17 @@ class CharacterSums:
             acc = acc + f1[x] * f2[x].conjugate() * self.measure(x)
         return acc
 
+    def _check_element(self, x: int) -> None:
+        if not 0 <= x < self.q:
+            raise DomainMismatchError(f"{x!r} is not an element of GF({self.q}), i.e. not in 0..{self.q - 1}")
+
     # -- Legendre and Soto-Andrade sums ----------------------------------------
 
     def legendre_sum(self, gamma: MultCharFq, a: int) -> CycNum:
         key = (gamma.exponent, a)
         val = self._legendre_cache.get(key)
         if val is None:
+            self._check_element(a)
             ctx = self.ctx
             q = self.q
             two_a = ctx.add(a, a)
@@ -88,18 +101,20 @@ class CharacterSums:
         key = (beta.exponent, a)
         val = self._soto_cache.get(key)
         if val is None:
+            self._check_element(a)
             ctx = self.ctx
             q = self.q
             factor = ctx.mul(ctx.embed_int(2), ctx.add(a, 1))
             vec = [0] * (q + 1)
-            for r in ctx.q2_units():
+            # gen2^j for j = 0..q: one term per coset of GF(q)*, q-1 terms each
+            for j in range(q + 1):
+                r = ctx.exp2[j]
                 tr = ctx.q2_trace(r)
-                nm = ctx.q2_norm(r)
-                arg = ctx.sub(ctx.mul(tr, tr), ctx.mul(factor, nm))
+                arg = ctx.sub(ctx.mul(tr, tr), ctx.mul(factor, ctx.q2_norm(r)))
                 s = ctx.phi_int(arg)
                 if s:
-                    vec[(beta.exponent * ctx.log2[r]) % (q + 1)] += s
-            val = CycNum.from_zeta_powers(q + 1, vec, Fraction(1, q * (q - 1)))
+                    vec[(beta.exponent * j) % (q + 1)] += s
+            val = CycNum.from_zeta_powers(q + 1, vec, Fraction(1, q))
             self._soto_cache[key] = val
         return val
 
@@ -144,14 +159,15 @@ class CharacterSums:
 
     # -- hypergeometric sums -------------------------------------------------------
 
-    def greene_2f1(self, g0: MultCharFq, g1: MultCharFq, g2: MultCharFq, x: int) -> CycNum:
-        """eps(x) * (g1 g2)(-1)/q * sum over y of g1(y) (g2/g1)(1-y) g0^(-1)(1-xy)."""
-        if x == 0:
-            return CycNum.zero()
+    def _2f1_counts(self, k0: int, k1: int, k2: int, x: int) -> list[int]:
+        """Counts of each zeta_(q-1) power in the sum over y of
+        g1(y) (g2/g1)(1-y) g0^(-1)(1-xy), with g_i of exponent k_i; all zero
+        at x = 0, where eps(x) vanishes."""
         ctx = self.ctx
         q = self.q
-        k0, k1, k2 = g0.exponent, g1.exponent, g2.exponent
         vec = [0] * (q - 1)
+        if x == 0:
+            return vec
         for y in range(q):
             one_minus_y = ctx.sub(1, y)
             one_minus_xy = ctx.sub(1, ctx.mul(x, y))
@@ -159,38 +175,52 @@ class CharacterSums:
                 continue
             e = (k1 * ctx.log[y] + (k2 - k1) * ctx.log[one_minus_y] - k0 * ctx.log[one_minus_xy]) % (q - 1)
             vec[e] += 1
-        sign = -1 if (k1 + k2) * ((q - 1) // 2) % (q - 1) else 1
+        return vec
+
+    def _level_sign(self, ka: int, kb: int) -> int:
+        """(A B)(-1) for characters of exponents ka and kb."""
+        return -1 if (ka + kb) * ((self.q - 1) // 2) % (self.q - 1) else 1
+
+    def greene_2f1(self, g0: MultCharFq, g1: MultCharFq, g2: MultCharFq, x: int) -> CycNum:
+        """eps(x) * (g1 g2)(-1)/q * sum over y of g1(y) (g2/g1)(1-y) g0^(-1)(1-xy)."""
+        self._check_element(x)
+        q = self.q
+        vec = self._2f1_counts(g0.exponent, g1.exponent, g2.exponent, x)
+        sign = self._level_sign(g1.exponent, g2.exponent)
         return CycNum.from_zeta_powers(q - 1, vec, Fraction(sign, q))
 
     def greene_nfn(self, upper: list[MultCharFq], lower: list[MultCharFq], x: int) -> CycNum:
-        """Greene's (n+1)Fn at x, defined inductively from the 2F1 base case."""
+        """Greene's (n+1)Fn at x, defined inductively from the 2F1 base case:
+        a level adds, over y, the counts of the level below at t*y rotated by
+        the exponent e(y) of A(y) (B/A)(1-y); its sign (A B)(-1)/q joins scale."""
         if len(upper) != len(lower) + 1 or len(upper) < 2:
             raise ArityMismatchError("need n+1 upper and n lower parameters, n >= 1")
         if len(upper) > MAX_HYPERGEOMETRIC_DEPTH:
             raise ArityMismatchError(f"depth limited to {MAX_HYPERGEOMETRIC_DEPTH}F{MAX_HYPERGEOMETRIC_DEPTH - 1}")
+        self._check_element(x)
         ctx = self.ctx
         q = self.q
-        table = [self.greene_2f1(upper[0], upper[1], lower[0], t) for t in range(q)]
+        n = q - 1
+        k0, k1, k2 = upper[0].exponent, upper[1].exponent, lower[0].exponent
+        table = [self._2f1_counts(k0, k1, k2, t) for t in range(q)]
+        scale = Fraction(self._level_sign(k1, k2), q)
         for level in range(2, len(upper)):
-            a_char, b_char = upper[level], lower[level - 1]
-            ka, kb = a_char.exponent, b_char.exponent
-            sign = -1 if (ka + kb) * ((q - 1) // 2) % (q - 1) else 1
-            scale = Fraction(sign, q)
+            ka, kb = upper[level].exponent, lower[level - 1].exponent
+            scale *= Fraction(self._level_sign(ka, kb), q)
+            rotations = [
+                (y, (ka * ctx.log[y] + (kb - ka) * ctx.log[ctx.sub(1, y)]) % n)
+                for y in range(2, q)  # y = 1 has 1 - y = 0, where every character vanishes
+            ]
             new = []
             for t in range(q):
-                acc = CycNum.zero()
-                for y in range(1, q):
-                    one_minus_y = ctx.sub(1, y)
-                    if one_minus_y == 0:
-                        continue  # every character vanishes at 0
-                    inner = table[ctx.mul(t, y)]
-                    if inner.is_zero():
-                        continue
-                    e = (ka * ctx.log[y] + (kb - ka) * ctx.log[one_minus_y]) % (q - 1)
-                    acc = acc + inner * CycNum.root_of_unity(q - 1, e)
-                new.append(acc * scale)
+                acc = [0] * n
+                for y, e in rotations:
+                    for j, c in enumerate(table[ctx.mul(t, y)]):
+                        if c:
+                            acc[(j + e) % n] += c
+                new.append(acc)
             table = new
-        return table[x]
+        return CycNum.from_zeta_powers(n, table[x], scale)
 
     def katz_h(
         self,

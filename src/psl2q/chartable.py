@@ -131,9 +131,6 @@ class CharTable:
         except KeyError:
             raise ValueError(f"{chi} is not a character of this table") from None
 
-    def char_row(self, chi: IrreducibleChar) -> list[CycNum]:
-        return self.values[self.char_index(chi)]
-
     def value_on_class(self, chi: IrreducibleChar, label: ClassLabel) -> CycNum:
         return self.values[self.char_index(chi)][self.class_index[label]]
 

@@ -8,10 +8,11 @@ The graph reads the point-image index of PSL(2,q) (`PGL2.image_index`):
 the vertices are its sorted elements, and the stabilizer coset
 {g : x^g = y} is its coset mask.  The neighbourhood of g is the OR over x of
 the cosets {x -> x^g}, less g itself.  By sharp 3-transitivity the images of
-0, 1 and infinity determine an element, so a right translation g -> g*h is
-three tuple lookups and one dict lookup, with no matrix product.  Families
-are bitmasks over PSL positions inside this module; the public functions
-take and return sets of Element tuples.
+0, 1 and infinity determine an element; the graph maps those triples back to
+positions, so a right translation g -> g*h is three tuple lookups and one
+dict lookup, with no matrix product.  Families are bitmasks over PSL
+positions inside this module; the public functions take and return sets of
+Element tuples.
 
 The adjacency is invariant under right translation, so every maximum family
 is a translate of one through the identity.  One branch and bound over the
@@ -51,7 +52,8 @@ class IntersectionGraph:
         self.index = psl.position
         self.images = psl.images
         self.coset = psl.coset
-        self._by_triple = psl.by_triple
+        inf = group.infinity
+        self._by_triple = {(img[0], img[1], img[inf]): i for i, img in enumerate(self.images)}
         coset = self.coset
         adj = []
         for i, image in enumerate(self.images):

@@ -18,7 +18,8 @@ class NotInOmegaError(ValueError):
 
 
 class DomainMismatchError(ValueError):
-    """Two functions on F_q do not live over the same field."""
+    """Two functions on F_q do not live over the same field, or an argument
+    of a character sum is not an element 0..q-1 of F_q."""
 
 
 class ArityMismatchError(ValueError):

@@ -5,7 +5,12 @@ Elements of GF(q) are plain integers 0..q-1 encoding the coefficient vector
 of the polynomial basis in base p (the integer n < p is the embedded prime
 field element n).  Elements of GF(q^2) are integers 0..q^2-1 encoding
 u + q*v for u + v*t, with t a root of a degree-2 irreducible over GF(q);
-the embedded copy of GF(q) is exactly the indices below q.
+the embedded copy of GF(q) is exactly the indices below q.  GF(q)* is
+generated by gen2^(q+1), so exp2[0..q] holds one representative per coset
+of GF(q)* in GF(q^2)*.  A character value is a root of unity zeta_m^j:
+character sums (`gauss_sum`, and those in `charsums`) count each exponent
+j in an integer vector and build one `CycNum`.  Tables are built in full,
+so q <= MAX_Q.
 
 All structural choices are deterministic: the modulus polynomials and the
 multiplicative generators are the lexicographically smallest valid
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from .cyclotomic import CycNum
 from .errors import BudgetExceededError, IdentityViolationError, NotOddPrimeError
 
-DEFAULT_MAX_Q = 64
+MAX_Q = 64
 
 
 def _is_prime(n: int) -> bool:
@@ -68,9 +73,6 @@ class MultCharFq:
     def is_trivial(self) -> bool:
         return self.exponent == 0
 
-    def times(self, other: "MultCharFq") -> "MultCharFq":
-        return MultCharFq((self.exponent + other.exponent) % self.modulus, self.modulus)
-
 
 @dataclass(frozen=True)
 class MultCharB:
@@ -94,9 +96,9 @@ class MultCharB:
 
 
 class FieldCtx:
-    """GF(q) and GF(q^2) with full lookup tables (desk scale: q <= max_q)."""
+    """GF(q) and GF(q^2) with full lookup tables (desk scale: q <= MAX_Q)."""
 
-    def __init__(self, p: int, e: int, max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, p: int, e: int):
         if not _is_prime(p) or p == 2:
             raise NotOddPrimeError(f"characteristic must be an odd prime, got {p}")
         if e < 1:
@@ -104,8 +106,8 @@ class FieldCtx:
         q = p**e
         if q < 3:
             raise ValueError("q must be at least 3")
-        if q > max_q:
-            raise BudgetExceededError(f"q = {q} exceeds the budget {max_q}")
+        if q > MAX_Q:
+            raise BudgetExceededError(f"q = {q} exceeds the budget {MAX_Q}")
         self.p = p
         self.e = e
         self.q = q
@@ -185,7 +187,6 @@ class FieldCtx:
                 x = x * p + d
             return x
 
-        self._digits = digits
         self.add_table = [
             [undigits([(a + b) % p for a, b in zip(digits(x), digits(y))]) for y in range(q)]
             for x in range(q)
@@ -311,9 +312,6 @@ class FieldCtx:
         """The field element 1 + 1 + ... (n times), i.e. n mod p."""
         return n % self.p
 
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        return tuple(self._digits(x))
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -337,21 +335,11 @@ class FieldCtx:
             return 0
         return -1 if self.log[x] % 2 else 1
 
-    def trace_to_prime(self, x: int) -> int:
-        return self.trace_table[x]
-
     # -- GF(q^2) operations --------------------------------------------------
 
     def q2_add(self, a: int, b: int) -> int:
         q = self.q
         return self.add(a % q, b % q) + q * self.add(a // q, b // q)
-
-    def q2_neg(self, a: int) -> int:
-        q = self.q
-        return self.neg(a % q) + q * self.neg(a // q)
-
-    def q2_sub(self, a: int, b: int) -> int:
-        return self.q2_add(a, self.q2_neg(b))
 
     def q2_mul(self, a: int, b: int) -> int:
         return self._mul2(a, b)
@@ -420,26 +408,6 @@ class FieldCtx:
             return CycNum.root_of_unity(self.q + 1, char.exponent * j)
         raise TypeError(f"not a multiplicative character: {char!r}")
 
-    def char_exponent(self, char, x: int):
-        """Exponent j with char(x) = zeta^j, or None when x = 0."""
-        if x == 0:
-            return None
-        if isinstance(char, MultCharFq):
-            return (char.exponent * self.log[x]) % (self.q - 1)
-        return (char.exponent * self.log2[x]) % (self.q + 1)
-
-    def char_sign(self, char, x: int) -> int:
-        """Value of a character known to be +-1 valued at x (0 at 0)."""
-        j = self.char_exponent(char, x)
-        if j is None:
-            return 0
-        m = char.modulus
-        if j == 0:
-            return 1
-        if 2 * j == m:
-            return -1
-        raise ValueError("character value is not +-1")
-
     # -- Gauss sums ------------------------------------------------------------
 
     def gauss_sum(self, char: MultCharFq, additive_index: int = 1) -> CycNum:
@@ -462,23 +430,18 @@ class FieldCtx:
         return CycNum.from_zeta_powers(m, vec)
 
 
-def make_field_ctx(p: int, e: int, max_q: int = DEFAULT_MAX_Q) -> FieldCtx:
-    """Deterministic context for GF(p^e) and its quadratic extension."""
-    return FieldCtx(p, e, max_q=max_q)
-
-
 _CTX_CACHE: dict[tuple[int, int], FieldCtx] = {}
 
 
-def field_ctx_for_q(q: int, max_q: int = DEFAULT_MAX_Q) -> FieldCtx:
+def field_ctx_for_q(q: int) -> FieldCtx:
     """Context for an odd prime power written multiplicatively (9 -> GF(3^2))."""
     pe = factor_prime_power(q)
     if pe is None:
         raise NotOddPrimeError(f"{q} is not an odd prime power")
     key = pe
     ctx = _CTX_CACHE.get(key)
-    if ctx is None or ctx.q > max_q:
-        ctx = FieldCtx(pe[0], pe[1], max_q=max_q)
+    if ctx is None:
+        ctx = FieldCtx(*pe)
         _CTX_CACHE[key] = ctx
     return ctx
 

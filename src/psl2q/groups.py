@@ -59,16 +59,13 @@ class PointImageIndex:
 
     Element i is elements[i], in sorted order, and images[i] is the tuple of
     its images x^g for x = 0..q.  A set of elements is a bitmask over the
-    positions: coset[x][y] is the stabilizer coset {g : x^g = y}.  By sharp
-    3-transitivity the images of 0, 1 and infinity determine an element, and
-    by_triple maps them back to its position.
+    positions: coset[x][y] is the stabilizer coset {g : x^g = y}.
     """
 
     elements: list[Element]
     images: list[tuple[int, ...]]
     position: dict[Element, int]
     coset: list[list[int]]
-    by_triple: dict[tuple[int, int, int], int]
 
     def image(self, g: Element) -> tuple[int, ...]:
         return self.images[self.position[g]]
@@ -275,13 +272,11 @@ class PGL2:
             bit = 1 << i
             for x, y in enumerate(image):
                 coset[x][y] |= bit
-        inf = self.infinity
         return PointImageIndex(
             elements=elements,
             images=images,
             position={g: i for i, g in enumerate(elements)},
             coset=coset,
-            by_triple={(img[0], img[1], img[inf]): i for i, img in enumerate(images)},
         )
 
     def elements_with_constraints(self, pairs, which: str = "pgl") -> list[Element]:

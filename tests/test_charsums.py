@@ -29,6 +29,21 @@ def test_measure(sums):
         assert sum(S.measure(x) for x in range(q)) == 3 * q
         with pytest.raises(DomainMismatchError):
             S.l2_inner([CycNum.zero()] * (q - 1), [CycNum.zero()] * q)
+        # field arguments outside 0..q-1: no wrap-around through negative
+        # indexing, no bare IndexError, and nothing cached under the bad key
+        gamma, beta = ctx.fq_char(1), ctx.b_char(1)
+        phi, eps = ctx.quadratic_char(), ctx.trivial_char()
+        for bad in (-1, q, q + 1):
+            with pytest.raises(DomainMismatchError):
+                S.legendre_sum(gamma, bad)
+            with pytest.raises(DomainMismatchError):
+                S.soto_andrade_sum(beta, bad)
+            with pytest.raises(DomainMismatchError):
+                S.greene_2f1(phi, phi, eps, bad)
+            with pytest.raises(DomainMismatchError):
+                S.greene_nfn([gamma, gamma.conj(), phi], [eps, eps], bad)
+            assert (gamma.exponent, bad) not in S._legendre_cache
+            assert (beta.exponent, bad) not in S._soto_cache
 
 
 def test_legendre_phi_at_zero_q5(sums):
@@ -76,23 +91,23 @@ def test_real_and_inversion_symmetric(sums, q):
             assert S.soto_andrade_sum(beta.conj(), a) == v
 
 
-def test_soto_andrade_against_double_loop_oracle(sums):
-    # independent oracle: direct summation over all 24 units of GF(25),
-    # using frobenius and generic multiplication instead of the trace and
-    # norm tables
-    S = sums[5]
+@pytest.mark.parametrize("q", [5, 7, 9, 13])
+def test_soto_andrade_against_double_loop_oracle(sums, q):
+    # independent oracle: direct summation over all q^2 - 1 units of
+    # GF(q^2), using frobenius and generic multiplication instead of the
+    # trace and norm tables and the coset representatives
+    S = sums[q]
     ctx = S.ctx
-    beta = ctx.b_char(2)  # order 3
-    assert beta.order() == 3
-    for a in range(5):
-        total = CycNum.zero()
-        factor = ctx.mul(ctx.embed_int(2), ctx.add(a, 1))
-        for r in ctx.q2_units():
-            tr = ctx.q2_add(r, ctx.frobenius(r))
-            nm = ctx.q2_mul(r, ctx.frobenius(r))
-            arg = ctx.sub(ctx.mul(tr, tr), ctx.mul(factor, nm))
-            total = total + ctx.char_eval(beta, r) * ctx.phi_int(arg)
-        assert S.soto_andrade_sum(beta, a) == total * Fraction(1, 5 * 4)
+    for beta in ctx.beta_set():
+        for a in range(q):
+            total = CycNum.zero()
+            factor = ctx.mul(ctx.embed_int(2), ctx.add(a, 1))
+            for r in ctx.q2_units():
+                tr = ctx.q2_add(r, ctx.frobenius(r))
+                nm = ctx.q2_mul(r, ctx.frobenius(r))
+                arg = ctx.sub(ctx.mul(tr, tr), ctx.mul(factor, nm))
+                total = total + ctx.char_eval(beta, r) * ctx.phi_int(arg)
+            assert S.soto_andrade_sum(beta, a) == total * Fraction(1, q * (q - 1))
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
@@ -159,6 +174,50 @@ def test_nfn_base_case_matches_2f1(sums):
         g0, g1, g2 = (ctx.fq_char(rng.randrange(6)) for _ in range(3))
         x = rng.randrange(7)
         assert S.greene_nfn([g0, g1], [g2], x) == S.greene_2f1(g0, g1, g2, x)
+
+
+def _greene_nfn_reference(S, upper, lower):
+    """Greene's (n+1)Fn at every x by the recursion over CycNum values:
+    each (t, y) term is a full product with zeta_(q-1)^e."""
+    ctx = S.ctx
+    q = S.q
+    table = [S.greene_2f1(upper[0], upper[1], lower[0], t) for t in range(q)]
+    for level in range(2, len(upper)):
+        ka, kb = upper[level].exponent, lower[level - 1].exponent
+        sign = -1 if (ka + kb) * ((q - 1) // 2) % (q - 1) else 1
+        new = []
+        for t in range(q):
+            acc = CycNum.zero()
+            for y in range(1, q):
+                one_minus_y = ctx.sub(1, y)
+                if one_minus_y == 0:
+                    continue
+                e = (ka * ctx.log[y] + (kb - ka) * ctx.log[one_minus_y]) % (q - 1)
+                acc = acc + table[ctx.mul(t, y)] * CycNum.root_of_unity(q - 1, e)
+            new.append(acc * Fraction(sign, q))
+        table = new
+    return table
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_nfn_against_cycnum_recursion(sums, q):
+    import random
+
+    S = sums[q]
+    ctx = S.ctx
+    rng = random.Random(q)
+    phi, eps = ctx.quadratic_char(), ctx.trivial_char()
+    cases = []
+    for gamma in ctx.gamma_set():  # the 4F3 of the deviation bound
+        cases.append(([gamma, gamma.conj(), phi, phi], [eps, eps, eps]))
+    for depth in (3, 4):
+        for _ in range(4):
+            chars = [ctx.fq_char(rng.randrange(q - 1)) for _ in range(2 * depth - 1)]
+            cases.append((chars[:depth], chars[depth:]))
+    for upper, lower in cases:
+        expected = _greene_nfn_reference(S, upper, lower)
+        for x in range(q):
+            assert S.greene_nfn(upper, lower, x) == expected[x], (upper, lower, x)
 
 
 def test_nfn_arity_checks(sums):

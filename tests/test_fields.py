@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from psl2q.cyclotomic import CycNum
 from psl2q.errors import BudgetExceededError, NotOddPrimeError
-from psl2q.fields import factor_prime_power, field_ctx_for_q, make_field_ctx
+from psl2q.fields import MAX_Q, FieldCtx, factor_prime_power, field_ctx_for_q
 
 
 def order_by_powering(ctx, x):
@@ -19,7 +19,7 @@ def order_by_powering(ctx, x):
 
 def test_gf5_generator_is_two():
     # oracle: 2 is the smallest element of multiplicative order 4 mod 5
-    ctx = make_field_ctx(5, 1)
+    ctx = FieldCtx(5, 1)
     assert order_by_powering(ctx, 2) == 4
     assert ctx.generator == 2
 
@@ -27,7 +27,7 @@ def test_gf5_generator_is_two():
 def test_gf9_modulus_is_t_squared_plus_one():
     # oracle: t^2 + 1 has no root mod 3 and is the first monic irreducible
     assert all((x * x + 1) % 3 != 0 for x in range(3))
-    ctx = make_field_ctx(3, 2)
+    ctx = FieldCtx(3, 2)
     assert ctx.modulus == (1, 0, 1)
     t = 3  # coefficient vector (0, 1)
     assert ctx.mul(t, t) == 2
@@ -35,15 +35,19 @@ def test_gf9_modulus_is_t_squared_plus_one():
 
 def test_even_characteristic_rejected():
     with pytest.raises(NotOddPrimeError):
-        make_field_ctx(2, 1)
+        FieldCtx(2, 1)
     with pytest.raises(NotOddPrimeError):
-        make_field_ctx(9, 1)  # not prime
+        FieldCtx(9, 1)  # not prime
 
 
 def test_budget():
+    # the budget is fixed at MAX_Q = 64: 61 builds, 67 and 81 do not
+    assert MAX_Q == 64
+    assert FieldCtx(61, 1).q == 61
     with pytest.raises(BudgetExceededError):
-        make_field_ctx(67, 1)
-    make_field_ctx(67, 1, max_q=80)
+        FieldCtx(67, 1)
+    with pytest.raises(BudgetExceededError):
+        field_ctx_for_q(81)
 
 
 def test_prime_power_parsing():
@@ -56,11 +60,11 @@ def test_prime_power_parsing():
 
 
 def test_basic_arithmetic_examples():
-    ctx = make_field_ctx(5, 1)
+    ctx = FieldCtx(5, 1)
     assert ctx.mul(3, 4) == 2
     with pytest.raises(ZeroDivisionError):
         ctx.inv(0)
-    ctx9 = make_field_ctx(3, 2)
+    ctx9 = FieldCtx(3, 2)
     for x in ctx9.units():
         assert ctx9.mul(x, ctx9.inv(x)) == 1
 
@@ -131,7 +135,7 @@ def test_beta_trivial_on_base_and_sign_at_i():
 
 
 def test_char_eval_conventions():
-    ctx = make_field_ctx(5, 1)
+    ctx = FieldCtx(5, 1)
     phi = ctx.quadratic_char()
     assert ctx.char_eval(phi, 2) == -1
     assert ctx.char_eval(ctx.trivial_char(), 0).is_zero()
@@ -166,11 +170,11 @@ def test_char_orthogonality(q):
 
 
 def test_gauss_sums():
-    ctx = make_field_ctx(5, 1)
+    ctx = FieldCtx(5, 1)
     assert ctx.gauss_sum(ctx.trivial_char()) == -1
     g_phi = ctx.gauss_sum(ctx.quadratic_char())
     assert g_phi * g_phi.conjugate() == 5
-    ctx7 = make_field_ctx(7, 1)
+    ctx7 = FieldCtx(7, 1)
     gam = ctx7.fq_char(1)
     assert gam.order() == 6
     prod = ctx7.gauss_sum(gam) * ctx7.gauss_sum(gam.conj())
@@ -179,7 +183,7 @@ def test_gauss_sums():
 
 def test_gauss_sum_additive_character_dependence():
     # the individual sum moves with the additive character, the modulus does not
-    ctx = make_field_ctx(7, 1)
+    ctx = FieldCtx(7, 1)
     chi = ctx.fq_char(2)
     g1 = ctx.gauss_sum(chi, additive_index=1)
     g3 = ctx.gauss_sum(chi, additive_index=3)
@@ -190,6 +194,6 @@ def test_gauss_sum_additive_character_dependence():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))
 def test_gf9_addition_commutes_hypothesis(x, y):
-    ctx = make_field_ctx(3, 2)
+    ctx = FieldCtx(3, 2)
     assert ctx.add(x, y) == ctx.add(y, x)
     assert ctx.sub(ctx.add(x, y), y) == x

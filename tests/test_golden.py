@@ -1,6 +1,6 @@
 """The `verify` reports and the `dump table|legendre` CSVs are byte-identical
-to the files recorded in tests/golden (q = 5, 7, 9, and q = 3 for ekr), with
-and without `python -O`."""
+to the files recorded in tests/golden (q = 5, 7, 9; q = 3 for ekr; q = 11 and 13
+for sums), with and without `python -O`."""
 
 import subprocess
 import sys
@@ -13,6 +13,7 @@ import psl2q
 GOLDEN = Path(__file__).parent / "golden"
 QS = "5,7,9"
 EKR_QS = "3,5,7,9"
+SUMS_QS = "5,7,9,11,13"
 
 
 def _run(flags, args, out, qs=QS):
@@ -26,8 +27,9 @@ def _run(flags, args, out, qs=QS):
 @pytest.fixture(scope="module", params=[[], ["-O"]], ids=["plain", "optimized"])
 def regenerated(request, tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
-    for suite in ("table", "sums", "rank"):
+    for suite in ("table", "rank"):
         _run(request.param, ["verify", "--suite", suite], out)
+    _run(request.param, ["verify", "--suite", "sums"], out, SUMS_QS)
     _run(request.param, ["verify", "--suite", "ekr"], out, EKR_QS)
     for what in ("table", "legendre"):
         _run(request.param, ["dump", what], out)
@@ -41,6 +43,7 @@ def _golden_names():
 def test_golden_set_is_complete():
     expected = {f"verify_q{q}_{s}.json" for q in (5, 7, 9) for s in ("table", "sums", "rank")}
     expected |= {f"verify_q{q}_ekr.json" for q in (3, 5, 7, 9)}
+    expected |= {f"verify_q{q}_sums.json" for q in (11, 13)}
     expected |= {f"{w}_q{q}.csv" for q in (5, 7, 9) for w in ("table", "legendre")}
     assert set(_golden_names()) == expected
 
