@@ -137,6 +137,12 @@ class CharTable:
     def char_value(self, chi: IrreducibleChar, g) -> CycNum:
         return self.value_on_class(chi, self.group.classify(g))
 
+    def class_sum(self, chi: IrreducibleChar, counts) -> CycNum:
+        """sum over classes c of counts[c] * chi(c), one integer count per class
+        in `classes` order: chi summed over a set of elements."""
+        row = self.values[self.char_index(chi)]
+        return sum((v * int(n) for v, n in zip(row, counts, strict=True) if n), CycNum.zero())
+
     # -- class functions --------------------------------------------------------
 
     def inner_product(self, u: list[CycNum], v: list[CycNum]) -> CycNum:

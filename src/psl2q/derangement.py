@@ -16,11 +16,15 @@ from restricted character sums against closed-form N entries, and closed
 forms in terms of Legendre and Soto-Andrade sums.  Nonvanishing of every
 t(chi) together with the witnessed 2q-dimensional kernel pins the rank of M
 at exactly q(q-1).
+
+A character sum over a set of elements is an integer vector of class counts
+(`CharTable.class_sum`).  The sets {g : 0^g = a, infinity^g = b} partition
+PGL(2,q), so the direct sum is one pass over the group: each g adds
+N[(0, infinity), (0^g, infinity^g)] to the count of the class of g^(-1).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +53,7 @@ class DerangementModel:
         self._gram: np.ndarray | None = None
         self._kernel: np.ndarray | None = None
         self._rank_m: tuple[int, str] | None = None
-        self._constraint_counter_cache: dict[tuple, Counter] = {}
+        self._position_classes: dict[bool, list[int]] = {}
 
     # -- matrices -----------------------------------------------------------
 
@@ -183,53 +187,42 @@ class DerangementModel:
         if chi.kind not in kinds:
             raise UnsupportedCharacterError(f"{chi.kind} is outside the target set")
 
-    def _constraint_counter(self, pairs) -> Counter:
-        """Class labels of g^(-1) over the elements matching the constraints."""
-        key = tuple(pairs)
-        counter = self._constraint_counter_cache.get(key)
-        if counter is None:
-            group = self.group
-            counter = Counter(
-                group.classify(group.inv(g))
-                for g in group.elements_with_constraints(pairs)
-            )
-            self._constraint_counter_cache[key] = counter
-        return counter
+    def _classes_by_position(self, inverse: bool) -> list[int]:
+        """Class index of g^(-1) (or of g) per element g of the PGL image index."""
+        if inverse not in self._position_classes:
+            group, where = self.group, self.table.class_index
+            self._position_classes[inverse] = [
+                where[group.classify(group.inv(g) if inverse else g)] for g in group.image_index().elements
+            ]
+        return self._position_classes[inverse]
 
-    def _dot_counter(self, chi: IrreducibleChar, counter: Counter) -> CycNum:
-        acc = CycNum.zero()
-        for label, count in counter.items():
-            acc = acc + self.table.value_on_class(chi, label) * count
-        return acc
+    def class_counts(self, pairs, inverse: bool = True) -> list[int]:
+        """Class counts of g^(-1) (or of g) over the elements g matching the
+        point constraints, in `CharTable.classes` order."""
+        position = self.group.image_index().position
+        classes = self._classes_by_position(inverse)
+        counts = [0] * len(self.table.classes)
+        for g in self.group.elements_with_constraints(pairs):
+            counts[classes[position[g]]] += 1
+        return counts
 
     def character_sum_direct(self, chi: IrreducibleChar, gram: np.ndarray | None = None) -> CycNum:
         """The double sum over pairs (a, b), against the (0, inf) Gram row."""
         self._check_supported(chi, allow_lambda1=True)
         if gram is None:
             gram = self.gram_bruteforce()
-        row = gram[self.zero_inf]
+        row = gram[self.zero_inf].tolist()
         inf = self.group.infinity
-        total = CycNum.zero()
-        for idx, (a, b) in enumerate(self.omega):
-            entry = int(row[idx])
-            if entry == 0:
-                continue
-            counter = self._constraint_counter(((0, a), (inf, b)))
-            total = total + self._dot_counter(chi, counter) * entry
-        return total
+        counts = [0] * len(self.table.classes)
+        for image, c in zip(self.group.image_index().images, self._classes_by_position(inverse=True)):
+            counts[c] += row[self.omega_index[image[0], image[inf]]]
+        return self.table.class_sum(chi, counts)
 
     def restricted_char_sum(self, chi: IrreducibleChar, constraint, inverse: bool = True) -> CycNum:
         """Brute-force sum of chi(g^(-1)) (or chi(g)) over the q-1 elements
         matching a two-point constraint."""
         self._check_supported(chi, allow_lambda1=False)
-        pairs = tuple(constraint)
-        if inverse:
-            return self._dot_counter(chi, self._constraint_counter(pairs))
-        group = self.group
-        acc = CycNum.zero()
-        for g in group.elements_with_constraints(pairs):
-            acc = acc + self.table.char_value(chi, g)
-        return acc
+        return self.table.class_sum(chi, self.class_counts(constraint, inverse))
 
     def restricted_sum_closed_form(self, chi: IrreducibleChar, constraint) -> CycNum:
         """Closed forms for the two constraint shapes used by the assembly:

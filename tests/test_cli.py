@@ -91,16 +91,21 @@ def test_budget_abort(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def _read_csv(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_dump_table_q5(tmp_path):
     assert main(["dump", "table", "--q", "5", "--out", str(tmp_path)]) == 0
-    rows = list(csv.reader((tmp_path / "table_q5.csv").open()))
+    rows = _read_csv(tmp_path / "table_q5.csv")
     assert len(rows) - 1 == 7  # 4 + |B| + |Gamma| irreducibles at q = 5
     assert rows[1][0] == "lambda1"
 
 
 def test_dump_matrix_n_q5(tmp_path):
     assert main(["dump", "matrixN", "--q", "5", "--out", str(tmp_path)]) == 0
-    rows = list(csv.reader((tmp_path / "matrixN_q5.csv").open()))
+    rows = _read_csv(tmp_path / "matrixN_q5.csv")
     assert len(rows) - 1 == 30
     for i in range(1, 31):
         assert rows[i][i] == "4"
@@ -108,7 +113,7 @@ def test_dump_matrix_n_q5(tmp_path):
 
 def test_dump_matrix_m_q5(tmp_path):
     assert main(["dump", "matrixM", "--q", "5", "--out", str(tmp_path)]) == 0
-    rows = list(csv.reader((tmp_path / "matrixM_q5.csv").open()))
+    rows = _read_csv(tmp_path / "matrixM_q5.csv")
     assert len(rows) - 1 == 20
     for row in rows[1:]:
         assert sum(int(v) for v in row[1:]) == 6  # q + 1 ones per derangement
@@ -116,7 +121,7 @@ def test_dump_matrix_m_q5(tmp_path):
 
 def test_dump_legendre_q7(tmp_path):
     assert main(["dump", "legendre", "--q", "7", "--out", str(tmp_path)]) == 0
-    rows = list(csv.reader((tmp_path / "legendre_q7.csv").open()))
+    rows = _read_csv(tmp_path / "legendre_q7.csv")
     assert len(rows) - 1 == 7  # one row per field element
     assert (len(rows[0]) - 1) // 2 == 7  # basis has q elements
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from psl2q.chartable import build_table
+from psl2q.cyclotomic import CycNum
 from psl2q.derangement import DerangementModel
 from psl2q.errors import NotInOmegaError, UnsupportedCharacterError
 from psl2q.fields import field_ctx_for_q
@@ -273,22 +274,62 @@ def test_rank_certificate(models, q):
     assert kinds.count("lambda1") == kinds.count("psi_minus1") == 1
 
 
+def _char_sum_per_element(D, chi, pairs, inverse=True):
+    """The oracle: chi(g^(-1)) (or chi(g)) added one element at a time."""
+    G, T = D.group, D.table
+    acc = CycNum.zero()
+    for g in G.elements_with_constraints(pairs):
+        acc = acc + T.char_value(chi, G.inv(g) if inverse else g)
+    return acc
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_class_sum_of_class_counts_matches_per_element_sums(models, q):
+    D = models[q]
+    G = D.group
+    inf = G.infinity
+    rng = random.Random(q)
+    constraints = [((0, 0),), ((0, inf),), ((inf, 1),), ((0, 0), (inf, inf)), ((0, inf), (inf, 0))]
+    constraints += [((0, inf), (1, d)) for d in range(2, q)]
+    for _ in range(4):
+        sources = rng.sample(range(q + 1), 3)
+        targets = rng.sample(range(q + 1), 3)
+        constraints.append(tuple(zip(sources, targets)))
+    for pairs in constraints:
+        for inverse in (True, False):
+            counts = D.class_counts(pairs, inverse)
+            assert sum(counts) == len(G.elements_with_constraints(pairs))
+            for chi in D.table.chars:
+                expected = _char_sum_per_element(D, chi, pairs, inverse)
+                assert D.table.class_sum(chi, counts) == expected, (pairs, inverse, chi.name())
+
+
+def test_class_sum_needs_one_count_per_class(models):
+    T = models[5].table
+    with pytest.raises(ValueError):
+        T.class_sum(T.chars[0], [1] * (len(T.classes) - 1))
+
+
 def test_frobenius_side_conditions(models):
     D = models[5]
     G = D.group
     T = D.table
     inf = G.infinity
-    from psl2q.cyclotomic import CycNum
 
     for chi in D.target_characters():
         if chi.kind == "lambda1":
             continue
-        both = D._dot_counter(chi, D._constraint_counter(((0, 0), (inf, inf))))
+        both = T.class_sum(chi, D.class_counts(((0, 0), (inf, inf))))
         assert both == 4  # q - 1
-        s0, s_inf = CycNum.zero(), CycNum.zero()
+        s_both, s0, s_inf = CycNum.zero(), CycNum.zero(), CycNum.zero()
         for g in G.elements("pgl"):
+            if G.act(0, g) == 0 and G.act(inf, g) == inf:
+                s_both = s_both + T.char_value(chi, G.inv(g))
             if G.act(0, g) == 0:
                 s0 = s0 + T.char_value(chi, G.inv(g))
             if G.act(0, g) == inf:
                 s_inf = s_inf + T.char_value(chi, G.inv(g))
+        assert s_both == both
+        assert T.class_sum(chi, D.class_counts([(0, 0)])) == s0
+        assert T.class_sum(chi, D.class_counts([(0, inf)])) == s_inf
         assert s0.is_zero() and s_inf.is_zero()
