@@ -25,6 +25,19 @@ rotates count vectors, which live in Z[x]/(x^(q-1) - 1), a ring mapping
 onto Q(zeta_(q-1)).  The Soto-Andrade summand is constant on the cosets
 r * GF(q)* (trace and norm scale by u and u^2, beta is trivial on GF(q)*),
 so R_beta walks the q+1 coset representatives gen2^j.
+
+The weighted Hermitian form works on numerators too: numerator i of f1(x)
+times numerator j of f2(x), weighted by the measure at x, counts at
+zeta_L^(i L/m1 - j L/m2), with m1, m2 the conductors of f1, f2 and
+L = lcm(m1, m2); the minus sign is the complex conjugation of f2.  So the
+form is one integer matrix product, one count vector over Z/L and one
+reduction, with no per-point product.  The Katz sum holds the q-1 Gauss sums
+g(omega_1^j) once, as the rows of an integer matrix; the choice of omega only
+permutes the rows.  Its sum over k is one row-wise product
+(`cyclotomic.row_products`) per parameter on the rows gathered at k + a_i and
+-k - b_j, a rotation of row k by the twist omega^k((-1)^m lambda), one
+reduction of the summed rows, and one product with the k-independent inverses
+of the g(omega^(a_i)) and g(omega^(-b_j)), each checked against its Gauss sum.
 """
 
 from __future__ import annotations
@@ -32,7 +45,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycNum
+import numpy as np
+
+from .cyclotomic import CycNum, exact_dtype, max_abs, row_products
 from .errors import (
     ArityMismatchError,
     DomainMismatchError,
@@ -45,6 +60,18 @@ from .fields import FieldCtx, MultCharB, MultCharFq
 MAX_HYPERGEOMETRIC_DEPTH = 4  # up to 4F3; nothing deeper is needed
 
 
+def _numerators(values: list[CycNum]) -> tuple[int, int, np.ndarray]:
+    """(m, d, rows) with m the lcm of the conductors and d the lcm of the
+    denominators: row r holds d * values[r] in Z[x]/(x^m - 1), numerator i of
+    a value of conductor m_r at column i * m/m_r."""
+    m = math.lcm(*(v.m for v in values))
+    d = math.lcm(*(v.den for v in values))
+    rows = np.zeros((len(values), max((len(v.nums) - 1) * (m // v.m) + 1 for v in values)), dtype=object)
+    for r, v in enumerate(values):
+        rows[r, :: m // v.m][: len(v.nums)] = v.nums
+    return m, d, rows * np.array([d // v.den for v in values], dtype=object)[:, None]
+
+
 class CharacterSums:
     """Evaluator with per-field caches for the sum families."""
 
@@ -53,6 +80,8 @@ class CharacterSums:
         self.q = ctx.q
         self._legendre_cache: dict[tuple[int, int], CycNum] = {}
         self._soto_cache: dict[tuple[int, int], CycNum] = {}
+        self._gauss: tuple[int, np.ndarray] | None = None
+        self._gauss_inv: dict[int, CycNum] = {}
 
     # -- the measure and the inner product ------------------------------------
 
@@ -62,12 +91,26 @@ class CharacterSums:
         return self.q + 1 if x == 1 or x == ctx.neg(1) else 1
 
     def l2_inner(self, f1: list[CycNum], f2: list[CycNum]) -> CycNum:
+        """Sum over x of measure(x) * f1(x) * conj(f2(x)).  Numerator i of f1(x)
+        times numerator j of f2(x) counts at zeta_L^(i L/m1 - j L/m2), with m1,
+        m2 the conductors of f1, f2 and L = lcm(m1, m2); one reduction at the end."""
         if len(f1) != self.q or len(f2) != self.q:
             raise DomainMismatchError("functions must be indexed by the q field elements")
-        acc = CycNum.zero()
-        for x in range(self.q):
-            acc = acc + f1[x] * f2[x].conjugate() * self.measure(x)
-        return acc
+        points = [x for x in range(self.q) if not (f1[x].is_zero() or f2[x].is_zero())]
+        if not points:
+            return CycNum.zero()
+        m1, d1, a = _numerators([f1[x] for x in points])
+        m2, d2, b = _numerators([f2[x] for x in points])
+        mu = [self.measure(x) for x in points]
+        dtype = exact_dtype(sum(mu) * a.shape[1] * b.shape[1] * max_abs(a) * max_abs(b))
+        a = a.astype(dtype) * np.array(mu, dtype=dtype)[:, None]
+        products = a.T @ b.astype(dtype)  # sum over x of mu * a_i * b_j
+        big = math.lcm(m1, m2)
+        i = np.arange(a.shape[1])[:, None] * (big // m1)
+        j = np.arange(b.shape[1])[None, :] * (big // m2)
+        counts = np.zeros(big, dtype=dtype)
+        np.add.at(counts, (i - j) % big, products)
+        return CycNum.from_zeta_powers(big, counts.tolist(), Fraction(1, d1 * d2))
 
     def _check_element(self, x: int) -> None:
         if not 0 <= x < self.q:
@@ -257,47 +300,54 @@ class CharacterSums:
                 raise NotIntegralParametersError(f"(q-1)*{val} is not an integer")
             b_exps.append(int(scaled) % (q - 1))
 
-        gauss: dict[int, CycNum] = {}
-        gauss_inv: dict[int, CycNum] = {}
-
-        def g_of(j: int) -> CycNum:
-            j %= q - 1
-            if j not in gauss:
-                gauss[j] = ctx.gauss_sum(ctx.fq_char(j * omega_exponent))
-            return gauss[j]
-
-        def g_inv_of(j: int) -> CycNum:
-            j %= q - 1
-            if j not in gauss_inv:
-                g = g_of(j)
-                if j == 0:
-                    inv = CycNum.rational(-1)  # g(trivial) = -1
-                else:
-                    inv = g.conjugate() * Fraction(1, q)  # |g|^2 = q for nontrivial
-                if g * inv != 1:
-                    raise IdentityViolationError(f"Gauss sum g({j}) times its claimed inverse is not 1")
-                gauss_inv[j] = inv
-            return gauss_inv[j]
-
         m_count = len(alpha)
         twist = lam if m_count % 2 == 0 else ctx.neg(lam)
         if twist == 0:
             return CycNum.zero()  # omega^k(0) = 0 under the zero convention
+        m, rows = self._gauss_table()
+        n = q - 1
+        # row k: the product over the parameters of g(omega^(k+a)) and g(omega^(-k-b))
+        k = np.arange(n)
+        product = np.zeros(rows.shape, dtype=np.int64)
+        product[:, 0] = 1
+        for j in [k + ae for ae in a_exps] + [-k - be for be in b_exps]:
+            product = row_products(m, product, rows[(j * omega_exponent) % n])
         inverses = CycNum.rational(1)  # the k-independent factors
-        for ae in a_exps:
-            inverses = inverses * g_inv_of(ae)
-        for be in b_exps:
-            inverses = inverses * g_inv_of(-be)
-        total = CycNum.zero()
-        for k in range(q - 1):
-            term = inverses
-            for ae in a_exps:
-                term = term * g_of(k + ae)
-            for be in b_exps:
-                term = term * g_of(-k - be)
-            e = (omega_exponent * k * ctx.log[twist]) % (q - 1)
-            total = total + term * CycNum.root_of_unity(q - 1, e)
-        return total * Fraction(1, 1 - q)
+        for j in a_exps + [-be for be in b_exps]:
+            inverses = inverses * self._gauss_inverse((j * omega_exponent) % n)
+        # omega^k(twist) = zeta_(q-1)^(e_k): row k rotates by e_k m/(q-1) in Z/m
+        e = (omega_exponent * ctx.log[twist] * k) % n * (m // n)
+        counts = np.zeros(m, dtype=object)
+        np.add.at(counts, (e[:, None] + np.arange(rows.shape[1])) % m, product.astype(object))
+        return CycNum.from_zeta_powers(m, counts.tolist()) * inverses * Fraction(1, 1 - q)
+
+    def _gauss_table(self) -> tuple[int, np.ndarray]:
+        """The conductor m of the Gauss sums and the integer matrix whose row j
+        holds the reduced numerators of g(omega_1^j), omega_1 the character of
+        exponent 1; the character of exponent s permutes the rows, j -> s*j."""
+        if self._gauss is None:
+            ctx = self.ctx
+            sums = [ctx.gauss_sum(ctx.fq_char(j)) for j in range(self.q - 1)]
+            m = sums[0].m
+            if any(g.m != m or g.den != 1 for g in sums):
+                raise IdentityViolationError("Gauss sums are not algebraic integers of one conductor")
+            self._gauss = (m, np.array([g.nums for g in sums], dtype=np.int64))
+        return self._gauss
+
+    def _gauss_inverse(self, j: int) -> CycNum:
+        """1 / g(omega_1^j), checked against g."""
+        inv = self._gauss_inv.get(j)
+        if inv is None:
+            m, rows = self._gauss_table()
+            g = CycNum(m, tuple(rows[j].tolist()))
+            if j == 0:
+                inv = CycNum.rational(-1)  # g(trivial) = -1
+            else:
+                inv = g.conjugate() * Fraction(1, self.q)  # |g|^2 = q for nontrivial
+            if g * inv != 1:
+                raise IdentityViolationError(f"Gauss sum g({j}) times its claimed inverse is not 1")
+            self._gauss_inv[j] = inv
+        return inv
 
     def f43_deviation_bound(self, n: int) -> tuple[Fraction, int, bool]:
         """For an order-n character gamma (n in {2,3,4,6}, q = 1 mod n), the

@@ -17,6 +17,14 @@ powers of zeta), reduced mod Phi_m with precomputed rows x^(phi(m)+k) mod
 Phi_m, stored as their nonzero (index, coefficient) pairs because
 cyclotomic polynomials are sparse.
 
+Many products at once, row i of A times row i of B for integer matrices of
+reduced numerators, go through `row_products`: a numpy convolution over the
+columns, then one matrix product with the dense reduction rows R (row k is
+x^(phi(m)+k) mod Phi_m).  Every entry and partial sum is at most
+deg * max|A| * max|B| * (1 + the largest column sum of |R|), so the work runs
+in int64 exactly when that bound is below 2^63, and in Python integers
+(dtype=object) otherwise.
+
 Phi_m is computed by iterated exact division of x^m - 1 by Phi_d over the
 proper divisors d of m.
 """
@@ -28,12 +36,17 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import IdentityViolationError
 
 _PHI_CACHE: dict[int, list[int]] = {}
 # m -> rows of (index, coefficient) pairs; row k holds the nonzero
 # coefficients of x^(phi(m)+k) reduced mod Phi_m
 _ROW_CACHE: dict[int, list[list[tuple[int, int]]]] = {}
+# m -> (rows 0..deg-2 of _ROW_CACHE[m] as a dense int64 matrix, the largest
+# column sum of its absolute values)
+_DENSE_CACHE: dict[int, tuple[np.ndarray, int]] = {}
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -93,6 +106,42 @@ def _reduction_rows(m: int) -> list[list[tuple[int, int]]]:
                         cur[i] += head * c
         _ROW_CACHE[m] = rows
     return rows
+
+
+def _dense_reduction(m: int) -> tuple[np.ndarray, int]:
+    hit = _DENSE_CACHE.get(m)
+    if hit is None:
+        deg = _degree(m)
+        dense = np.zeros((deg - 1, deg), dtype=np.int64)
+        for k, row in enumerate(_reduction_rows(m)[: deg - 1]):
+            for i, c in row:
+                dense[k, i] = c
+        hit = _DENSE_CACHE[m] = (dense, max_abs(np.abs(dense).sum(axis=0)))
+    return hit
+
+
+def max_abs(mat: np.ndarray) -> int:
+    """The largest absolute value of an integer array (0 if it is empty)."""
+    return int(np.abs(mat).max()) if mat.size else 0
+
+
+def exact_dtype(bound: int):
+    """int64 if every value and partial sum of a computation is at most bound
+    in absolute value and bound < 2^63, else Python integers."""
+    return np.int64 if bound < 2**63 else object
+
+
+def row_products(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i holds the reduced numerators of a[i] * b[i] in Q(zeta_m), where a
+    and b are integer matrices of reduced numerators, phi(m) columns each."""
+    deg = _degree(m)
+    dense, col = _dense_reduction(m)
+    dtype = exact_dtype(deg * max_abs(a) * max_abs(b) * (1 + col))
+    a, b = a.astype(dtype), b.astype(dtype)
+    conv = np.zeros((a.shape[0], 2 * deg - 1), dtype=dtype)
+    for i in range(deg):
+        conv[:, i : i + deg] += a[:, i : i + 1] * b
+    return conv[:, :deg] + conv[:, deg:] @ dense.astype(dtype)
 
 
 def _reduce_int_poly(vec: list[int], m: int, deg: int) -> tuple[int, ...]:

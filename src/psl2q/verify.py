@@ -224,18 +224,17 @@ def run_sums_suite(q: int, seed: int = 0) -> dict:
             ok = ok and sums.l2_inner(v1, v2) == (norm1 if i == j else 0)
     checks.add("orthogonal_basis_gram_matrix", ok, f"{len(basis)} x {len(basis)} Gram, exact")
 
-    ok = True
-    for beta in betas:
-        k = beta.exponent
-        base = {(k * ctx.log2[r]) % (q + 1) for r in range(1, q)}  # embedded GF(q)*
-        ok = ok and base == {0}
-        for r in ctx.q2_units():
-            e = (k * ctx.log2[r]) % (q + 1)
-            ok = ok and all(
-                (k * ctx.log2[ctx.q2_mul(r, u)]) % (q + 1) == e for u in range(1, q)
-            )
-            if not ok:
-                break
+    # beta(r u) = beta(r) for all r and u in GF(q)* iff k * (log2(r u) - log2(r)) = 0
+    # mod q+1, so each log difference is computed once and checked for every beta
+    base = {ctx.log2[r] % (q + 1) for r in range(1, q)}  # embedded GF(q)*
+    shifts = {
+        (ctx.log2[ctx.q2_mul(r, u)] - ctx.log2[r]) % (q + 1) for r in ctx.q2_units() for u in range(1, q)
+    }
+    ok = all(
+        {(beta.exponent * b) % (q + 1) for b in base} == {0}
+        and all((beta.exponent * d) % (q + 1) == 0 for d in shifts)
+        for beta in betas
+    )
     checks.add("beta_trivial_on_base_cosets", ok, "nonvanishing and coset-constant")
 
     ok = True

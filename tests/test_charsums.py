@@ -1,5 +1,7 @@
 """Tests for Legendre and Soto-Andrade sums and hypergeometric identities."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -345,3 +347,91 @@ def test_trace_square_double_sum(sums, q):
             t = ctx.add(x, ctx.inv(x))
             total += ctx.phi_int(ctx.sub(ctx.mul(t, t), four_d))
         assert Fraction(total) == -2 + q * S.legendre_phi(ctx.sub(ctx.add(d, d), 1))
+
+
+def _l2_inner_oracle(S, f1, f2):
+    """The Hermitian form as a pointwise CycNum loop."""
+    acc = CycNum.zero()
+    for x in range(S.q):
+        acc = acc + f1[x] * f2[x].conjugate() * S.measure(x)
+    return acc
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 13])
+def test_l2_inner_conjugates_its_second_argument(sums, q):
+    # characters gamma, gamma' as functions on F_q are not real-valued:
+    # <gamma, gamma'> = (q-1)[gamma = gamma'] + q(1 + (gamma/gamma')(-1))
+    S = sums[q]
+    ctx = S.ctx
+    chars = [[ctx.char_eval(ctx.fq_char(k), x) for x in range(q)] for k in range(q - 1)]
+    for k1 in range(q - 1):
+        for k2 in range(q - 1):
+            ratio_at_minus_one = ctx.char_eval(ctx.fq_char(k1 - k2), ctx.neg(1))
+            expected = (q - 1 if k1 == k2 else 0) + q * (1 + ratio_at_minus_one)
+            assert S.l2_inner(chars[k1], chars[k2]) == expected
+
+
+def test_l2_inner_matches_the_pointwise_oracle():
+    # mixed conductors, zeros, rationals and numerators past 2^63 (the Python
+    # integer path); the value and its representation agree with the loop
+    q = 7
+    S = CharacterSums(field_ctx_for_q(q))
+    rng = random.Random(q)
+
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return CycNum.zero()
+        scale = Fraction(rng.randrange(-5, 6) * (2**70 if kind == 3 else 1), rng.randrange(1, 7))
+        if kind == 1:
+            return CycNum.rational(scale)
+        m = rng.choice([3, 4, 6, 8, 12])
+        return CycNum.root_of_unity(m, rng.randrange(m)) * scale + Fraction(1, rng.randrange(1, 4))
+
+    for _ in range(40):
+        f1 = [value() for _ in range(q)]
+        f2 = [value() for _ in range(q)]
+        got, want = S.l2_inner(f1, f2), _l2_inner_oracle(S, f1, f2)
+        assert (got.m, got.nums, got.den) == (want.m, want.nums, want.den)
+
+
+def _katz_oracle(S, alpha, beta, lam, omega_exponent):
+    """H_q(alpha, beta; lam) as the sum over k of per-k CycNum Gauss-sum products."""
+    ctx, q = S.ctx, S.q
+    n = q - 1
+
+    def g(j):
+        return ctx.gauss_sum(ctx.fq_char(j * omega_exponent))
+
+    def g_inv(j):
+        return CycNum.rational(-1) if j % n == 0 else g(j).conjugate() * Fraction(1, q)
+
+    a_exps = [int(a * n) for a in alpha]
+    b_exps = [int(b * n) for b in beta]
+    twist = lam if len(alpha) % 2 == 0 else ctx.neg(lam)
+    total = CycNum.zero()
+    for k in range(n):
+        term = CycNum.rational(1)
+        for ae in a_exps:
+            term = term * g(k + ae) * g_inv(ae)
+        for be in b_exps:
+            term = term * g(-k - be) * g_inv(-be)
+        total = total + term * CycNum.root_of_unity(n, omega_exponent * k * ctx.log[twist])
+    return total * Fraction(1, 1 - q)
+
+
+KATZ_CASES = [(q, n) for q in (5, 7, 9, 11, 13, 25, 27) for n in (2, 3, 4, 6) if (q - 1) % n == 0]
+
+
+@pytest.mark.parametrize("q,n", KATZ_CASES, ids=[f"q{q}-n{n}" for q, n in KATZ_CASES])
+def test_katz_matches_the_per_k_product_oracle(q, n):
+    # prime powers 9, 25, 27 put the Gauss sums in conductor lcm(p, q-1)
+    S = CharacterSums(field_ctx_for_q(q))
+    second = next(s for s in range(2, q - 1) if math.gcd(s, q - 1) == 1)
+    cases = [
+        ([Fraction(1, n), Fraction(n - 1, n), Fraction(1, 2), Fraction(1, 2)], [Fraction(1)] * 4, 1),
+        ([Fraction(1, n), Fraction(1, 2), Fraction(n - 1, n)], [Fraction(1), Fraction(1, 2), Fraction(1)], 2),
+    ]
+    for alpha, beta, lam in cases:
+        for omega_exponent in (1, second):
+            assert S.katz_h(alpha, beta, lam, omega_exponent) == _katz_oracle(S, alpha, beta, lam, omega_exponent)

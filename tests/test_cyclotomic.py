@@ -2,13 +2,15 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2q.cyclotomic import CycNum, _convolve, cyclotomic_polynomial
+from psl2q.cyclotomic import CycNum, _convolve, cyclotomic_polynomial, row_products
 
 
 def test_cyclotomic_polynomials():
@@ -294,3 +296,24 @@ PRODUCT_CASES = [
 @pytest.mark.parametrize("a, b", PRODUCT_CASES)
 def test_convolution_matches_schoolbook(a, b):
     assert _convolve(a, b) == _schoolbook(a, b)
+
+
+# conductors of degree 1, small ones, and those of the Gauss sums at q = 9, 19,
+# 25 and 27 (lcm(p, q-1) = 24, 342, 120, 78)
+ROW_CONDUCTORS = [1, 2, 3, 12, 24, 78, 120, 342]
+
+
+@pytest.mark.parametrize("m", ROW_CONDUCTORS)
+@pytest.mark.parametrize("scale, dtype", [(1, np.int64), (2**31 + 1, object)], ids=["int64", "object"])
+def test_row_products_match_cycnum_products(m, scale, dtype):
+    # int64 operands above 2^31 have products past the int64 bound: the
+    # helper must switch to Python integers from the values, not the dtype
+    rng = random.Random(m)
+    deg = len(cyclotomic_polynomial(m)) - 1
+    a = [[rng.randrange(-50, 51) * scale for _ in range(deg)] for _ in range(5)]
+    b = [[rng.randrange(-50, 51) * scale for _ in range(deg)] for _ in range(5)]
+    a[0] = [scale] + [0] * (deg - 1)  # a rational row
+    got = row_products(m, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    assert got.dtype == dtype
+    for ra, rb, rg in zip(a, b, got):
+        assert CycNum(m, tuple(rg.tolist())) == CycNum(m, tuple(ra)) * CycNum(m, tuple(rb))

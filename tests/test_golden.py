@@ -1,6 +1,6 @@
 """The `verify` reports and the `dump table|legendre` CSVs are byte-identical
 to the files recorded in tests/golden (q = 5, 7, 9; q = 3 for ekr; q = 11 and 13
-for sums and rank), with and without `python -O`."""
+for sums and rank; q = 17 and 19 for sums), with and without `python -O`."""
 
 import subprocess
 import sys
@@ -13,7 +13,8 @@ import psl2q
 GOLDEN = Path(__file__).parent / "golden"
 QS = "5,7,9"
 EKR_QS = "3,5,7,9"
-SUMS_QS = RANK_QS = "5,7,9,11,13"
+RANK_QS = "5,7,9,11,13"
+SUMS_QS = "5,7,9,11,13,17,19"
 
 
 def _run(flags, args, out, qs=QS):
@@ -44,6 +45,7 @@ def test_golden_set_is_complete():
     expected = {f"verify_q{q}_{s}.json" for q in (5, 7, 9) for s in ("table", "sums", "rank")}
     expected |= {f"verify_q{q}_ekr.json" for q in (3, 5, 7, 9)}
     expected |= {f"verify_q{q}_{s}.json" for q in (11, 13) for s in ("sums", "rank")}
+    expected |= {f"verify_q{q}_sums.json" for q in (17, 19)}
     expected |= {f"{w}_q{q}.csv" for q in (5, 7, 9) for w in ("table", "legendre")}
     assert set(_golden_names()) == expected
 
