@@ -17,6 +17,15 @@ forms in terms of Legendre and Soto-Andrade sums.  Nonvanishing of every
 t(chi) together with the witnessed 2q-dimensional kernel pins the rank of M
 at exactly q(q-1).
 
+M, N and the kernel check all read one array: the column of (a, a^g) for
+every derangement g and point a.  The exact rank takes one elimination, of
+N.  With K the 2q kernel witnesses, checked exactly (M K^T = 0 and
+rank_p(K) = 2q), and b = min(rows of M, q(q+1) - 2q),
+
+    rank_p(N) = rank_p(M^T M) <= rank_p(M) <= rank_Q(M) <= b,
+
+so rank_p(N) = b certifies rank(M) = b.  Otherwise M is eliminated too.
+
 A character sum over a set of elements is an integer vector of class counts
 (`CharTable.class_sum`).  The sets {g : 0^g = a, infinity^g = b} partition
 PGL(2,q), so the direct sum is one pass over the group: each g adds
@@ -34,7 +43,7 @@ from .charsums import CharacterSums
 from .cyclotomic import CycNum
 from .errors import IdentityViolationError, NotInOmegaError, UnsupportedCharacterError
 from .groups import PGL2
-from .intrank import rank_with_kernel
+from .intrank import PRIMES, rank_with_kernel
 
 
 class DerangementModel:
@@ -49,31 +58,46 @@ class DerangementModel:
         self.omega = [(a, b) for a in range(q + 1) for b in range(q + 1) if a != b]
         self.omega_index = {pair: i for i, pair in enumerate(self.omega)}
         self.zero_inf = self.omega_index[(0, inf)]
+        self._m_columns: np.ndarray | None = None
         self._m_matrix: np.ndarray | None = None
         self._gram: np.ndarray | None = None
+        self._witnesses: tuple[dict, dict] | None = None
         self._kernel: np.ndarray | None = None
+        self._rank_n: tuple[int, str] | None = None
         self._rank_m: tuple[int, str] | None = None
         self._position_classes: dict[bool, list[int]] = {}
 
     # -- matrices -----------------------------------------------------------
 
+    def _columns(self) -> np.ndarray:
+        """Row i, entry a: the column of (a, a^g) for the i-th derangement g,
+        i.e. where the ones of row i of M sit."""
+        if self._m_columns is None:
+            image = self.group.image_array(self.group.derangements())
+            points = np.arange(self.q + 1)
+            # (a, b) is column a*q + b, less one when b > a skips (a, a)
+            self._m_columns = points * self.q + image - (image > points)
+        return self._m_columns
+
     def build_m(self) -> np.ndarray:
         """Rows: derangements of PSL(2,q) in enumeration order; q+1 ones per row."""
         if self._m_matrix is None:
-            group = self.group
-            index = group.image_index()
-            ders = group.derangements()
-            m = np.zeros((len(ders), len(self.omega)), dtype=np.int64)
-            for i, g in enumerate(ders):
-                for a, b in enumerate(index.image(g)):
-                    m[i, self.omega_index[(a, b)]] = 1
+            columns = self._columns()
+            m = np.zeros((len(columns), len(self.omega)), dtype=np.int8)
+            np.put_along_axis(m, columns, 1, axis=1)
             self._m_matrix = m
         return self._m_matrix
 
     def gram_bruteforce(self) -> np.ndarray:
+        """N = M^T M, counted exactly: each row of M adds one to N at every
+        pair of its q+1 columns."""
         if self._gram is None:
-            m = self.build_m()
-            self._gram = m.T @ m
+            columns = self._columns()
+            n = len(self.omega)
+            gram = np.zeros(n * n, dtype=np.int64)
+            for first in columns.T:
+                gram += np.bincount((first[:, None] * n + columns).ravel(), minlength=n * n)
+            self._gram = gram.reshape(n, n)
         return self._gram
 
     # -- closed-form Gram entries ----------------------------------------------
@@ -134,35 +158,24 @@ class DerangementModel:
     # -- kernel witnesses --------------------------------------------------------
 
     def kernel_vectors(self) -> tuple[dict, dict]:
-        """The left and right difference vectors annihilated by M.
+        """The left and right difference vectors annihilated by M; built once.
 
-        l[a,b] puts +1 on (a, p) and -1 on (b, p) for p outside {a, b}, +1 on
-        (a, b) and -1 on (b, a); r[a,b] is the mirror on second coordinates.
-        Each family spans a q-dimensional space and the two spans intersect
-        trivially, witnessing a 2q-dimensional kernel of M.
+        l[a,b] is the indicator of the pairs (a, .) minus that of the pairs
+        (b, .): +1 on (a, p) and -1 on (b, p) for p outside {a, b}, +1 on
+        (a, b) and -1 on (b, a).  r[a,b] is the mirror on second coordinates.
+        Every derangement sends a and b somewhere and something to a and b,
+        so M l[a,b] = M r[a,b] = 0.  Each family spans a q-dimensional space
+        and the two spans intersect trivially, witnessing a 2q-dimensional
+        kernel of M.
         """
-        n = len(self.omega)
-        left, right = {}, {}
-        for a in self.group.points:
-            for b in self.group.points:
-                if a == b:
-                    continue
-                lv = np.zeros(n, dtype=np.int64)
-                rv = np.zeros(n, dtype=np.int64)
-                for p in self.group.points:
-                    if p in (a, b):
-                        continue
-                    lv[self.omega_index[(a, p)]] += 1
-                    lv[self.omega_index[(b, p)]] -= 1
-                    rv[self.omega_index[(p, a)]] += 1
-                    rv[self.omega_index[(p, b)]] -= 1
-                lv[self.omega_index[(a, b)]] += 1
-                lv[self.omega_index[(b, a)]] -= 1
-                rv[self.omega_index[(b, a)]] += 1
-                rv[self.omega_index[(a, b)]] -= 1
-                left[(a, b)] = lv
-                right[(a, b)] = rv
-        return left, right
+        if self._witnesses is None:
+            points = np.arange(self.q + 1)[:, None]
+            first = (np.array([a for a, _ in self.omega]) == points).astype(np.int64)
+            second = (np.array([b for _, b in self.omega]) == points).astype(np.int64)
+            left = {(a, b): first[a] - first[b] for a, b in self.omega}
+            right = {(a, b): second[a] - second[b] for a, b in self.omega}
+            self._witnesses = left, right
+        return self._witnesses
 
     def kernel_basis(self) -> np.ndarray:
         """The 2q witnesses l[0,b] and r[0,b], b != 0, stacked as rows."""
@@ -172,10 +185,44 @@ class DerangementModel:
             self._kernel = np.array([left[(0, b)] for b in others] + [right[(0, b)] for b in others])
         return self._kernel
 
+    def annihilates(self, vectors) -> bool:
+        """Exactly whether M v = 0 for every integer vector v given.
+
+        Entry g of M v is the sum of v over the q+1 columns of g's ones; the
+        sum is gathered one point at a time, in the narrowest integer type
+        that holds every partial sum (object when no fixed width does)."""
+        v = np.array(vectors)
+        bound = (self.q + 1) * max(int(v.max()), -int(v.min()))
+        vt = np.ascontiguousarray(v.T, dtype=np.min_scalar_type(-bound - 1))
+        columns = self._columns()
+        total = vt.take(columns[:, 0], axis=0)
+        for x in range(1, self.q + 1):
+            total += vt.take(columns[:, x], axis=0)
+        return not total.any()
+
+    def rank_of_gram(self) -> tuple[int, str]:
+        """rank(N) over Q and the method that decided it; computed once.  The
+        kernel witnesses of M bound it too, since N v = M^T (M v)."""
+        if self._rank_n is None:
+            self._rank_n = rank_with_kernel(self.gram_bruteforce(), self.kernel_basis())
+        return self._rank_n
+
     def rank_of_m(self) -> tuple[int, str]:
-        """rank(M) over Q and the method that decided it; computed once."""
+        """rank(M) over Q and the method that decided it; computed once.
+
+        When N's certificate reads "mod p, kernel bound b" for M's own bound
+        b = min(rows, cols - 2q), `rank_with_kernel` has found rank_p(K) = 2q
+        for the kernel basis K and rank_p(N) = b.  With M K^T = 0, checked
+        here, the chain in the module docstring gives rank(M) = b by the same
+        method.  Otherwise M is eliminated."""
         if self._rank_m is None:
-            self._rank_m = rank_with_kernel(self.build_m(), self.kernel_basis())
+            kernel = self.kernel_basis()
+            bound = min(len(self._columns()), len(self.omega) - len(kernel))
+            rank_n, method_n = self.rank_of_gram()
+            if method_n in {f"mod {p}, kernel bound {bound}" for p in PRIMES} and self.annihilates(kernel):
+                self._rank_m = rank_n, method_n
+            else:
+                self._rank_m = rank_with_kernel(self.build_m(), kernel)
         return self._rank_m
 
     # -- character moments ----------------------------------------------------------
@@ -187,7 +234,7 @@ class DerangementModel:
         if chi.kind not in kinds:
             raise UnsupportedCharacterError(f"{chi.kind} is outside the target set")
 
-    def _classes_by_position(self, inverse: bool) -> list[int]:
+    def classes_by_position(self, inverse: bool) -> list[int]:
         """Class index of g^(-1) (or of g) per element g of the PGL image index."""
         if inverse not in self._position_classes:
             group, where = self.group, self.table.class_index
@@ -200,7 +247,7 @@ class DerangementModel:
         """Class counts of g^(-1) (or of g) over the elements g matching the
         point constraints, in `CharTable.classes` order."""
         position = self.group.image_index().position
-        classes = self._classes_by_position(inverse)
+        classes = self.classes_by_position(inverse)
         counts = [0] * len(self.table.classes)
         for g in self.group.elements_with_constraints(pairs):
             counts[classes[position[g]]] += 1
@@ -214,7 +261,7 @@ class DerangementModel:
         row = gram[self.zero_inf].tolist()
         inf = self.group.infinity
         counts = [0] * len(self.table.classes)
-        for image, c in zip(self.group.image_index().images, self._classes_by_position(inverse=True)):
+        for image, c in zip(self.group.image_index().images, self.classes_by_position(inverse=True)):
             counts[c] += row[self.omega_index[image[0], image[inf]]]
         return self.table.class_sum(chi, counts)
 

@@ -8,8 +8,10 @@ A group element is a 4-tuple (a, b, c, d) of GF(q) indices read row-major,
 normalized so that the first nonzero entry equals 1; two matrices represent
 the same element of PGL(2,q) exactly when their normal forms are equal.
 
-`act` is the one place that computes the action.  `image_index` lists, once
-per group (PGL or PSL), every element's images on the q+1 points and the
+`act` computes the action on one point; `image_array` computes it for many
+elements and all q+1 points in one numpy pass over the field tables, and
+the tests check the two against each other.  `image_index` lists, once per
+group (PGL or PSL), every element's images on the q+1 points and the
 stabilizer cosets {g : x^g = y} as bitmasks over the sorted elements, so a
 point-mapping constraint query is an AND of coset masks.
 """
@@ -17,6 +19,8 @@ point-mapping constraint query is an AND of coset masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidConstraintError
 from .fields import FieldCtx
@@ -265,19 +269,33 @@ class PGL2:
 
     def _build_image_index(self, which: str) -> PointImageIndex:
         elements = sorted(self.elements(which))
-        points = self.points
-        images = [tuple(self.act(x, g) for x in points) for g in elements]
-        coset = [[0] * len(points) for _ in points]
-        for i, image in enumerate(images):
-            bit = 1 << i
-            for x, y in enumerate(image):
-                coset[x][y] |= bit
+        image = self.image_array(elements)
+        points = np.arange(self.q + 1)
+        coset = []
+        for x in points:
+            hits = np.packbits(image[:, x] == points[:, None], axis=1, bitorder="little")
+            coset.append([int.from_bytes(row.tobytes(), "little") for row in hits])
         return PointImageIndex(
             elements=elements,
-            images=images,
+            images=[tuple(row) for row in image.tolist()],
             position={g: i for i, g in enumerate(elements)},
             coset=coset,
         )
+
+    def image_array(self, elements) -> np.ndarray:
+        """Row i holds the images x^g of the points x = 0..q under elements[i].
+
+        The same action as `act`, over the field tables in one pass: a finite
+        t goes to (b + t d) / (a + t c) and infinity to d / c, and to infinity
+        where the denominator is 0."""
+        ctx, q = self.ctx, self.q
+        add, mul = np.array(ctx.add_table), np.array(ctx.mul_table)
+        inv = np.array([0] + ctx.inv_table[1:])
+        a, b, c, d = np.array(elements, dtype=np.intp).reshape(-1, 4).T[:, :, None]
+        t = np.arange(q)
+        den = np.concatenate([add[a, mul[t, c]], c], axis=1)
+        num = np.concatenate([add[b, mul[t, d]], d], axis=1)
+        return np.where(den == 0, q, mul[num, inv[den]])
 
     def elements_with_constraints(self, pairs, which: str = "pgl") -> list[Element]:
         """All elements sending src -> tgt for each (src, tgt) pair, sorted.

@@ -11,6 +11,7 @@ from psl2q.derangement import DerangementModel
 from psl2q.errors import NotInOmegaError, UnsupportedCharacterError
 from psl2q.fields import field_ctx_for_q
 from psl2q.groups import PGL2
+from psl2q import intrank
 from psl2q.intrank import PRIMES, bareiss_rank, rank_with_kernel
 
 
@@ -33,7 +34,8 @@ def test_gram_is_transpose_product(models, q):
     D = models[q]
     m = D.build_m()
     gram = D.gram_bruteforce()
-    assert (gram == m.T @ m).all()
+    assert m.dtype == np.int8
+    assert (gram == m.astype(np.int64).T @ m).all()
     assert (gram == gram.T).all()
     assert (np.diag(gram) == (q - 1) ** 2 // 4).all()
 
@@ -116,6 +118,118 @@ def test_rank(models, q, rank):
     assert D.rank_of_m() == (rank, method)
     assert D.rank_of_m() is D.rank_of_m()
     assert rank_with_kernel(D.gram_bruteforce(), kernel) == (rank, method)
+
+
+def _fresh_model(q):
+    return DerangementModel(build_table(PGL2(field_ctx_for_q(q))))
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_rank_of_m_eliminates_m_when_n_falls_short(monkeypatch, q):
+    # a rank of N mod p below the bound must not decide rank(M): M itself is
+    # eliminated, and the answer still agrees with Bareiss
+    D = _fresh_model(q)
+    n_cols = q * (q + 1)
+    true_modular_rank = intrank.modular_rank
+    shapes = []
+
+    def short_on_n(matrix, p=PRIMES[0]):
+        shapes.append(np.shape(matrix))
+        rank = true_modular_rank(matrix, p)
+        return rank - 1 if np.shape(matrix) == (n_cols, n_cols) else rank
+
+    monkeypatch.setattr(intrank, "modular_rank", short_on_n)
+    rank, method = D.rank_of_m()
+    assert D.rank_of_gram() == (q * (q - 1), "Bareiss")
+    assert rank == bareiss_rank(D.build_m().tolist()) == q * (q - 1)
+    assert method == f"mod {PRIMES[0]}, kernel bound {rank}"
+    assert D.build_m().shape in shapes
+
+
+def test_rank_of_m_reads_n_without_eliminating_m(monkeypatch):
+    D = _fresh_model(7)
+    shapes = []
+    true_modular_rank = intrank.modular_rank
+
+    def recording(matrix, p=PRIMES[0]):
+        shapes.append(np.shape(matrix))
+        return true_modular_rank(matrix, p)
+
+    monkeypatch.setattr(intrank, "modular_rank", recording)
+    assert D.rank_of_m() == D.rank_of_gram() == (42, f"mod {PRIMES[0]}, kernel bound 42")
+    assert D.build_m().shape not in shapes
+
+
+def test_unannihilated_kernel_never_bounds_rank_of_m(monkeypatch):
+    D = _fresh_model(5)
+    m = D.build_m()
+    kernel = D.kernel_basis().copy()
+    kernel[0] = np.eye(m.shape[1], dtype=np.int64)[0]  # column (0, 1) of M is not zero
+    assert intrank.modular_rank(kernel) == 2 * 5
+    assert not D.annihilates(kernel)
+    monkeypatch.setattr(D, "kernel_basis", lambda: kernel)
+    # even when N's certificate claims M's kernel bound, the failed check on M wins
+    monkeypatch.setattr(D, "rank_of_gram", lambda: (20, f"mod {PRIMES[0]}, kernel bound 20"))
+    assert D.rank_of_m() == (bareiss_rank(m.tolist()), "Bareiss") == (20, "Bareiss")
+
+
+def test_unannihilated_kernel_sends_both_ranks_to_bareiss(monkeypatch):
+    D = _fresh_model(5)
+    kernel = D.kernel_basis().copy()
+    kernel[0, 0] += 1
+    monkeypatch.setattr(D, "kernel_basis", lambda: kernel)
+    assert D.rank_of_gram() == (20, "Bareiss")
+    assert D.rank_of_m() == (20, "Bareiss")
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_annihilates_matches_the_matrix_product(models, q):
+    D = models[q]
+    m = D.build_m().astype(np.int64)
+    rng = np.random.default_rng(q)
+    left, right = D.kernel_vectors()
+    witnesses = np.array([*left.values(), *right.values()])
+    assert D.annihilates(witnesses)
+    assert not (m @ witnesses.T).any()
+    for scale in (1, 2**40):
+        vectors = witnesses * scale
+        vectors[rng.integers(len(vectors))] += rng.integers(-1, 2, size=m.shape[1])
+        assert D.annihilates(vectors) == (not (m.astype(object) @ vectors.astype(object).T).any())
+        assert D.annihilates(vectors.astype(object) * 2**40) == D.annihilates(vectors)
+    assert all(D.annihilates(v) for v in left.values())
+
+
+def test_kernel_vectors_match_the_pointwise_definition(models):
+    D = models[5]
+    points = D.group.points
+    left, right = D.kernel_vectors()
+    assert list(left) == list(right) == D.omega
+    for a, b in D.omega:
+        lv = np.zeros(len(D.omega), dtype=np.int64)
+        rv = np.zeros(len(D.omega), dtype=np.int64)
+        for p in points:
+            if p not in (a, b):
+                lv[D.omega_index[(a, p)]] += 1
+                lv[D.omega_index[(b, p)]] -= 1
+                rv[D.omega_index[(p, a)]] += 1
+                rv[D.omega_index[(p, b)]] -= 1
+        lv[D.omega_index[(a, b)]] += 1
+        lv[D.omega_index[(b, a)]] -= 1
+        rv[D.omega_index[(b, a)]] += 1
+        rv[D.omega_index[(a, b)]] -= 1
+        assert (left[(a, b)] == lv).all() and (right[(a, b)] == rv).all()
+    assert D.kernel_vectors() is D.kernel_vectors()
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_build_m_against_the_action(models, q):
+    D = models[q]
+    G = D.group
+    expected = np.zeros((len(G.derangements()), len(D.omega)), dtype=np.int64)
+    for i, g in enumerate(G.derangements()):
+        for a in G.points:
+            expected[i, D.omega_index[(a, G.act(a, g))]] = 1
+    assert (D.build_m() == expected).all()
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -204,6 +318,8 @@ def test_restricted_sums_match_closed_forms(models, q):
             brute = D.restricted_char_sum(chi, constraint)
             assert brute == D.restricted_sum_closed_form(chi, constraint)
             assert brute == D.restricted_char_sum(chi, constraint, inverse=False)
+    # the per-element fact behind the rank suite's "g and g^(-1) sums agree"
+    assert D.classes_by_position(True) == D.classes_by_position(False)
 
 
 def test_restricted_swap_example_q5(models):

@@ -1,6 +1,7 @@
-"""The `verify` reports and the `dump table|legendre` CSVs are byte-identical
-to the files recorded in tests/golden (q = 5, 7, 9; q = 3 for ekr; q = 11 and 13
-for sums and rank; q = 17 and 19 for sums), with and without `python -O`."""
+"""The `verify` reports and the `dump` CSVs are byte-identical to the files
+recorded in tests/golden (q = 5, 7, 9; q = 3 for ekr; q = 11 and 13 for sums
+and rank; q = 17 and 19 for sums; q = 5 and 7 for the matrixM and matrixN
+dumps), with and without `python -O`."""
 
 import subprocess
 import sys
@@ -15,6 +16,7 @@ QS = "5,7,9"
 EKR_QS = "3,5,7,9"
 RANK_QS = "5,7,9,11,13"
 SUMS_QS = "5,7,9,11,13,17,19"
+MATRIX_QS = "5,7"
 
 
 def _run(flags, args, out, qs=QS):
@@ -34,6 +36,8 @@ def regenerated(request, tmp_path_factory):
     _run(request.param, ["verify", "--suite", "ekr"], out, EKR_QS)
     for what in ("table", "legendre"):
         _run(request.param, ["dump", what], out)
+    for what in ("matrixM", "matrixN"):
+        _run(request.param, ["dump", what], out, MATRIX_QS)
     return out
 
 
@@ -47,6 +51,7 @@ def test_golden_set_is_complete():
     expected |= {f"verify_q{q}_{s}.json" for q in (11, 13) for s in ("sums", "rank")}
     expected |= {f"verify_q{q}_sums.json" for q in (17, 19)}
     expected |= {f"{w}_q{q}.csv" for q in (5, 7, 9) for w in ("table", "legendre")}
+    expected |= {f"{w}_q{q}.csv" for q in (5, 7) for w in ("matrixM", "matrixN")}
     assert set(_golden_names()) == expected
 
 

@@ -198,3 +198,23 @@ def test_two_point_transitivity_q5(groups):
         for tgt in pairs:
             sols = G.elements_with_constraints([(src[0], tgt[0]), (src[1], tgt[1])], "psl")
             assert sols, (src, tgt)
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27])
+def test_image_index_matches_the_action(q):
+    """The vectorised index against `act`, one point at a time; q = 9, 25, 27
+    are prime powers with p = 3 and p = 5."""
+    G = PGL2(field_ctx_for_q(q))
+    by_act = {g: tuple(G.act(x, g) for x in G.points) for g in G.elements("pgl")}
+    for which in ("pgl", "psl"):
+        index = G.image_index(which)
+        assert index.elements == sorted(G.elements(which))
+        assert index.images == [by_act[g] for g in index.elements]
+        assert index.position == {g: i for i, g in enumerate(index.elements)}
+        coset = [[0] * (q + 1) for _ in G.points]
+        for i, g in enumerate(index.elements):
+            for x, y in enumerate(by_act[g]):
+                coset[x][y] |= 1 << i
+        assert index.coset == coset
+        assert all(type(y) is int for image in index.images for y in image)
+        assert all(type(mask) is int for row in index.coset for mask in row)
