@@ -20,18 +20,24 @@ hypergeometric sum from its Gauss-sum expression.
 
 Each summand is a signed root of unity zeta_m^j, so a sum is an integer
 vector counting the powers j, times one rational scale, reduced mod Phi_m
-by a single `CycNum.from_zeta_powers` call.  Greene's inductive step
-rotates count vectors, which live in Z[x]/(x^(q-1) - 1), a ring mapping
-onto Q(zeta_(q-1)).  The Soto-Andrade summand is constant on the cosets
-r * GF(q)* (trace and norm scale by u and u^2, beta is trivial on GF(q)*),
-so R_beta walks the q+1 coset representatives gen2^j.
+by a single `CycNum.from_zeta_powers` call.  Greene's sums are count tables
+over Z[x]/(x^(q-1) - 1), a ring mapping onto Q(zeta_(q-1)): one q x (q-1)
+int64 table per tuple of (upper, lower) exponents, cached, whose row t
+counts the powers of the sum at t.  The 2F1 base table is one `np.bincount`
+over all (t, y), and each higher level one gather-sum of rows t*y rotated by
+the exponent of the level's summand at y; a value reads and reduces one row.
+The Soto-Andrade summand is constant on the cosets r * GF(q)* (trace and
+norm scale by u and u^2, beta is trivial on GF(q)*), so R_beta walks the
+q+1 coset representatives gen2^j.
 
 The weighted Hermitian form works on numerators too: numerator i of f1(x)
 times numerator j of f2(x), weighted by the measure at x, counts at
 zeta_L^(i L/m1 - j L/m2), with m1, m2 the conductors of f1, f2 and
 L = lcm(m1, m2); the minus sign is the complex conjugation of f2.  So the
-form is one integer matrix product, one count vector over Z/L and one
-reduction, with no per-point product.  The Katz sum holds the q-1 Gauss sums
+form is one integer matrix product, one scatter into a count vector over
+Z/L and one reduction, with no per-point product.  `gram` builds each
+function's numerator matrix once and runs that kernel on every ordered pair;
+`l2_inner` is its one-pair case.  The Katz sum holds the q-1 Gauss sums
 g(omega_1^j) once, as the rows of an integer matrix; the choice of omega only
 permutes the rows.  Its sum over k is one row-wise product
 (`cyclotomic.row_products`) per parameter on the rows gathered at k + a_i and
@@ -82,6 +88,9 @@ class CharacterSums:
         self._soto_cache: dict[tuple[int, int], CycNum] = {}
         self._gauss: tuple[int, np.ndarray] | None = None
         self._gauss_inv: dict[int, CycNum] = {}
+        self._greene_tables: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[np.ndarray, Fraction]] = {}
+        self._field_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._mu = np.array([self.measure(x) for x in range(self.q)], dtype=np.int64)
 
     # -- the measure and the inner product ------------------------------------
 
@@ -91,26 +100,46 @@ class CharacterSums:
         return self.q + 1 if x == 1 or x == ctx.neg(1) else 1
 
     def l2_inner(self, f1: list[CycNum], f2: list[CycNum]) -> CycNum:
-        """Sum over x of measure(x) * f1(x) * conj(f2(x)).  Numerator i of f1(x)
-        times numerator j of f2(x) counts at zeta_L^(i L/m1 - j L/m2), with m1,
-        m2 the conductors of f1, f2 and L = lcm(m1, m2); one reduction at the end."""
-        if len(f1) != self.q or len(f2) != self.q:
+        """Sum over x of measure(x) * f1(x) * conj(f2(x)): `gram` on one pair."""
+        return self._form(self._operand(f1), self._operand(f2))
+
+    def gram(self, functions: list[list[CycNum]]) -> list[list[CycNum]]:
+        """Entry (i, j) is l2_inner(functions[i], functions[j]), equal to it in
+        (m, nums, den); each function's numerators are built once."""
+        operands = [self._operand(f) for f in functions]
+        return [[self._form(a, b) for b in operands] for a in operands]
+
+    def _operand(self, f: list[CycNum]) -> tuple:
+        """(m, d, rows, weighted rows transposed, conductor per point (0 where
+        f vanishes), largest |numerator|) of a function on F_q, with m, d and
+        rows its `_numerators`."""
+        if len(f) != self.q:
             raise DomainMismatchError("functions must be indexed by the q field elements")
-        points = [x for x in range(self.q) if not (f1[x].is_zero() or f2[x].is_zero())]
-        if not points:
+        m, d, rows = _numerators(f)
+        top = max_abs(rows)
+        rows = rows.astype(exact_dtype((self.q + 1) * top))
+        conductors = np.array([0 if v.is_zero() else v.m for v in f], dtype=np.int64)
+        return m, d, rows, (rows * self._mu.astype(rows.dtype)[:, None]).T, conductors, top
+
+    def _form(self, left: tuple, right: tuple) -> CycNum:
+        """The form on two operands.  Numerator i of f1(x) times numerator j of
+        f2(x) counts at zeta_L^(i L/m1 - j L/m2), L = lcm(m1, m2); the value
+        lives in Q(zeta_c), c the lcm of the conductors at the points where
+        neither function vanishes, so the counts sit at multiples of L/c."""
+        m1, d1, _, a_t, c1, top1 = left
+        m2, d2, b, _, c2, top2 = right
+        both = (c1 > 0) & (c2 > 0)
+        if not both.any():
             return CycNum.zero()
-        m1, d1, a = _numerators([f1[x] for x in points])
-        m2, d2, b = _numerators([f2[x] for x in points])
-        mu = [self.measure(x) for x in points]
-        dtype = exact_dtype(sum(mu) * a.shape[1] * b.shape[1] * max_abs(a) * max_abs(b))
-        a = a.astype(dtype) * np.array(mu, dtype=dtype)[:, None]
-        products = a.T @ b.astype(dtype)  # sum over x of mu * a_i * b_j
+        dtype = exact_dtype(3 * self.q * a_t.shape[0] * b.shape[1] * top1 * top2)
+        products = a_t.astype(dtype, copy=False) @ b.astype(dtype, copy=False)  # sum over x of mu * a_i * b_j
         big = math.lcm(m1, m2)
-        i = np.arange(a.shape[1])[:, None] * (big // m1)
+        i = np.arange(a_t.shape[0])[:, None] * (big // m1)
         j = np.arange(b.shape[1])[None, :] * (big // m2)
         counts = np.zeros(big, dtype=dtype)
         np.add.at(counts, (i - j) % big, products)
-        return CycNum.from_zeta_powers(big, counts.tolist(), Fraction(1, d1 * d2))
+        conductor = int(np.lcm.reduce(np.lcm(c1[both], c2[both])))
+        return CycNum.from_zeta_powers(conductor, counts[:: big // conductor].tolist(), Fraction(1, d1 * d2))
 
     def _check_element(self, x: int) -> None:
         if not 0 <= x < self.q:
@@ -119,6 +148,7 @@ class CharacterSums:
     # -- Legendre and Soto-Andrade sums ----------------------------------------
 
     def legendre_sum(self, gamma: MultCharFq, a: int) -> CycNum:
+        self.ctx.check_char(gamma)
         key = (gamma.exponent, a)
         val = self._legendre_cache.get(key)
         if val is None:
@@ -141,6 +171,7 @@ class CharacterSums:
         return self.legendre_sum(self.ctx.quadratic_char(), a).as_fraction()
 
     def soto_andrade_sum(self, beta: MultCharB, a: int) -> CycNum:
+        self.ctx.check_char(beta)
         key = (beta.exponent, a)
         val = self._soto_cache.get(key)
         if val is None:
@@ -202,68 +233,74 @@ class CharacterSums:
 
     # -- hypergeometric sums -------------------------------------------------------
 
-    def _2f1_counts(self, k0: int, k1: int, k2: int, x: int) -> list[int]:
-        """Counts of each zeta_(q-1) power in the sum over y of
-        g1(y) (g2/g1)(1-y) g0^(-1)(1-xy), with g_i of exponent k_i; all zero
-        at x = 0, where eps(x) vanishes."""
-        ctx = self.ctx
-        q = self.q
-        vec = [0] * (q - 1)
-        if x == 0:
-            return vec
-        for y in range(q):
-            one_minus_y = ctx.sub(1, y)
-            one_minus_xy = ctx.sub(1, ctx.mul(x, y))
-            if y == 0 or one_minus_y == 0 or one_minus_xy == 0:
-                continue
-            e = (k1 * ctx.log[y] + (k2 - k1) * ctx.log[one_minus_y] - k0 * ctx.log[one_minus_xy]) % (q - 1)
-            vec[e] += 1
-        return vec
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """numpy copies of the field's log (0 at 0), multiplication and
+        y -> 1 - y tables, built on first use."""
+        if self._field_arrays is None:
+            ctx = self.ctx
+            log = np.array([0] + ctx.log[1:], dtype=np.int64)
+            mul = np.array(ctx.mul_table, dtype=np.int64)
+            one_minus = np.array([ctx.sub(1, y) for y in range(self.q)], dtype=np.int64)
+            self._field_arrays = (log, mul, one_minus)
+        return self._field_arrays
 
-    def _level_sign(self, ka: int, kb: int) -> int:
-        """(A B)(-1) for characters of exponents ka and kb."""
-        return -1 if (ka + kb) * ((self.q - 1) // 2) % (self.q - 1) else 1
+    def _greene_table(self, upper: tuple[int, ...], lower: tuple[int, ...]) -> tuple[np.ndarray, Fraction]:
+        """The q x (q-1) count table of the hypergeometric sum with these upper
+        and lower exponents, whose row t counts the zeta_(q-1) powers of its
+        sum at t, and the scale: (A B)(-1)/q per level.
+
+        The 2F1 base sums g1(y) (g2/g1)(1-y) g0^(-1)(1-ty) over y, with g_i of
+        exponent k_i; row 0 is zero, where eps(t) vanishes.  A level with
+        exponents (ka, kb) adds, over y, row t*y of the table below rotated by
+        the exponent e(y) of A(y) (B/A)(1-y)."""
+        key = (upper, lower)
+        hit = self._greene_tables.get(key)
+        if hit is None:
+            q = self.q
+            n = q - 1
+            log, mul, one_minus = self._arrays()
+            ka, kb = upper[-1], lower[-1]
+            if len(upper) == 2:
+                k0 = upper[0]
+                t = np.arange(q)[:, None]
+                y = np.arange(q)[None, :]
+                one_minus_ty = one_minus[mul]
+                live = (t != 0) & (y != 0) & (one_minus[y] != 0) & (one_minus_ty != 0)
+                e = (ka * log[y] + (kb - ka) * log[one_minus[y]] - k0 * log[one_minus_ty]) % n
+                table = np.bincount((t * n + e)[live], minlength=q * n).reshape(q, n)
+                scale = Fraction(1)
+            else:
+                below, scale = self._greene_table(upper[:-1], lower[:-1])
+                y = np.arange(2, q)  # y = 0 and y = 1 (1 - y = 0) are where every character vanishes
+                e = (ka * log[y] + (kb - ka) * log[one_minus[y]]) % n
+                # new[t, j] = sum over y of below[t*y, (j - e(y)) mod (q-1)]
+                columns = (np.arange(n)[None, :] - e[:, None]) % n
+                table = below[mul[:, y][:, :, None], columns[None, :, :]].sum(axis=1)
+            sign = -1 if (ka + kb) * (n // 2) % n else 1  # (A B)(-1)
+            hit = self._greene_tables[key] = (table, scale * Fraction(sign, q))
+        return hit
+
+    def _hypergeometric(self, upper: list[MultCharFq], lower: list[MultCharFq], x: int) -> CycNum:
+        """Row x of the count table, times its scale."""
+        for char in (*upper, *lower):
+            self.ctx.check_char(char)
+        self._check_element(x)
+        table, scale = self._greene_table(tuple([c.exponent for c in upper]), tuple([c.exponent for c in lower]))
+        return CycNum.from_zeta_powers(self.q - 1, table[x].tolist(), scale)
 
     def greene_2f1(self, g0: MultCharFq, g1: MultCharFq, g2: MultCharFq, x: int) -> CycNum:
         """eps(x) * (g1 g2)(-1)/q * sum over y of g1(y) (g2/g1)(1-y) g0^(-1)(1-xy)."""
-        self._check_element(x)
-        q = self.q
-        vec = self._2f1_counts(g0.exponent, g1.exponent, g2.exponent, x)
-        sign = self._level_sign(g1.exponent, g2.exponent)
-        return CycNum.from_zeta_powers(q - 1, vec, Fraction(sign, q))
+        return self._hypergeometric([g0, g1], [g2], x)
 
     def greene_nfn(self, upper: list[MultCharFq], lower: list[MultCharFq], x: int) -> CycNum:
         """Greene's (n+1)Fn at x, defined inductively from the 2F1 base case:
-        a level adds, over y, the counts of the level below at t*y rotated by
-        the exponent e(y) of A(y) (B/A)(1-y); its sign (A B)(-1)/q joins scale."""
+        a level adds, over y, the level below at t*y times A(y) (B/A)(1-y),
+        and (A B)(-1)/q."""
         if len(upper) != len(lower) + 1 or len(upper) < 2:
             raise ArityMismatchError("need n+1 upper and n lower parameters, n >= 1")
         if len(upper) > MAX_HYPERGEOMETRIC_DEPTH:
             raise ArityMismatchError(f"depth limited to {MAX_HYPERGEOMETRIC_DEPTH}F{MAX_HYPERGEOMETRIC_DEPTH - 1}")
-        self._check_element(x)
-        ctx = self.ctx
-        q = self.q
-        n = q - 1
-        k0, k1, k2 = upper[0].exponent, upper[1].exponent, lower[0].exponent
-        table = [self._2f1_counts(k0, k1, k2, t) for t in range(q)]
-        scale = Fraction(self._level_sign(k1, k2), q)
-        for level in range(2, len(upper)):
-            ka, kb = upper[level].exponent, lower[level - 1].exponent
-            scale *= Fraction(self._level_sign(ka, kb), q)
-            rotations = [
-                (y, (ka * ctx.log[y] + (kb - ka) * ctx.log[ctx.sub(1, y)]) % n)
-                for y in range(2, q)  # y = 1 has 1 - y = 0, where every character vanishes
-            ]
-            new = []
-            for t in range(q):
-                acc = [0] * n
-                for y, e in rotations:
-                    for j, c in enumerate(table[ctx.mul(t, y)]):
-                        if c:
-                            acc[(j + e) % n] += c
-                new.append(acc)
-            table = new
-        return CycNum.from_zeta_powers(n, table[x], scale)
+        return self._hypergeometric(upper, lower, x)
 
     def katz_h(
         self,

@@ -18,8 +18,9 @@ class NotInOmegaError(ValueError):
 
 
 class DomainMismatchError(ValueError):
-    """Two functions on F_q do not live over the same field, or an argument
-    of a character sum is not an element 0..q-1 of F_q."""
+    """Two functions on F_q do not live over the same field, an argument of
+    a character sum is not an element 0..q-1 of F_q, or a character belongs
+    to another field (its modulus is not q-1, resp. q+1)."""
 
 
 class ArityMismatchError(ValueError):

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum
-from .errors import BudgetExceededError, IdentityViolationError, NotOddPrimeError
+from .errors import BudgetExceededError, DomainMismatchError, IdentityViolationError, NotOddPrimeError
 
 MAX_Q = 64
 
@@ -396,17 +396,28 @@ class FieldCtx:
             raise ValueError("beta_set requires q >= 3")
         return [MultCharB(k, self.q + 1) for k in range(1, (self.q + 1) // 2)]
 
+    def check_char(self, char) -> None:
+        """Raise DomainMismatchError unless char is a character of this field:
+        a MultCharFq of modulus q-1 or a MultCharB of modulus q+1."""
+        if isinstance(char, MultCharFq):
+            modulus = self.q - 1
+        elif isinstance(char, MultCharB):
+            modulus = self.q + 1
+        else:
+            raise TypeError(f"not a multiplicative character: {char!r}")
+        if char.modulus != modulus:
+            raise DomainMismatchError(
+                f"{type(char).__name__} of modulus {char.modulus} is not a character of this field (q = {self.q})"
+            )
+
     def char_eval(self, char, x: int) -> CycNum:
         """Evaluate a multiplicative character, with the zero-at-0 convention."""
+        self.check_char(char)
         if x == 0:
             return CycNum.zero()
         if isinstance(char, MultCharFq):
-            j = self.log[x]
-            return CycNum.root_of_unity(self.q - 1, char.exponent * j)
-        if isinstance(char, MultCharB):
-            j = self.log2[x]
-            return CycNum.root_of_unity(self.q + 1, char.exponent * j)
-        raise TypeError(f"not a multiplicative character: {char!r}")
+            return CycNum.root_of_unity(self.q - 1, char.exponent * self.log[x])
+        return CycNum.root_of_unity(self.q + 1, char.exponent * self.log2[x])
 
     # -- Gauss sums ------------------------------------------------------------
 
@@ -416,6 +427,9 @@ class FieldCtx:
         The additive character index c must be a nonzero field element; the
         default is c = 1.  The value lives in Q(zeta_lcm(p, q-1)).
         """
+        if not isinstance(char, MultCharFq):
+            raise TypeError(f"not a character of GF(q)*: {char!r}")
+        self.check_char(char)
         if additive_index == 0:
             raise ValueError("additive character must be nontrivial")
         q, p = self.q, self.p

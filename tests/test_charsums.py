@@ -19,7 +19,7 @@ from psl2q.fields import field_ctx_for_q
 
 @pytest.fixture(scope="module")
 def sums():
-    return {q: CharacterSums(field_ctx_for_q(q)) for q in (5, 7, 9, 13)}
+    return {q: CharacterSums(field_ctx_for_q(q)) for q in (5, 7, 9, 11, 13, 25, 27)}
 
 
 def test_measure(sums):
@@ -46,6 +46,30 @@ def test_measure(sums):
                 S.greene_nfn([gamma, gamma.conj(), phi], [eps, eps], bad)
             assert (gamma.exponent, bad) not in S._legendre_cache
             assert (beta.exponent, bad) not in S._soto_cache
+
+
+def _entry_points(S, ctx):
+    """Each public entry point that takes a character, called with one."""
+    phi, eps = ctx.quadratic_char(), ctx.trivial_char()
+    return {
+        "legendre_sum": lambda: S.legendre_sum(ctx.fq_char(1), 2),
+        "soto_andrade_sum": lambda: S.soto_andrade_sum(ctx.b_char(1), 2),
+        "greene_2f1": lambda: S.greene_2f1(ctx.fq_char(1), phi, eps, 2),
+        "greene_nfn": lambda: S.greene_nfn([ctx.fq_char(1), phi, phi], [eps, eps], 2),
+    }
+
+
+@pytest.mark.parametrize("entry", ["legendre_sum", "soto_andrade_sum", "greene_2f1", "greene_nfn"])
+def test_characters_of_another_field_are_rejected(entry):
+    # GF(5) and GF(7) characters share exponents, so each cache is first filled
+    # under the same exponents by a GF(5) call; the GF(7) call must still raise
+    S = CharacterSums(field_ctx_for_q(5))
+    own = _entry_points(S, S.ctx)[entry]()
+    tables = dict(S._greene_tables)
+    with pytest.raises(DomainMismatchError, match="modulus"):
+        _entry_points(S, field_ctx_for_q(7))[entry]()
+    assert _entry_points(S, S.ctx)[entry]() == own
+    assert S._greene_tables.keys() == tables.keys()
 
 
 def test_legendre_phi_at_zero_q5(sums):
@@ -201,7 +225,7 @@ def _greene_nfn_reference(S, upper, lower):
     return table
 
 
-@pytest.mark.parametrize("q", [5, 7, 9])
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27])
 def test_nfn_against_cycnum_recursion(sums, q):
     import random
 
@@ -220,6 +244,46 @@ def test_nfn_against_cycnum_recursion(sums, q):
         expected = _greene_nfn_reference(S, upper, lower)
         for x in range(q):
             assert S.greene_nfn(upper, lower, x) == expected[x], (upper, lower, x)
+
+
+def _2f1_counts(ctx, k0, k1, k2, x):
+    """Counts of each zeta_(q-1) power in the sum over y of
+    g1(y) (g2/g1)(1-y) g0^(-1)(1-xy), one field lookup per y; all zero at
+    x = 0, where eps(x) vanishes."""
+    q = ctx.q
+    vec = [0] * (q - 1)
+    if x == 0:
+        return vec
+    for y in range(q):
+        one_minus_y = ctx.sub(1, y)
+        one_minus_xy = ctx.sub(1, ctx.mul(x, y))
+        if y == 0 or one_minus_y == 0 or one_minus_xy == 0:
+            continue
+        e = (k1 * ctx.log[y] + (k2 - k1) * ctx.log[one_minus_y] - k0 * ctx.log[one_minus_xy]) % (q - 1)
+        vec[e] += 1
+    return vec
+
+
+def _2f1_triples(q):
+    n = q - 1
+    if q in (5, 7):
+        return [(k0, k1, k2) for k0 in range(n) for k1 in range(n) for k2 in range(n)]
+    rng = random.Random(q)
+    return [tuple(rng.randrange(n) for _ in range(3)) for _ in range(12)]
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 25, 27])
+def test_2f1_against_the_pointwise_loop(sums, q):
+    # (g1 g2)(-1) = (-1)^(k1 + k2), since g(-1) = zeta_(q-1)^(k (q-1)/2)
+    S = sums[q]
+    ctx = S.ctx
+    for k0, k1, k2 in _2f1_triples(q):
+        g0, g1, g2 = ctx.fq_char(k0), ctx.fq_char(k1), ctx.fq_char(k2)
+        scale = Fraction((-1) ** (k1 + k2), q)
+        for x in range(q):
+            want = CycNum.from_zeta_powers(q - 1, _2f1_counts(ctx, k0, k1, k2, x), scale)
+            got = S.greene_2f1(g0, g1, g2, x)
+            assert (got.m, got.nums, got.den) == (want.m, want.nums, want.den), (k0, k1, k2, x)
 
 
 def test_nfn_arity_checks(sums):
@@ -393,6 +457,51 @@ def test_l2_inner_matches_the_pointwise_oracle():
         f2 = [value() for _ in range(q)]
         got, want = S.l2_inner(f1, f2), _l2_inner_oracle(S, f1, f2)
         assert (got.m, got.nums, got.den) == (want.m, want.nums, want.den)
+
+
+def _same(a, b):
+    return (a.m, a.nums, a.den) == (b.m, b.nums, b.den)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27])
+def test_gram_matches_pairwise_l2_inner_on_the_basis(sums, q):
+    S = sums[q]
+    functions = [vec for _, vec, _ in S.orthogonal_basis()]
+    gram = S.gram(functions)
+    assert len(gram) == len(functions) == q
+    for i, f1 in enumerate(functions):
+        assert len(gram[i]) == q
+        for j, f2 in enumerate(functions):
+            assert _same(gram[i][j], S.l2_inner(f1, f2)), (i, j)
+
+
+def test_gram_matches_pairwise_l2_inner_and_the_oracle():
+    # whole functions of zeros, zeros at some points, rationals, mixed
+    # conductors and numerators past 2^63 (the Python integer path)
+    q = 7
+    S = CharacterSums(field_ctx_for_q(q))
+    rng = random.Random(2 * q)
+
+    def value(kind):
+        if kind == 0:
+            return CycNum.zero()
+        scale = Fraction(rng.randrange(-5, 6) * (2**70 if kind == 3 else 1), rng.randrange(1, 7))
+        if kind == 1:
+            return CycNum.rational(scale)
+        m = rng.choice([3, 4, 6, 8, 12])
+        return CycNum.root_of_unity(m, rng.randrange(m)) * scale + Fraction(1, rng.randrange(1, 4))
+
+    for kinds in ([0, 1, 2], [0, 1, 2, 3]):
+        functions = [[CycNum.zero()] * q]
+        for _ in range(8):
+            functions.append([value(rng.choice(kinds)) for _ in range(q)])
+        gram = S.gram(functions)
+        for i, f1 in enumerate(functions):
+            for j, f2 in enumerate(functions):
+                assert _same(gram[i][j], S.l2_inner(f1, f2)), (kinds, i, j)
+                assert _same(gram[i][j], _l2_inner_oracle(S, f1, f2)), (kinds, i, j)
+    with pytest.raises(DomainMismatchError):
+        S.gram([[CycNum.zero()] * q, [CycNum.zero()] * (q + 1)])
 
 
 def _katz_oracle(S, alpha, beta, lam, omega_exponent):

@@ -17,6 +17,7 @@ from psl2q.derangement import DerangementModel
 from psl2q.errors import IdentityViolationError
 from psl2q.fields import field_ctx_for_q
 from psl2q.groups import PGL2
+from psl2q.verify import run_suite
 
 
 @pytest.fixture
@@ -52,6 +53,21 @@ def test_non_real_coefficient_raises(monkeypatch):
     monkeypatch.setattr(sums, "l2_inner", lambda f, g: CycNum.root_of_unity(4, 1))
     with pytest.raises(IdentityViolationError, match="not real"):
         sums.orthonormal_coefficient_squares()
+
+
+def test_wrong_gram_entry_fails_the_basis_check(monkeypatch):
+    gram = CharacterSums.gram
+
+    def perturbed(self, functions):
+        entries = gram(self, functions)
+        entries[0][1] = entries[0][1] + 1
+        return entries
+
+    monkeypatch.setattr(CharacterSums, "gram", perturbed)
+    report = run_suite("sums", 5)
+    check = next(c for c in report["checks"] if c["name"] == "orthogonal_basis_gram_matrix")
+    assert check["pass"] is False and report["pass"] is False
+    assert all(c["pass"] for c in report["checks"] if c is not check)
 
 
 def test_optimized_interpreter_writes_the_same_report(tmp_path):

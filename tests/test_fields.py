@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psl2q.cyclotomic import CycNum
-from psl2q.errors import BudgetExceededError, NotOddPrimeError
+from psl2q.errors import BudgetExceededError, DomainMismatchError, NotOddPrimeError
 from psl2q.fields import MAX_Q, FieldCtx, factor_prime_power, field_ctx_for_q
 
 
@@ -189,6 +189,21 @@ def test_gauss_sum_additive_character_dependence():
     g3 = ctx.gauss_sum(chi, additive_index=3)
     assert g1 != g3
     assert g1 * g1.conjugate() == g3 * g3.conjugate() == 7
+
+
+def test_characters_of_another_field_are_rejected():
+    # the same exponents over GF(7): moduli 6 and 8 instead of 4 and 6
+    ctx5, ctx7 = field_ctx_for_q(5), field_ctx_for_q(7)
+    for x in (0, 2):
+        with pytest.raises(DomainMismatchError, match="modulus"):
+            ctx5.char_eval(ctx7.fq_char(1), x)
+        with pytest.raises(DomainMismatchError, match="modulus"):
+            ctx5.char_eval(ctx7.b_char(1), x)
+    with pytest.raises(DomainMismatchError, match="modulus"):
+        ctx5.gauss_sum(ctx7.fq_char(1))
+    with pytest.raises(TypeError):
+        ctx5.gauss_sum(ctx5.b_char(1))
+    assert ctx5.char_eval(ctx5.fq_char(1), 2) == CycNum.root_of_unity(4, 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,6 +19,14 @@ def test_suites_pass_q5(suite):
     assert all(c["pass"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("q", [25, 27])
+def test_sums_suite_passes_past_the_cli_cap(q):
+    # prime powers above the command line's cap, where the Greene tables are largest
+    report = run_suite("sums", q)
+    assert report["pass"] is True
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+
+
 def test_ekr_suite_q3():
     report = run_suite("ekr", 3)
     assert report["pass"] is True
