@@ -175,7 +175,7 @@ def cmd_dump(args) -> int:
         for q in q_values:
             if q > MAX_VERIFY_Q:
                 raise ValueError(f"q = {q} exceeds the budget {MAX_VERIFY_Q}")
-            if args.what in ("table", "legendre") and q < 5:
+            if q < 5:
                 raise ValueError(f"{args.what} dump requires q >= 5")
         _check_approx_digits(args.approx_digits)
     except ValueError as exc:

@@ -27,9 +27,12 @@ rank_p(K) = 2q), and b = min(rows of M, q(q+1) - 2q),
 so rank_p(N) = b certifies rank(M) = b.  Otherwise M is eliminated too.
 
 A character sum over a set of elements is an integer vector of class counts
-(`CharTable.class_sum`).  The sets {g : 0^g = a, infinity^g = b} partition
-PGL(2,q), so the direct sum is one pass over the group: each g adds
+(`CharTable.class_sum`), and the class of every element, and of its inverse,
+is read once for the whole group (`PGL2.class_array`).  The sets
+{g : 0^g = a, infinity^g = b} partition PGL(2,q), so the direct sum is one
+scatter-add over the group's image array: each g adds
 N[(0, infinity), (0^g, infinity^g)] to the count of the class of g^(-1).
+The closed-form Gram matrix is one gather from its (0, infinity) row.
 """
 
 from __future__ import annotations
@@ -42,8 +45,14 @@ from .chartable import CharTable, IrreducibleChar
 from .charsums import CharacterSums
 from .cyclotomic import CycNum
 from .errors import IdentityViolationError, NotInOmegaError, UnsupportedCharacterError
-from .groups import PGL2
+from .groups import PGL2, mask_bits
 from .intrank import PRIMES, rank_with_kernel
+
+
+def pair_column(a, b, q: int):
+    """Column of the ordered pair (a, b) of distinct points: a*q + b, less one
+    when b > a skips (a, a).  Works on integers and on numpy arrays."""
+    return a * q + b - (b > a)
 
 
 class DerangementModel:
@@ -65,7 +74,9 @@ class DerangementModel:
         self._kernel: np.ndarray | None = None
         self._rank_n: tuple[int, str] | None = None
         self._rank_m: tuple[int, str] | None = None
-        self._position_classes: dict[bool, list[int]] = {}
+        self._position_classes: dict[bool, np.ndarray] = {}
+        self._restricted: dict[tuple, CycNum] = {}
+        self._closed_forms: dict[IrreducibleChar, CycNum] = {}
 
     # -- matrices -----------------------------------------------------------
 
@@ -74,9 +85,7 @@ class DerangementModel:
         i.e. where the ones of row i of M sit."""
         if self._m_columns is None:
             image = self.group.image_array(self.group.derangements())
-            points = np.arange(self.q + 1)
-            # (a, b) is column a*q + b, less one when b > a skips (a, a)
-            self._m_columns = points * self.q + image - (image > points)
+            self._m_columns = pair_column(np.arange(self.q + 1), image, self.q)
         return self._m_columns
 
     def build_m(self) -> np.ndarray:
@@ -141,16 +150,16 @@ class DerangementModel:
 
     def gram_closed(self) -> np.ndarray:
         """Row (a, b) is the closed-form row (0, inf) read at the images of
-        each (c, d) under an element sending a -> 0 and b -> inf."""
+        each (c, d) under an element sending a -> 0 and b -> inf: the first
+        element of that coset intersection, and all rows in one gather."""
         row = np.array(self.gram_row_zero_inf_closed(), dtype=np.int64)
-        out = np.zeros((len(self.omega), len(self.omega)), dtype=np.int64)
-        group = self.group
-        index = group.image_index()
-        inf = group.infinity
-        for i, (a, b) in enumerate(self.omega):
-            images = index.image(group.elements_with_constraints([(a, 0), (b, inf)])[0])
-            out[i] = row[[self.omega_index[images[c], images[d]] for c, d in self.omega]]
-        return out
+        index = self.group.image_index()
+        coset, inf = index.coset, self.group.infinity
+        first = [next(mask_bits(coset[a][0] & coset[b][inf])) for a, b in self.omega]
+        image = index.image_array[first]
+        c, d = np.array(self.omega).T
+        columns = pair_column(image[:, c], image[:, d], self.q).ravel()
+        return row.take(columns).reshape(len(c), len(c))
 
     def gram_row_zero_inf_closed(self) -> list[int]:
         return [self._entry_for_row_zero_inf(c, d) for (c, d) in self.omega]
@@ -234,42 +243,47 @@ class DerangementModel:
         if chi.kind not in kinds:
             raise UnsupportedCharacterError(f"{chi.kind} is outside the target set")
 
-    def classes_by_position(self, inverse: bool) -> list[int]:
-        """Class index of g^(-1) (or of g) per element g of the PGL image index."""
+    def classes_by_position(self, inverse: bool) -> np.ndarray:
+        """Class index of g^(-1) (or of g) per element g of the PGL image
+        index; each array classified on its own, g^(-1) as (d, -b, -c, a)."""
         if inverse not in self._position_classes:
-            group, where = self.group, self.table.class_index
-            self._position_classes[inverse] = [
-                where[group.classify(group.inv(g) if inverse else g)] for g in group.image_index().elements
-            ]
+            group = self.group
+            elements = np.array(group.image_index().elements)
+            if inverse:
+                neg = group.ctx.neg_table
+                a, b, c, d = elements.T
+                elements = np.stack([d, np.take(neg, b), np.take(neg, c), a], axis=1)
+            # CharTable.classes is class_labels() order, the order of class_array
+            self._position_classes[inverse] = group.class_array(elements)
         return self._position_classes[inverse]
 
     def class_counts(self, pairs, inverse: bool = True) -> list[int]:
         """Class counts of g^(-1) (or of g) over the elements g matching the
         point constraints, in `CharTable.classes` order."""
-        position = self.group.image_index().position
-        classes = self.classes_by_position(inverse)
-        counts = [0] * len(self.table.classes)
-        for g in self.group.elements_with_constraints(pairs):
-            counts[classes[position[g]]] += 1
-        return counts
+        classes = self.classes_by_position(inverse)[list(mask_bits(self.group.constraint_mask(pairs)))]
+        return np.bincount(classes, minlength=len(self.table.classes)).tolist()
 
     def character_sum_direct(self, chi: IrreducibleChar, gram: np.ndarray | None = None) -> CycNum:
-        """The double sum over pairs (a, b), against the (0, inf) Gram row."""
+        """The double sum over pairs (a, b), against the (0, inf) Gram row:
+        one scatter-add of N[(0, inf), (0^g, inf^g)] into the class of g^(-1)
+        over the PGL image array."""
         self._check_supported(chi, allow_lambda1=True)
         if gram is None:
             gram = self.gram_bruteforce()
-        row = gram[self.zero_inf].tolist()
-        inf = self.group.infinity
-        counts = [0] * len(self.table.classes)
-        for image, c in zip(self.group.image_index().images, self.classes_by_position(inverse=True)):
-            counts[c] += row[self.omega_index[image[0], image[inf]]]
-        return self.table.class_sum(chi, counts)
+        image = self.group.image_index().image_array
+        weights = gram[self.zero_inf][pair_column(image[:, 0], image[:, self.group.infinity], self.q)]
+        counts = np.zeros(len(self.table.classes), dtype=np.int64)
+        np.add.at(counts, self.classes_by_position(inverse=True), weights)
+        return self.table.class_sum(chi, counts.tolist())
 
     def restricted_char_sum(self, chi: IrreducibleChar, constraint, inverse: bool = True) -> CycNum:
         """Brute-force sum of chi(g^(-1)) (or chi(g)) over the q-1 elements
-        matching a two-point constraint."""
+        matching a two-point constraint; computed once per argument."""
         self._check_supported(chi, allow_lambda1=False)
-        return self.table.class_sum(chi, self.class_counts(constraint, inverse))
+        key = chi, tuple(map(tuple, constraint)), inverse
+        if key not in self._restricted:
+            self._restricted[key] = self.table.class_sum(chi, self.class_counts(constraint, inverse))
+        return self._restricted[key]
 
     def restricted_sum_closed_form(self, chi: IrreducibleChar, constraint) -> CycNum:
         """Closed forms for the two constraint shapes used by the assembly:
@@ -322,10 +336,15 @@ class DerangementModel:
         return total
 
     def character_sum_closed_form(self, chi: IrreducibleChar) -> CycNum:
-        """t(chi) from the Legendre/Soto-Andrade closed forms.  The equivalent
-        expression through the inner products <f, .> is evaluated as well and
-        the two must agree."""
+        """t(chi) from the Legendre/Soto-Andrade closed forms; computed once
+        per character.  The equivalent expression through the inner products
+        <f, .> is evaluated as well and the two must agree."""
         self._check_supported(chi, allow_lambda1=False)
+        if chi not in self._closed_forms:
+            self._closed_forms[chi] = self._closed_form(chi)
+        return self._closed_forms[chi]
+
+    def _closed_form(self, chi: IrreducibleChar) -> CycNum:
         ctx = self.ctx
         q = self.q
         sums = self.sums

@@ -11,9 +11,19 @@ the same element of PGL(2,q) exactly when their normal forms are equal.
 `act` computes the action on one point; `image_array` computes it for many
 elements and all q+1 points in one numpy pass over the field tables, and
 the tests check the two against each other.  `image_index` lists, once per
-group (PGL or PSL), every element's images on the q+1 points and the
+group (PGL or PSL), every element's images on the q+1 points, both as
+tuples and as one numpy array (`PointImageIndex.image_array`), and the
 stabilizer cosets {g : x^g = y} as bitmasks over the sorted elements, so a
 point-mapping constraint query is an AND of coset masks.
+
+`classify` names the conjugacy class of one element; `class_array` gives the
+class position, in `class_labels()` order, of many elements in one numpy
+pass.  Apart from the identity, the class of g is a function of
+s = tr(g)^2 / det(g) and, where tr(g) = 0, of whether -det(g) is a square
+(trace 0 is the one value of s shared by two classes: split_minus_one and
+nonsplit_i).  Both are unchanged by scaling the matrix, so `class_array`
+reads one 2 x q table, filled once per group by `classify` on the class
+representatives; the tests check it against `classify` element by element.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConstraintError
+from .errors import IdentityViolationError, InvalidConstraintError
 from .fields import FieldCtx
 
 Element = tuple[int, int, int, int]
@@ -62,12 +72,16 @@ class PointImageIndex:
     """A group as permutations of the q+1 points.
 
     Element i is elements[i], in sorted order, and images[i] is the tuple of
-    its images x^g for x = 0..q.  A set of elements is a bitmask over the
-    positions: coset[x][y] is the stabilizer coset {g : x^g = y}.
+    its images x^g for x = 0..q; image_array holds the same images as one
+    array with a row per element, in the narrowest unsigned type that holds
+    q(q+1), so pair columns a*q + b computed on it cannot overflow.  A set of
+    elements is a bitmask over the positions: coset[x][y] is the stabilizer
+    coset {g : x^g = y}.
     """
 
     elements: list[Element]
     images: list[tuple[int, ...]]
+    image_array: np.ndarray
     position: dict[Element, int]
     coset: list[list[int]]
 
@@ -90,6 +104,8 @@ class PGL2:
         self._elements_pgl: list[Element] | None = None
         self._elements_psl: list[Element] | None = None
         self._image_index: dict[str, PointImageIndex] = {}
+        self._arrays: dict[str, np.ndarray] | None = None
+        self._class_table: np.ndarray | None = None
 
     # -- element plumbing ---------------------------------------------------
 
@@ -175,7 +191,10 @@ class PGL2:
 
     def derangements(self) -> list[Element]:
         """Fixed-point-free elements of PSL(2,q), in enumeration order."""
-        return [g for g in self.elements("psl") if self.is_derangement(g)]
+        psl = self.elements("psl")
+        fixed_point_free = np.array([lab.kind in ("nonsplit", "nonsplit_i") for lab in self.class_labels()])
+        keep = fixed_point_free[self.class_array(psl)].tolist()
+        return [g for g, k in zip(psl, keep) if k]
 
     # -- conjugacy ------------------------------------------------------------
 
@@ -216,6 +235,60 @@ class PGL2:
         if 2 * j == q + 1:
             return NONSPLIT_I_LABEL
         return ClassLabel("nonsplit", min(j, q + 1 - j))
+
+    def class_array(self, elements) -> np.ndarray:
+        """Class position, in `class_labels()` order, of each element given.
+
+        The same classes as `classify`, for many elements in one numpy pass.
+        The rows need not be normalized: a scalar matrix is the identity, and
+        any other is looked up by its (flag, s) key (`_class_keys`) in a table
+        filled once per group."""
+        a, b, c, d = np.array(elements, dtype=np.intp).reshape(-1, 4).T
+        flag, s = self._class_keys(a, b, c, d)
+        positions = self._lookup_table()[flag, s]
+        positions[(b == 0) & (c == 0) & (a == d)] = 0
+        if (positions < 0).any():
+            raise IdentityViolationError("an element's (flag, tr^2/det) key matches no class")
+        return positions
+
+    def _class_keys(self, a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+        """flag = [tr = 0 and -det is a square] and s = tr^2 / det, per matrix."""
+        tables = self._field_arrays()
+        add, mul, neg = tables["add"], tables["mul"], tables["neg"]
+        tr = add[a, d]
+        det = add[mul[a, d], neg[mul[b, c]]]
+        s = mul[mul[tr, tr], tables["inv"][det]]
+        flag = (tr == 0) & tables["square"][neg[det]]
+        return flag.astype(np.intp), s
+
+    def _lookup_table(self) -> np.ndarray:
+        """table[flag, s]: the class position of the non-identity elements with
+        that key, -1 where none; filled by `classify` on the representatives."""
+        if self._class_table is None:
+            labels = self.class_labels()
+            where = {label: i for i, label in enumerate(labels)}
+            reps = [self.class_representative(label) for label in labels[1:]]
+            flag, s = self._class_keys(*np.array(reps, dtype=np.intp).T)
+            if len(set(zip(flag.tolist(), s.tolist()))) != len(reps):
+                raise IdentityViolationError("two classes share a (flag, tr^2/det) key")
+            table = np.full((2, self.q), -1, dtype=np.intp)
+            table[flag, s] = [where[self.classify(g)] for g in reps]
+            self._class_table = table
+        return self._class_table
+
+    def _field_arrays(self) -> dict[str, np.ndarray]:
+        """numpy copies of the field tables, made on first use: add, mul, neg,
+        inv (with inv[0] = 0) and the mask of nonzero squares."""
+        if self._arrays is None:
+            ctx = self.ctx
+            self._arrays = {
+                "add": np.array(ctx.add_table),
+                "mul": np.array(ctx.mul_table),
+                "neg": np.array(ctx.neg_table),
+                "inv": np.array([0] + ctx.inv_table[1:]),
+                "square": np.array([ctx.is_square(x) for x in range(self.q)]),
+            }
+        return self._arrays
 
     def is_derangement(self, g: Element) -> bool:
         return self.classify(g).kind in ("nonsplit", "nonsplit_i")
@@ -278,6 +351,7 @@ class PGL2:
         return PointImageIndex(
             elements=elements,
             images=[tuple(row) for row in image.tolist()],
+            image_array=image.astype(np.min_scalar_type(self.q * (self.q + 1))),
             position={g: i for i, g in enumerate(elements)},
             coset=coset,
         )
@@ -288,9 +362,9 @@ class PGL2:
         The same action as `act`, over the field tables in one pass: a finite
         t goes to (b + t d) / (a + t c) and infinity to d / c, and to infinity
         where the denominator is 0."""
-        ctx, q = self.ctx, self.q
-        add, mul = np.array(ctx.add_table), np.array(ctx.mul_table)
-        inv = np.array([0] + ctx.inv_table[1:])
+        q = self.q
+        tables = self._field_arrays()
+        add, mul, inv = tables["add"], tables["mul"], tables["inv"]
         a, b, c, d = np.array(elements, dtype=np.intp).reshape(-1, 4).T[:, :, None]
         t = np.arange(q)
         den = np.concatenate([add[a, mul[t, c]], c], axis=1)
@@ -300,12 +374,16 @@ class PGL2:
     def elements_with_constraints(self, pairs, which: str = "pgl") -> list[Element]:
         """All elements sending src -> tgt for each (src, tgt) pair, sorted.
 
-        The answer is the intersection of the cosets {g : src^g = tgt}.  One
-        to three constraints on points 0..q; sources must be pairwise
+        One to three constraints on points 0..q; sources must be pairwise
         distinct, likewise targets.  With two constraints PGL(2,q) has
         exactly q-1 solutions and with three exactly one (sharp
         3-transitivity).
         """
+        return self.image_index(which).members(self.constraint_mask(pairs, which))
+
+    def constraint_mask(self, pairs, which: str = "pgl") -> int:
+        """The elements of `elements_with_constraints` as a mask over the
+        image index: the intersection of the cosets {g : src^g = tgt}."""
         pairs = list(pairs)
         if not 1 <= len(pairs) <= 3:
             raise InvalidConstraintError("need 1 to 3 constraints")
@@ -315,11 +393,11 @@ class PGL2:
                     raise InvalidConstraintError(f"{pt!r} is not a point of PG(1,{self.q})")
         if len({s for s, _ in pairs}) != len(pairs) or len({t for _, t in pairs}) != len(pairs):
             raise InvalidConstraintError("repeated source or target point")
-        index = self.image_index(which)
+        coset = self.image_index(which).coset
         mask = -1
         for src, tgt in pairs:
-            mask &= index.coset[src][tgt]
-        return index.members(mask)
+            mask &= coset[src][tgt]
+        return mask
 
     def swap_one_infinity(self) -> Element:
         """The unique element fixing 0 and exchanging 1 with infinity.

@@ -132,6 +132,15 @@ def test_dump_invalid_target(capsys):
     capsys.readouterr()
 
 
+def test_matrix_dumps_reject_q3_before_any_work(tmp_path, capsys):
+    # the character table behind both matrices needs q >= 5
+    for what in ("matrixM", "matrixN"):
+        assert main(["dump", what, "--q", "3", "--out", str(tmp_path)]) == 2
+        assert main(["dump", what, "--q", "5,3", "--out", str(tmp_path)]) == 2
+        assert "requires q >= 5" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_dumps_are_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["dump", "table", "--q", "5", "--out", str(out1)]) == 0

@@ -54,9 +54,9 @@ def test_gram_special_entries(models):
         assert gram[zi, mixed] == 0
 
 
-@pytest.mark.parametrize("q", [5, 7, 9])
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25])
 def test_gram_closed_form_matches(models, q):
-    D = models[q]
+    D = models[q] if q in models else _fresh_model(q)
     assert (D.gram_bruteforce() == D.gram_closed()).all()
 
 
@@ -319,7 +319,7 @@ def test_restricted_sums_match_closed_forms(models, q):
             assert brute == D.restricted_sum_closed_form(chi, constraint)
             assert brute == D.restricted_char_sum(chi, constraint, inverse=False)
     # the per-element fact behind the rank suite's "g and g^(-1) sums agree"
-    assert D.classes_by_position(True) == D.classes_by_position(False)
+    assert (D.classes_by_position(True) == D.classes_by_position(False)).all()
 
 
 def test_restricted_swap_example_q5(models):
@@ -449,3 +449,52 @@ def test_frobenius_side_conditions(models):
         assert T.class_sum(chi, D.class_counts([(0, 0)])) == s0
         assert T.class_sum(chi, D.class_counts([(0, inf)])) == s_inf
         assert s0.is_zero() and s_inf.is_zero()
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_classes_by_position_match_classify(models, q):
+    D = models[q]
+    G, where = D.group, D.table.class_index
+    elements = G.image_index().elements
+    assert D.classes_by_position(False).tolist() == [where[G.classify(g)] for g in elements]
+    assert D.classes_by_position(True).tolist() == [where[G.classify(G.inv(g))] for g in elements]
+
+
+def test_inverse_classes_are_classified_separately(monkeypatch):
+    # the rank suite's "g and g^(-1) sums agree" compares two lists; the
+    # inverse one must come from the inverse matrices, not be the other list
+    D = _fresh_model(5)
+    G = D.group
+    class_array = G.class_array
+    seen = []
+    monkeypatch.setattr(G, "class_array", lambda elements: seen.append(elements) or class_array(elements))
+    D.classes_by_position(False)
+    D.classes_by_position(True)
+    assert len(seen) == 2
+    inverses = [G.normalize(tuple(row)) for row in np.asarray(seen[1]).tolist()]
+    assert inverses == [G.inv(g) for g in G.image_index().elements]
+
+
+def _direct_counts_per_element(D, gram):
+    """The oracle: the direct sum's class counts, with one class lookup and
+    one dict lookup per element of PGL(2,q)."""
+    G, where = D.group, D.table.class_index
+    row = gram[D.zero_inf].tolist()
+    counts = [0] * len(D.table.classes)
+    for g in G.elements("pgl"):
+        counts[where[G.classify(G.inv(g))]] += row[D.omega_index[G.act(0, g), G.act(G.infinity, g)]]
+    return counts
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 25])
+def test_character_sum_direct_matches_the_per_element_loop(models, q):
+    D = models[q] if q in models else _fresh_model(q)
+    gram = D.gram_bruteforce()
+    # any integer row, not only the Gram row, weighs every element the same way
+    rng = np.random.default_rng(q)
+    scrambled = gram.copy()
+    scrambled[D.zero_inf] = rng.integers(-50, 50, size=len(D.omega))
+    for matrix in (gram, scrambled):
+        counts = _direct_counts_per_element(D, matrix)
+        for chi in D.target_characters():
+            assert D.character_sum_direct(chi, matrix) == D.table.class_sum(chi, counts), chi.name()

@@ -210,6 +210,7 @@ def test_image_index_matches_the_action(q):
         index = G.image_index(which)
         assert index.elements == sorted(G.elements(which))
         assert index.images == [by_act[g] for g in index.elements]
+        assert index.image_array.tolist() == [list(image) for image in index.images]
         assert index.position == {g: i for i, g in enumerate(index.elements)}
         coset = [[0] * (q + 1) for _ in G.points]
         for i, g in enumerate(index.elements):
@@ -218,3 +219,22 @@ def test_image_index_matches_the_action(q):
         assert index.coset == coset
         assert all(type(y) is int for image in index.images for y in image)
         assert all(type(mask) is int for row in index.coset for mask in row)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
+def test_class_array_matches_classify(q):
+    """The (flag, tr^2/det) lookup against `classify`, element by element,
+    on normal forms and on scaled, unnormalized matrices."""
+    G = PGL2(field_ctx_for_q(q))
+    labels = G.class_labels()
+    pgl = G.elements("pgl")
+    assert [labels[i] for i in G.class_array(pgl).tolist()] == [G.classify(g) for g in pgl]
+    nonsquare = G.ctx.generator
+    scaled = [tuple(G.ctx.mul(nonsquare, v) for v in g) for g in pgl]
+    assert G.class_array(scaled).tolist() == G.class_array(pgl).tolist()
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 25])
+def test_derangements_match_the_per_element_filter(q):
+    G = PGL2(field_ctx_for_q(q))
+    assert G.derangements() == [g for g in G.elements("psl") if G.is_derangement(g)]

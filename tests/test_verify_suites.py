@@ -27,6 +27,15 @@ def test_sums_suite_passes_past_the_cli_cap(q):
     assert [c["name"] for c in report["checks"] if not c["pass"]] == []
 
 
+@pytest.mark.parametrize("q", [25])
+def test_rank_suite_passes_past_the_cli_cap(q):
+    # a prime power above the command line's cap: class arrays, the Gram
+    # gather and the scatter-add direct sums at p = 5
+    report = run_suite("rank", q)
+    assert report["pass"] is True
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+
+
 def test_ekr_suite_q3():
     report = run_suite("ekr", 3)
     assert report["pass"] is True
