@@ -25,6 +25,16 @@ deg * max|A| * max|B| * (1 + the largest column sum of |R|), so the work runs
 in int64 exactly when that bound is below 2^63, and in Python integers
 (dtype=object) otherwise.
 
+Many sums of roots of unity at once, row i of an integer matrix C with m
+columns standing for sum_j C[i, j] zeta_m^j, go through
+`reduce_zeta_counts`, the batched `CycNum.from_zeta_powers`: column j >= phi(m)
+is added into the columns of the reduction row x^j mod Phi_m, one vector
+operation per nonzero coefficient of those rows.  The rows are sparse (about
+16 of 480 coefficients at m = 1860), so this does far less work than a dense
+matrix product with them.  Every entry and partial sum is at most max|C|
+times (1 + the largest column sum of |rows|), which chooses int64 or Python
+integers by the same rule.
+
 Phi_m is computed by iterated exact division of x^m - 1 by Phi_d over the
 proper divisors d of m.
 """
@@ -142,6 +152,28 @@ def row_products(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(deg):
         conv[:, i : i + deg] += a[:, i : i + 1] * b
     return conv[:, :deg] + conv[:, deg:] @ dense.astype(dtype)
+
+
+def reduce_zeta_counts(m: int, counts: np.ndarray) -> np.ndarray:
+    """Row i holds the reduced numerators of sum_j counts[i, j] * zeta_m^j in
+    Q(zeta_m), for an integer matrix with m columns: row by row the
+    numerators of `CycNum.from_zeta_powers(m, counts[i])`."""
+    if counts.ndim != 2 or counts.shape[1] != m:
+        raise ValueError(f"expected a matrix with {m} columns, got shape {counts.shape}")
+    deg = _degree(m)
+    rows = _reduction_rows(m)[: m - deg]  # row k is x^(deg+k) mod Phi_m
+    column_sums = [0] * deg
+    for row in rows:
+        for i, c in row:
+            column_sums[i] += abs(c)
+    dtype = exact_dtype(max_abs(counts) * (1 + max(column_sums)))
+    # one row per power of zeta, so each step below is a contiguous row operation
+    out = np.array(counts[:, :deg].T, dtype=dtype, order="C")
+    tail = np.array(counts[:, deg:].T, dtype=dtype, order="C")
+    for power, row in zip(tail, rows):
+        for i, c in row:
+            out[i] += c * power
+    return out.T
 
 
 def _reduce_int_poly(vec: list[int], m: int, deg: int) -> tuple[int, ...]:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cyclotomic import CycNum
 from .errors import BudgetExceededError, DomainMismatchError, IdentityViolationError, NotOddPrimeError
 
@@ -343,6 +345,18 @@ class FieldCtx:
 
     def q2_mul(self, a: int, b: int) -> int:
         return self._mul2(a, b)
+
+    def q2_mul_array(self, a, b) -> np.ndarray:
+        """`q2_mul` elementwise over integer arrays (broadcast together), in
+        one numpy pass over the GF(q) tables, with t^2 = -c1*t - c0."""
+        q = self.q
+        add, mul, neg = (np.array(t) for t in (self.add_table, self.mul_table, self.neg_table))
+        c0, c1 = self.modulus2
+        u1, v1, u2, v2 = a % q, a // q, b % q, b // q
+        vv = mul[v1, v2]
+        u = add[mul[u1, u2], neg[mul[vv, c0]]]
+        v = add[add[mul[u1, v2], mul[u2, v1]], neg[mul[vv, c1]]]
+        return u + q * v
 
     def q2_inv(self, a: int) -> int:
         if a == 0:

@@ -16,6 +16,9 @@ tuples and as one numpy array (`PointImageIndex.image_array`), and the
 stabilizer cosets {g : x^g = y} as bitmasks over the sorted elements, so a
 point-mapping constraint query is an AND of coset masks.
 
+`in_psl` tests one element and `psl_mask` many at once (det is a nonzero
+square), which is how `elements("psl")` filters PGL(2,q).
+
 `classify` names the conjugacy class of one element; `class_array` gives the
 class position, in `class_labels()` order, of many elements in one numpy
 pass.  Apart from the identity, the class of g is a function of
@@ -182,7 +185,7 @@ class PGL2:
             for c in range(1, q):
                 out.extend((0, 1, c, d) for d in range(q))
             self._elements_pgl = out
-            self._elements_psl = [g for g in out if self.in_psl(g)]
+            self._elements_psl = [g for g, keep in zip(out, self.psl_mask(out).tolist()) if keep]
         if which == "pgl":
             return self._elements_pgl
         if which == "psl":
@@ -251,12 +254,25 @@ class PGL2:
             raise IdentityViolationError("an element's (flag, tr^2/det) key matches no class")
         return positions
 
+    def psl_mask(self, elements) -> np.ndarray:
+        """`in_psl` of each element given, in one numpy pass: det is a nonzero
+        square.  The rows need not be normalized, since scaling a matrix
+        multiplies its det by a square."""
+        a, b, c, d = np.array(elements, dtype=np.intp).reshape(-1, 4).T
+        return self._field_arrays()["square"][self._dets(a, b, c, d)]
+
+    def _dets(self, a, b, c, d) -> np.ndarray:
+        """ad - bc, per matrix."""
+        tables = self._field_arrays()
+        mul = tables["mul"]
+        return tables["add"][mul[a, d], tables["neg"][mul[b, c]]]
+
     def _class_keys(self, a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
         """flag = [tr = 0 and -det is a square] and s = tr^2 / det, per matrix."""
         tables = self._field_arrays()
-        add, mul, neg = tables["add"], tables["mul"], tables["neg"]
-        tr = add[a, d]
-        det = add[mul[a, d], neg[mul[b, c]]]
+        mul, neg = tables["mul"], tables["neg"]
+        tr = tables["add"][a, d]
+        det = self._dets(a, b, c, d)
         s = mul[mul[tr, tr], tables["inv"][det]]
         flag = (tr == 0) & tables["square"][neg[det]]
         return flag.astype(np.intp), s

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from .chartable import build_table
 from .charsums import CharacterSums
@@ -63,6 +64,35 @@ def _report(q: int, suite: str, seed: int, checks: _Checks, extra: dict | None =
 # -- table suite ---------------------------------------------------------------
 
 
+def _is_diagonal(gram: np.ndarray, diagonal) -> bool:
+    """gram[a, b] (numerators in Q(zeta_L)) is the rational diagonal[a] when
+    a == b and 0 otherwise, for every a and b."""
+    constant = gram[..., 0].tolist()
+    return not gram[..., 1:].any() and all(
+        value == (diagonal[a] if a == b else 0)
+        for a, line in enumerate(constant)
+        for b, value in enumerate(line)
+    )
+
+
+def _distinct_pairs(first: np.ndarray, second: np.ndarray) -> list[tuple[int, int]]:
+    """The distinct (first[i], second[i]) over all i, sorted."""
+    return sorted(set(zip(first.tolist(), second.tolist())))
+
+
+def _pair_reach(images: np.ndarray, sources) -> dict[tuple[int, int], np.ndarray]:
+    """For each source pair (s0, s1), which target pairs (t0, t1), at
+    t0 * (q+1) + t1, some row of the image array sends it to."""
+    n = images.shape[1]
+    columns = np.ascontiguousarray(images.T)
+    reach = {}
+    for s0, s1 in sources:
+        hit = np.zeros(n * n, dtype=bool)
+        hit[columns[s0] * n + columns[s1]] = True
+        reach[(s0, s1)] = hit
+    return reach
+
+
 def run_table_suite(q: int, seed: int = 0) -> dict:
     group = PGL2(field_ctx_for_q(q))
     table = build_table(group)
@@ -70,15 +100,19 @@ def run_table_suite(q: int, seed: int = 0) -> dict:
     rng = _rng(seed, q, "table")
     pgl = group.elements("pgl")
     psl = group.elements("psl")
+    labels = table.classes
+    rows = np.array(pgl, dtype=np.intp)
+    classes = group.class_array(rows)
+    in_psl = group.psl_mask(rows)
+    point_images = group.image_array(rows)
 
-    sizes = Counter(group.classify(g) for g in pgl)
+    sizes = np.bincount(classes, minlength=len(labels))
     census_ok = (
         len(pgl) == q**3 - q
         and len(psl) == (q**3 - q) // 2
-        and set(sizes) == set(group.class_labels())
-        and all(sizes[lab] == group.class_size(lab) for lab in sizes)
+        and sizes.tolist() == [group.class_size(lab) for lab in labels]
     )
-    checks.add("class_equation_census", census_ok, f"{len(sizes)} classes, |PGL| = {len(pgl)}")
+    checks.add("class_equation_census", census_ok, f"{np.count_nonzero(sizes)} classes, |PGL| = {len(pgl)}")
 
     checks.add(
         "degree_sum_squares",
@@ -86,34 +120,24 @@ def run_table_suite(q: int, seed: int = 0) -> dict:
         f"sum of squared degrees = {q ** 3 - q}",
     )
 
-    ok = all(
-        table.inner_product(u, v) == (1 if i == j else 0)
-        for i, u in enumerate(table.values)
-        for j, v in enumerate(table.values)
+    order = q**3 - q
+    checks.add("row_orthogonality", _is_diagonal(table.row_gram(), [order] * len(labels)))
+    checks.add(
+        "column_orthogonality",
+        _is_diagonal(table.column_gram(), [Fraction(order, size) for size in table.sizes]),
     )
-    checks.add("row_orthogonality", ok)
 
-    ncl = len(table.classes)
-    ok = True
-    for a in range(ncl):
-        for b in range(ncl):
-            s = CycNum.zero()
-            for row in table.values:
-                s = s + row[a] * row[b].conjugate()
-            expect = Fraction(q**3 - q, table.sizes[a]) if a == b else 0
-            ok = ok and s == expect
-    checks.add("column_orthogonality", ok)
-
+    # each element contributes its (class, count) pair; each distinct pair is compared once
     psi1 = table.chars[2]
-    index = group.image_index()
-    ok = all(
-        table.char_value(psi1, g) == sum(x == y for x, y in enumerate(image)) - 1
-        for g, image in zip(index.elements, index.images)
-    )
+    fixed = (point_images == np.arange(q + 1)).sum(axis=1) - 1
+    ok = all(table.value_on_class(psi1, labels[c]) == n for c, n in _distinct_pairs(classes, fixed))
     checks.add("psi1_counts_fixed_points", ok, "checked on every group element")
 
     lam_m1 = table.chars[1]
-    ok = all((table.char_value(lam_m1, g) == 1) == group.in_psl(g) for g in pgl)
+    ok = all(
+        (table.value_on_class(lam_m1, labels[c]) == 1) == bool(member)
+        for c, member in _distinct_pairs(classes, in_psl)
+    )
     checks.add("sign_character_is_psl_indicator", ok)
 
     pi = table.permutation_character()
@@ -157,23 +181,32 @@ def run_table_suite(q: int, seed: int = 0) -> dict:
     else:
         cases = [(rng.choice(pairs), rng.choice(pairs)) for _ in range(300)]
         note = "300 seeded samples"
-    ok = all(
-        bool(group.elements_with_constraints([(s[0], t[0]), (s[1], t[1])], "psl"))
-        for s, t in cases
-    )
+    # some g in PSL sends s0 -> t0 and s1 -> t1
+    reach = _pair_reach(point_images[in_psl], {s for s, _ in cases})
+    ok = all(reach[s][t[0] * (q + 1) + t[1]] for s, t in cases)
     checks.add("psl_two_point_transitivity", ok, note)
 
-    ok = True
+    columns = set()
     for _ in range(50):
         g = rng.choice(pgl)
-        for chi in table.chars:
-            ok = ok and table.char_value(chi, group.inv(g)) == table.char_value(chi, g).conjugate()
+        columns.add((table.class_index[group.classify(g)], table.class_index[group.classify(group.inv(g))]))
+    ok = all(row[b] == row[a].conjugate() for a, b in sorted(columns) for row in table.values)
     checks.add("inverse_is_conjugate_sample", ok, "50 seeded samples, all characters")
 
     return _report(q, "table", seed, checks)
 
 
 # -- sums suite ------------------------------------------------------------------
+
+
+def base_coset_log_shifts(ctx) -> set[int]:
+    """{log2(r u) - log2(r) mod q+1 : r in GF(q^2)*, u in GF(q)*}, every
+    product r u computed in one numpy pass."""
+    q = ctx.q
+    r = np.arange(1, q * q)[:, None]
+    log2 = np.array([0] + ctx.log2[1:])
+    shifts = (log2[ctx.q2_mul_array(r, np.arange(1, q))] - log2[r]) % (q + 1)
+    return set(shifts.ravel().tolist())
 
 
 def run_sums_suite(q: int, seed: int = 0) -> dict:
@@ -232,9 +265,7 @@ def run_sums_suite(q: int, seed: int = 0) -> dict:
     # beta(r u) = beta(r) for all r and u in GF(q)* iff k * (log2(r u) - log2(r)) = 0
     # mod q+1, so each log difference is computed once and checked for every beta
     base = {ctx.log2[r] % (q + 1) for r in range(1, q)}  # embedded GF(q)*
-    shifts = {
-        (ctx.log2[ctx.q2_mul(r, u)] - ctx.log2[r]) % (q + 1) for r in ctx.q2_units() for u in range(1, q)
-    }
+    shifts = base_coset_log_shifts(ctx)
     ok = all(
         {(beta.exponent * b) % (q + 1) for b in base} == {0}
         and all((beta.exponent * d) % (q + 1) == 0 for d in shifts)

@@ -1,11 +1,14 @@
 """Tests for the character table of PGL(2,q)."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from psl2q.chartable import build_table
+from psl2q.chartable import build_table, hermitian_gram
 from psl2q.cyclotomic import CycNum
+from psl2q.errors import IdentityViolationError
 from psl2q.fields import field_ctx_for_q
 from psl2q.groups import PGL2
 
@@ -135,3 +138,98 @@ def test_char_index_matches_list_index(tables, q):
         assert T.char_index(chi) == T.chars.index(chi)
     with pytest.raises(ValueError):
         build_table(PGL2(field_ctx_for_q(7 if q != 7 else 5))).char_index(T.chars[-1])
+
+
+# -- the orthogonality kernel ------------------------------------------------
+
+
+GRAM_QS = [5, 7, 9, 11, 13, 25]
+
+
+@pytest.fixture(scope="module")
+def gram_tables():
+    return {q: build_table(PGL2(field_ctx_for_q(q))) for q in GRAM_QS}
+
+
+def _numerators(value: CycNum, m: int) -> list[int]:
+    return list(value.lift(m).nums)
+
+
+@pytest.mark.parametrize("q", [5, 9, 13])
+def test_zeta_terms_rebuild_every_value(gram_tables, q):
+    T = gram_tables[q]
+    L = T.conductor
+    counts = np.zeros((len(T.chars), len(T.classes), L), dtype=np.int64)
+    row, cls, exponent, coef = T.zeta_terms()
+    np.add.at(counts, (row, cls, exponent), coef)
+    for i, values in enumerate(T.values):
+        for c, v in enumerate(values):
+            assert CycNum.from_zeta_powers(L, counts[i, c].tolist()) == v
+
+
+def test_zeta_terms_reject_a_value_with_a_denominator():
+    T = build_table(PGL2(field_ctx_for_q(5)))
+    T.values[4][3] = CycNum.rational(Fraction(1, 2))
+    with pytest.raises(IdentityViolationError):
+        T.zeta_terms()
+
+
+@pytest.mark.parametrize("q", GRAM_QS)
+def test_row_gram_matches_inner_product(gram_tables, q):
+    T = gram_tables[q]
+    gram = T.row_gram()
+    for i, u in enumerate(T.values):
+        for j, v in enumerate(T.values):
+            assert gram[i, j].tolist() == _numerators(T.inner_product(u, v) * T.order, T.conductor)
+
+
+@pytest.mark.parametrize("q", GRAM_QS)
+def test_column_gram_matches_the_column_loop(gram_tables, q):
+    T = gram_tables[q]
+    gram = T.column_gram()
+    n = len(T.classes)
+    for a in range(n):
+        for b in range(n):
+            s = CycNum.zero()
+            for row in T.values:
+                s = s + row[a] * row[b].conjugate()
+            assert gram[a, b].tolist() == _numerators(s, T.conductor)
+
+
+def _random_matrix(rng, m, rows, cols):
+    """A matrix over Q(zeta_m) with algebraic-integer entries, some zero."""
+    return [
+        [
+            sum((CycNum.root_of_unity(m, rng.randrange(m)) * rng.randrange(-3, 4) for _ in range(rng.randrange(3))),
+                CycNum.zero())
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+
+
+@pytest.mark.parametrize("m, weight_scale", [(12, 1), (40, 1), (12, 2**58)], ids=["m12", "m40", "object"])
+def test_hermitian_gram_on_a_non_real_matrix(m, weight_scale):
+    # the character table is real, so a kernel that forgets to conjugate
+    # passes both orthogonality checks; a non-real matrix tells them apart
+    rng = random.Random(m * 7 + 1)
+    n, cols = 4, 5
+    X = _random_matrix(rng, m, n, cols)
+    weight = [rng.randrange(1, 9) * weight_scale for _ in range(cols)]
+    terms = [
+        (a, s, j, x)
+        for a, line in enumerate(X)
+        for s, v in enumerate(line)
+        for j, x in enumerate(v.lift(m).nums)
+        if x
+    ]
+    index, summed, exponent, coef = (np.array(t, dtype=np.int64) for t in zip(*terms))
+    got = hermitian_gram(m, index, summed, exponent, coef, np.array(weight, dtype=np.int64), n)
+    assert got.dtype == (object if weight_scale > 1 else np.int64)
+    non_real = 0
+    for a in range(n):
+        for b in range(n):
+            expect = sum((X[a][s] * X[b][s].conjugate() * weight[s] for s in range(cols)), CycNum.zero())
+            non_real += not expect.is_real()
+            assert got[a, b].tolist() == _numerators(expect, m)
+    assert non_real

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2q.cyclotomic import CycNum, _convolve, cyclotomic_polynomial, row_products
+from psl2q.cyclotomic import CycNum, _convolve, cyclotomic_polynomial, reduce_zeta_counts, row_products
 
 
 def test_cyclotomic_polynomials():
@@ -317,3 +317,29 @@ def test_row_products_match_cycnum_products(m, scale, dtype):
     assert got.dtype == dtype
     for ra, rb, rg in zip(a, b, got):
         assert CycNum(m, tuple(rg.tolist())) == CycNum(m, tuple(ra)) * CycNum(m, tuple(rb))
+
+
+# conductors of degree 1, small ones, and the character tables' L = lcm(q-1, q+1)
+# at q = 9, 13 and 31
+ZETA_CONDUCTORS = [1, 2, 3, 12, 40, 84, 480]
+
+
+@pytest.mark.parametrize("m", ZETA_CONDUCTORS)
+@pytest.mark.parametrize("scale", [1, 2**57, 2**70], ids=["int64", "past-the-bound", "object-input"])
+def test_reduce_zeta_counts_matches_from_zeta_powers(m, scale):
+    # 40 * 2^57 fits int64 but, for m > 1, the reduced sums need not: the
+    # helper must switch to Python integers from the values; 2^70 arrives
+    # as an object array
+    rng = random.Random(m)
+    rows = [[rng.randrange(-40, 41) * scale for _ in range(m)] for _ in range(6)]
+    rows[0] = [scale] * m  # the sum of all m-th roots of unity, times scale
+    counts = np.array(rows, dtype=np.int64 if scale < 2**63 else object)
+    got = reduce_zeta_counts(m, counts)
+    assert got.dtype == (np.int64 if scale == 1 or (scale < 2**63 and m == 1) else object)
+    for row, reduced in zip(rows, got):
+        assert tuple(reduced.tolist()) == CycNum.from_zeta_powers(m, row).nums
+
+
+def test_reduce_zeta_counts_rejects_the_wrong_width():
+    with pytest.raises(ValueError):
+        reduce_zeta_counts(12, np.zeros((2, 11), dtype=np.int64))

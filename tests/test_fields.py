@@ -1,5 +1,6 @@
 """Tests for GF(q), GF(q^2), characters and Gauss sums."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,3 +213,11 @@ def test_gf9_addition_commutes_hypothesis(x, y):
     ctx = FieldCtx(3, 2)
     assert ctx.add(x, y) == ctx.add(y, x)
     assert ctx.sub(ctx.add(x, y), y) == x
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_q2_mul_array_matches_q2_mul(q):
+    ctx = field_ctx_for_q(q)
+    a = np.arange(q * q)
+    got = ctx.q2_mul_array(a[:, None], a[None, :])
+    assert got.tolist() == [[ctx.q2_mul(x, y) for y in range(q * q)] for x in range(q * q)]

@@ -238,3 +238,15 @@ def test_class_array_matches_classify(q):
 def test_derangements_match_the_per_element_filter(q):
     G = PGL2(field_ctx_for_q(q))
     assert G.derangements() == [g for g in G.elements("psl") if G.is_derangement(g)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_psl_filter_matches_in_psl(q):
+    """`elements("psl")` (one det-square mask) against the per-element
+    `in_psl` oracle, and the mask on scaled, unnormalized matrices."""
+    G = PGL2(field_ctx_for_q(q))
+    pgl = G.elements("pgl")
+    assert G.elements("psl") == [g for g in pgl if G.in_psl(g)]
+    nonsquare = G.ctx.generator
+    scaled = [tuple(G.ctx.mul(nonsquare, v) for v in g) for g in pgl]
+    assert G.psl_mask(scaled).tolist() == [G.in_psl(g) for g in pgl]

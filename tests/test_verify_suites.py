@@ -7,7 +7,9 @@ import pytest
 from psl2q.charsums import CharacterSums
 from psl2q.cyclotomic import CycNum
 from psl2q.errors import IdentityViolationError
-from psl2q.verify import run_suite
+from psl2q.fields import field_ctx_for_q
+from psl2q.groups import PGL2
+from psl2q.verify import _pair_reach, base_coset_log_shifts, run_suite
 
 
 @pytest.mark.parametrize("suite", ["table", "sums", "rank"])
@@ -23,6 +25,15 @@ def test_suites_pass_q5(suite):
 def test_sums_suite_passes_past_the_cli_cap(q):
     # prime powers above the command line's cap, where the Greene tables are largest
     report = run_suite("sums", q)
+    assert report["pass"] is True
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+
+
+@pytest.mark.parametrize("q", [25, 27])
+def test_table_suite_passes_past_the_cli_cap(q):
+    # prime powers above the command line's cap: the Gram scatter at
+    # L = lcm(q-1, q+1), class and image arrays at p = 5 and 3
+    report = run_suite("table", q)
     assert report["pass"] is True
     assert [c["name"] for c in report["checks"] if not c["pass"]] == []
 
@@ -87,3 +98,24 @@ def test_margin_fails_without_the_norm_bound(monkeypatch, squares):
     report = run_suite("rank", 5)
     margins = next(c for c in report["checks"] if c["name"] == "nonvanishing_margins")
     assert margins["pass"] is False and report["pass"] is False
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_pair_reach_matches_the_constraint_solver(q):
+    G = PGL2(field_ctx_for_q(q))
+    pairs = [(a, b) for a in G.points for b in G.points if a != b]
+    psl = G.elements("psl")
+    reach = _pair_reach(G.image_array(psl), pairs)
+    for s in pairs:
+        for t in pairs:
+            solved = G.elements_with_constraints([(s[0], t[0]), (s[1], t[1])], "psl")
+            assert reach[s][t[0] * (q + 1) + t[1]] == bool(solved)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 13])
+def test_base_coset_log_shifts_match_the_product_loop(q):
+    ctx = field_ctx_for_q(q)
+    oracle = {
+        (ctx.log2[ctx.q2_mul(r, u)] - ctx.log2[r]) % (q + 1) for r in ctx.q2_units() for u in range(1, q)
+    }
+    assert base_coset_log_shifts(ctx) == oracle
