@@ -89,7 +89,6 @@ class CharacterSums:
         self._gauss: tuple[int, np.ndarray] | None = None
         self._gauss_inv: dict[int, CycNum] = {}
         self._greene_tables: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[np.ndarray, Fraction]] = {}
-        self._field_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._mu = np.array([self.measure(x) for x in range(self.q)], dtype=np.int64)
 
     # -- the measure and the inner product ------------------------------------
@@ -233,17 +232,6 @@ class CharacterSums:
 
     # -- hypergeometric sums -------------------------------------------------------
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """numpy copies of the field's log (0 at 0), multiplication and
-        y -> 1 - y tables, built on first use."""
-        if self._field_arrays is None:
-            ctx = self.ctx
-            log = np.array([0] + ctx.log[1:], dtype=np.int64)
-            mul = np.array(ctx.mul_table, dtype=np.int64)
-            one_minus = np.array([ctx.sub(1, y) for y in range(self.q)], dtype=np.int64)
-            self._field_arrays = (log, mul, one_minus)
-        return self._field_arrays
-
     def _greene_table(self, upper: tuple[int, ...], lower: tuple[int, ...]) -> tuple[np.ndarray, Fraction]:
         """The q x (q-1) count table of the hypergeometric sum with these upper
         and lower exponents, whose row t counts the zeta_(q-1) powers of its
@@ -258,7 +246,9 @@ class CharacterSums:
         if hit is None:
             q = self.q
             n = q - 1
-            log, mul, one_minus = self._arrays()
+            arrays = self.ctx.arrays
+            log, mul = arrays.log, arrays.mul
+            one_minus = arrays.add[1, arrays.neg]  # y -> 1 - y
             ka, kb = upper[-1], lower[-1]
             if len(upper) == 2:
                 k0 = upper[0]

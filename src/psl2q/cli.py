@@ -28,8 +28,9 @@ from .fields import factor_prime_power, field_ctx_for_q
 from .groups import PGL2
 from .verify import SUITES, run_suite
 
-# The ekr clique search stops at ekr.MAX_Q = 19, where it takes about 10 s;
-# rank and sums take seconds there too.  Larger q is neither budgeted nor timed.
+# The ekr clique search stops at ekr.MAX_Q = 19, where it takes about 4 s on
+# a 2-core machine; every other suite takes under 0.5 s there.  Larger q is
+# neither budgeted nor timed.
 MAX_VERIFY_Q = 19
 
 

@@ -35,8 +35,9 @@ matrix product with them.  Every entry and partial sum is at most max|C|
 times (1 + the largest column sum of |rows|), which chooses int64 or Python
 integers by the same rule.
 
-Phi_m is computed by iterated exact division of x^m - 1 by Phi_d over the
-proper divisors d of m.
+Phi_m is built from its squarefree kernel r = rad(m): Phi_(pn)(x) =
+Phi_n(x^p) / Phi_n(x) for a prime p not dividing n takes Phi_1 = x - 1 to
+Phi_r in one exact division per prime factor, and Phi_m(x) = Phi_r(x^(m/r)).
 """
 
 from __future__ import annotations
@@ -80,17 +81,28 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return quot
 
 
+def _stretch(poly: list[int], k: int) -> list[int]:
+    """The coefficients of poly(x^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
+
+
 def cyclotomic_polynomial(m: int) -> list[int]:
     """Integer coefficients of Phi_m, ascending; Phi_1 = x - 1."""
     if m < 1:
         raise ValueError("conductor must be positive")
     poly = _PHI_CACHE.get(m)
     if poly is None:
-        poly = [-1] + [0] * (m - 1) + [1]
-        for d in range(1, m):
-            if m % d == 0:
-                poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-        _PHI_CACHE[m] = poly
+        poly, radical, rest, p = [-1, 1], 1, m, 2
+        while rest > 1:
+            if rest % p == 0:  # p is the least prime factor of rest
+                poly = _poly_div_exact(_stretch(poly, p), poly)
+                radical *= p
+                while rest % p == 0:
+                    rest //= p
+            p += 1
+        poly = _PHI_CACHE[m] = _stretch(poly, m // radical)
     return poly
 
 

@@ -19,20 +19,21 @@ at exactly q(q-1).
 
 M, N and the kernel check all read one array: the column of (a, a^g) for
 every derangement g and point a.  The exact rank takes one elimination, of
-N.  With K the 2q kernel witnesses, checked exactly (M K^T = 0 and
-rank_p(K) = 2q), and b = min(rows of M, q(q+1) - 2q),
-
-    rank_p(N) = rank_p(M^T M) <= rank_p(M) <= rank_Q(M) <= b,
-
-so rank_p(N) = b certifies rank(M) = b.  Otherwise M is eliminated too.
+N: over Q, M v = 0 exactly when v^T M^T M v = |M v|^2 = 0, so
+rank(M) = rank(N), and the certificate of rank(N) certifies rank(M).  With
+K the 2q kernel witnesses, checked exactly (N K^T = 0 and rank_p(K) = 2q),
+rank_p(N) = q(q+1) - 2q decides rank(N); otherwise a second prime and then
+Bareiss elimination do.
 
 A character sum over a set of elements is an integer vector of class counts
-(`CharTable.class_sum`), and the class of every element, and of its inverse,
-is read once for the whole group (`PGL2.class_array`).  The sets
+(`CharTable.class_sum`), and the class of every element of PGL(2,q), and of
+its inverse, is read once (`PGL2.class_array`).  Constraint sets are
+boolean masks over the same elements (`PGL2.constraint_mask`).  The sets
 {g : 0^g = a, infinity^g = b} partition PGL(2,q), so the direct sum is one
-scatter-add over the group's image array: each g adds
-N[(0, infinity), (0^g, infinity^g)] to the count of the class of g^(-1).
-The closed-form Gram matrix is one gather from its (0, infinity) row.
+scatter-add over the group's cached image array (`PGL2.pgl_images`): each g
+adds N[(0, infinity), (0^g, infinity^g)] to the count of the class of
+g^(-1).  The closed-form Gram matrix is one gather from its (0, infinity)
+row.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .chartable import CharTable, IrreducibleChar
 from .charsums import CharacterSums
 from .cyclotomic import CycNum
 from .errors import IdentityViolationError, NotInOmegaError, UnsupportedCharacterError
-from .groups import PGL2, mask_bits
-from .intrank import PRIMES, rank_with_kernel
+from .groups import PGL2
+from .intrank import rank_with_kernel
 
 
 def pair_column(a, b, q: int):
@@ -73,7 +74,6 @@ class DerangementModel:
         self._witnesses: tuple[dict, dict] | None = None
         self._kernel: np.ndarray | None = None
         self._rank_n: tuple[int, str] | None = None
-        self._rank_m: tuple[int, str] | None = None
         self._position_classes: dict[bool, np.ndarray] = {}
         self._restricted: dict[tuple, CycNum] = {}
         self._closed_forms: dict[IrreducibleChar, CycNum] = {}
@@ -144,19 +144,23 @@ class DerangementModel:
                 raise NotInOmegaError(f"{pair} is not an ordered pair of distinct points")
         a, b = row_pair
         group = self.group
-        g = group.elements_with_constraints([(a, 0), (b, group.infinity)])[0]
-        image = group.image_index().image(g)
+        first = np.flatnonzero(group.constraint_mask([(a, 0), (b, group.infinity)]))[0]
+        image = group.pgl_images()[first].tolist()
         return self._entry_for_row_zero_inf(image[col_pair[0]], image[col_pair[1]])
 
     def gram_closed(self) -> np.ndarray:
         """Row (a, b) is the closed-form row (0, inf) read at the images of
-        each (c, d) under an element sending a -> 0 and b -> inf: the first
-        element of that coset intersection, and all rows in one gather."""
+        each (c, d) under an element sending a -> 0 and b -> inf, and all
+        rows are one gather.  Each element g sends the points whose images
+        are 0 and inf there; the first element, in `elements("pgl")` order,
+        of each pair is kept, and by sharp 2-transitivity every pair has one."""
         row = np.array(self.gram_row_zero_inf_closed(), dtype=np.int64)
-        index = self.group.image_index()
-        coset, inf = index.coset, self.group.infinity
-        first = [next(mask_bits(coset[a][0] & coset[b][inf])) for a, b in self.omega]
-        image = index.image_array[first]
+        images = self.group.pgl_images()
+        by_point = images.T
+        to_zero = np.argmax(by_point == 0, axis=0)
+        to_inf = np.argmax(by_point == self.group.infinity, axis=0)
+        _, first = np.unique(pair_column(to_zero, to_inf, self.q), return_index=True)
+        image = images[first]
         c, d = np.array(self.omega).T
         columns = pair_column(image[:, c], image[:, d], self.q).ravel()
         return row.take(columns).reshape(len(c), len(c))
@@ -217,22 +221,9 @@ class DerangementModel:
         return self._rank_n
 
     def rank_of_m(self) -> tuple[int, str]:
-        """rank(M) over Q and the method that decided it; computed once.
-
-        When N's certificate reads "mod p, kernel bound b" for M's own bound
-        b = min(rows, cols - 2q), `rank_with_kernel` has found rank_p(K) = 2q
-        for the kernel basis K and rank_p(N) = b.  With M K^T = 0, checked
-        here, the chain in the module docstring gives rank(M) = b by the same
-        method.  Otherwise M is eliminated."""
-        if self._rank_m is None:
-            kernel = self.kernel_basis()
-            bound = min(len(self._columns()), len(self.omega) - len(kernel))
-            rank_n, method_n = self.rank_of_gram()
-            if method_n in {f"mod {p}, kernel bound {bound}" for p in PRIMES} and self.annihilates(kernel):
-                self._rank_m = rank_n, method_n
-            else:
-                self._rank_m = rank_with_kernel(self.build_m(), kernel)
-        return self._rank_m
+        """rank(M) over Q and the method that decided it: those of rank(N),
+        since M v = 0 exactly when |M v|^2 = v^T N v = 0."""
+        return self.rank_of_gram()
 
     # -- character moments ----------------------------------------------------------
 
@@ -244,15 +235,15 @@ class DerangementModel:
             raise UnsupportedCharacterError(f"{chi.kind} is outside the target set")
 
     def classes_by_position(self, inverse: bool) -> np.ndarray:
-        """Class index of g^(-1) (or of g) per element g of the PGL image
-        index; each array classified on its own, g^(-1) as (d, -b, -c, a)."""
+        """Class index of g^(-1) (or of g) per element g of elements("pgl");
+        each array classified on its own, g^(-1) as (d, -b, -c, a)."""
         if inverse not in self._position_classes:
             group = self.group
-            elements = np.array(group.image_index().elements)
+            elements = np.array(group.elements("pgl"))
             if inverse:
-                neg = group.ctx.neg_table
+                neg = group.ctx.arrays.neg
                 a, b, c, d = elements.T
-                elements = np.stack([d, np.take(neg, b), np.take(neg, c), a], axis=1)
+                elements = np.stack([d, neg[b], neg[c], a], axis=1)
             # CharTable.classes is class_labels() order, the order of class_array
             self._position_classes[inverse] = group.class_array(elements)
         return self._position_classes[inverse]
@@ -260,7 +251,7 @@ class DerangementModel:
     def class_counts(self, pairs, inverse: bool = True) -> list[int]:
         """Class counts of g^(-1) (or of g) over the elements g matching the
         point constraints, in `CharTable.classes` order."""
-        classes = self.classes_by_position(inverse)[list(mask_bits(self.group.constraint_mask(pairs)))]
+        classes = self.classes_by_position(inverse)[self.group.constraint_mask(pairs)]
         return np.bincount(classes, minlength=len(self.table.classes)).tolist()
 
     def character_sum_direct(self, chi: IrreducibleChar, gram: np.ndarray | None = None) -> CycNum:
@@ -270,7 +261,7 @@ class DerangementModel:
         self._check_supported(chi, allow_lambda1=True)
         if gram is None:
             gram = self.gram_bruteforce()
-        image = self.group.image_index().image_array
+        image = self.group.pgl_images()
         weights = gram[self.zero_inf][pair_column(image[:, 0], image[:, self.group.infinity], self.q)]
         counts = np.zeros(len(self.table.classes), dtype=np.int64)
         np.add.at(counts, self.classes_by_position(inverse=True), weights)

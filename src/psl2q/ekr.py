@@ -4,15 +4,16 @@ Two elements g1, g2 intersect when x^g1 = x^g2 for some projective point x,
 that is, when g1 * g2^(-1) fixes a point.  Intersecting families are exactly
 the cliques of the graph on PSL(2,q) with that adjacency.
 
-The graph reads the point-image index of PSL(2,q) (`PGL2.image_index`):
-the vertices are its sorted elements, and the stabilizer coset
-{g : x^g = y} is its coset mask.  The neighbourhood of g is the OR over x of
-the cosets {x -> x^g}, less g itself.  By sharp 3-transitivity the images of
-0, 1 and infinity determine an element; the graph maps those triples back to
+This module owns the bitmask format.  `psl_point_cosets` reads the image
+array of PSL(2,q) (`PGL2.image_array`): the vertices are its sorted
+elements, each with the tuple of its point images, and a set of vertices is
+a bitmask over their positions.  The stabilizer coset {g : x^g = y} is one
+such mask, and the neighbourhood of g is the OR over x of the cosets
+{x -> x^g}, less g itself.  By sharp 3-transitivity the images of 0, 1 and
+infinity determine an element; the graph maps those triples back to
 positions, so a right translation g -> g*h is three tuple lookups and one
-dict lookup, with no matrix product.  Families are bitmasks over PSL
-positions inside this module; the public functions take and return sets of
-Element tuples.
+dict lookup, with no matrix product.  The public functions take and return
+sets of Element tuples.
 
 The adjacency is invariant under right translation, so every maximum family
 is a translate of one through the identity.  One branch and bound over the
@@ -27,10 +28,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BudgetExceededError, NotIntersectingError
-from .groups import PGL2, Element, mask_bits
+from .groups import PGL2, Element
 
 MAX_Q = 19
+
+
+def mask_bits(mask: int):
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def psl_point_cosets(group: PGL2) -> tuple[list[Element], list[tuple[int, ...]], list[list[int]]]:
+    """PSL(2,q) as permutations of the q+1 points: its elements, sorted; the
+    tuple of images x^g for x = 0..q of each; and coset[x][y], the stabilizer
+    coset {g : x^g = y} as a bitmask over the sorted positions."""
+    elements = sorted(group.elements("psl"))
+    image = group.image_array(elements)
+    points = np.arange(group.q + 1)
+    coset = []
+    for x in points:
+        hits = np.packbits(image[:, x] == points[:, None], axis=1, bitorder="little")
+        coset.append([int.from_bytes(row.tobytes(), "little") for row in hits])
+    return elements, [tuple(row) for row in image.tolist()], coset
 
 
 @dataclass(frozen=True)
@@ -47,11 +72,8 @@ class IntersectionGraph:
         if group.q > MAX_Q:
             raise BudgetExceededError(f"q = {group.q} exceeds the clique-search budget {MAX_Q}")
         self.group = group
-        psl = group.image_index("psl")
-        self.vertices: list[Element] = psl.elements
-        self.index = psl.position
-        self.images = psl.images
-        self.coset = psl.coset
+        self.vertices, self.images, self.coset = psl_point_cosets(group)
+        self.index = {g: i for i, g in enumerate(self.vertices)}
         inf = group.infinity
         self._by_triple = {(img[0], img[1], img[inf]): i for i, img in enumerate(self.images)}
         coset = self.coset

@@ -10,7 +10,9 @@ generated by gen2^(q+1), so exp2[0..q] holds one representative per coset
 of GF(q)* in GF(q^2)*.  A character value is a root of unity zeta_m^j:
 character sums (`gauss_sum`, and those in `charsums`) count each exponent
 j in an integer vector and build one `CycNum`.  Tables are built in full,
-so q <= MAX_Q.
+so q <= MAX_Q.  The scalar operations read Python lists and return Python
+ints; `FieldCtx.arrays` holds numpy copies of the same tables, built once,
+for the vectorised passes of the other modules.
 
 All structural choices are deterministic: the modulus polynomials and the
 multiplicative generators are the lexicographically smallest valid
@@ -97,6 +99,22 @@ class MultCharB:
         return -1 if self.exponent % 2 else 1
 
 
+@dataclass(frozen=True)
+class FieldArrays:
+    """numpy copies of the GF(q) tables, indexed by field element: add and
+    mul (q x q), neg, inv, log and square (q), and the GF(q^2) log (q^2).
+    The undefined entries inv[0], log[0] and log2[0] are 0; square is the
+    mask of nonzero squares."""
+
+    add: np.ndarray
+    mul: np.ndarray
+    neg: np.ndarray
+    inv: np.ndarray
+    log: np.ndarray
+    log2: np.ndarray
+    square: np.ndarray
+
+
 class FieldCtx:
     """GF(q) and GF(q^2) with full lookup tables (desk scale: q <= MAX_Q)."""
 
@@ -117,6 +135,15 @@ class FieldCtx:
         self._build_base_tables()
         self.modulus2 = self._smallest_quadratic_irreducible()
         self._build_ext_tables()
+        self.arrays = FieldArrays(
+            add=np.array(self.add_table),
+            mul=np.array(self.mul_table),
+            neg=np.array(self.neg_table),
+            inv=np.array([0] + self.inv_table[1:]),
+            log=np.array([0] + self.log[1:]),
+            log2=np.array([0] + self.log2[1:]),
+            square=np.array([self.is_square(x) for x in range(q)]),
+        )
         self.i_elem = self.exp2[(q + 1) // 2]
         if not (self.q2_mul(self.i_elem, self.i_elem) < q and self.i_elem >= q):
             raise IdentityViolationError("i = g^((q+1)/2) must lie outside GF(q) with i^2 in GF(q)")
@@ -350,7 +377,7 @@ class FieldCtx:
         """`q2_mul` elementwise over integer arrays (broadcast together), in
         one numpy pass over the GF(q) tables, with t^2 = -c1*t - c0."""
         q = self.q
-        add, mul, neg = (np.array(t) for t in (self.add_table, self.mul_table, self.neg_table))
+        add, mul, neg = self.arrays.add, self.arrays.mul, self.arrays.neg
         c0, c1 = self.modulus2
         u1, v1, u2, v2 = a % q, a // q, b % q, b // q
         vv = mul[v1, v2]

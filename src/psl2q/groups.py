@@ -10,11 +10,11 @@ the same element of PGL(2,q) exactly when their normal forms are equal.
 
 `act` computes the action on one point; `image_array` computes it for many
 elements and all q+1 points in one numpy pass over the field tables, and
-the tests check the two against each other.  `image_index` lists, once per
-group (PGL or PSL), every element's images on the q+1 points, both as
-tuples and as one numpy array (`PointImageIndex.image_array`), and the
-stabilizer cosets {g : x^g = y} as bitmasks over the sorted elements, so a
-point-mapping constraint query is an AND of coset masks.
+the tests check the two against each other.  `pgl_images` is that array for
+`elements("pgl")`, built once per group and stored point by point, so the
+images of one point under every element are contiguous.  A point-mapping
+constraint query (`constraint_mask`) is one boolean mask over it: the AND
+of `images of src == tgt` over the pairs.
 
 `in_psl` tests one element and `psl_mask` many at once (det is a nonzero
 square), which is how `elements("psl")` filters PGL(2,q).
@@ -62,40 +62,6 @@ SPLIT_MINUS_ONE_LABEL = ClassLabel("split_minus_one")
 NONSPLIT_I_LABEL = ClassLabel("nonsplit_i")
 
 
-def mask_bits(mask: int):
-    """Indices of the set bits of a nonnegative mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-@dataclass(frozen=True)
-class PointImageIndex:
-    """A group as permutations of the q+1 points.
-
-    Element i is elements[i], in sorted order, and images[i] is the tuple of
-    its images x^g for x = 0..q; image_array holds the same images as one
-    array with a row per element, in the narrowest unsigned type that holds
-    q(q+1), so pair columns a*q + b computed on it cannot overflow.  A set of
-    elements is a bitmask over the positions: coset[x][y] is the stabilizer
-    coset {g : x^g = y}.
-    """
-
-    elements: list[Element]
-    images: list[tuple[int, ...]]
-    image_array: np.ndarray
-    position: dict[Element, int]
-    coset: list[list[int]]
-
-    def image(self, g: Element) -> tuple[int, ...]:
-        return self.images[self.position[g]]
-
-    def members(self, mask: int) -> list[Element]:
-        """The elements of a mask, in sorted order."""
-        return [self.elements[i] for i in mask_bits(mask)]
-
-
 class PGL2:
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
@@ -106,8 +72,7 @@ class PGL2:
         self._classify_cache: dict[Element, ClassLabel] = {}
         self._elements_pgl: list[Element] | None = None
         self._elements_psl: list[Element] | None = None
-        self._image_index: dict[str, PointImageIndex] = {}
-        self._arrays: dict[str, np.ndarray] | None = None
+        self._pgl_images: np.ndarray | None = None
         self._class_table: np.ndarray | None = None
 
     # -- element plumbing ---------------------------------------------------
@@ -259,22 +224,22 @@ class PGL2:
         square.  The rows need not be normalized, since scaling a matrix
         multiplies its det by a square."""
         a, b, c, d = np.array(elements, dtype=np.intp).reshape(-1, 4).T
-        return self._field_arrays()["square"][self._dets(a, b, c, d)]
+        return self.ctx.arrays.square[self._dets(a, b, c, d)]
 
     def _dets(self, a, b, c, d) -> np.ndarray:
         """ad - bc, per matrix."""
-        tables = self._field_arrays()
-        mul = tables["mul"]
-        return tables["add"][mul[a, d], tables["neg"][mul[b, c]]]
+        arrays = self.ctx.arrays
+        mul = arrays.mul
+        return arrays.add[mul[a, d], arrays.neg[mul[b, c]]]
 
     def _class_keys(self, a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
         """flag = [tr = 0 and -det is a square] and s = tr^2 / det, per matrix."""
-        tables = self._field_arrays()
-        mul, neg = tables["mul"], tables["neg"]
-        tr = tables["add"][a, d]
+        arrays = self.ctx.arrays
+        mul = arrays.mul
+        tr = arrays.add[a, d]
         det = self._dets(a, b, c, d)
-        s = mul[mul[tr, tr], tables["inv"][det]]
-        flag = (tr == 0) & tables["square"][neg[det]]
+        s = mul[mul[tr, tr], arrays.inv[det]]
+        flag = (tr == 0) & arrays.square[arrays.neg[det]]
         return flag.astype(np.intp), s
 
     def _lookup_table(self) -> np.ndarray:
@@ -291,20 +256,6 @@ class PGL2:
             table[flag, s] = [where[self.classify(g)] for g in reps]
             self._class_table = table
         return self._class_table
-
-    def _field_arrays(self) -> dict[str, np.ndarray]:
-        """numpy copies of the field tables, made on first use: add, mul, neg,
-        inv (with inv[0] = 0) and the mask of nonzero squares."""
-        if self._arrays is None:
-            ctx = self.ctx
-            self._arrays = {
-                "add": np.array(ctx.add_table),
-                "mul": np.array(ctx.mul_table),
-                "neg": np.array(ctx.neg_table),
-                "inv": np.array([0] + ctx.inv_table[1:]),
-                "square": np.array([ctx.is_square(x) for x in range(self.q)]),
-            }
-        return self._arrays
 
     def is_derangement(self, g: Element) -> bool:
         return self.classify(g).kind in ("nonsplit", "nonsplit_i")
@@ -348,29 +299,19 @@ class PGL2:
 
     # -- point images ---------------------------------------------------------
 
-    def image_index(self, which: str = "pgl") -> PointImageIndex:
-        """The point-image index of PGL(2,q) or PSL(2,q), built once."""
-        index = self._image_index.get(which)
-        if index is None:
-            index = self._build_image_index(which)
-            self._image_index[which] = index
-        return index
+    def pgl_images(self) -> np.ndarray:
+        """`image_array` of `elements("pgl")`, built once: row i holds the
+        images of the points under elements("pgl")[i].
 
-    def _build_image_index(self, which: str) -> PointImageIndex:
-        elements = sorted(self.elements(which))
-        image = self.image_array(elements)
-        points = np.arange(self.q + 1)
-        coset = []
-        for x in points:
-            hits = np.packbits(image[:, x] == points[:, None], axis=1, bitorder="little")
-            coset.append([int.from_bytes(row.tobytes(), "little") for row in hits])
-        return PointImageIndex(
-            elements=elements,
-            images=[tuple(row) for row in image.tolist()],
-            image_array=image.astype(np.min_scalar_type(self.q * (self.q + 1))),
-            position={g: i for i, g in enumerate(elements)},
-            coset=coset,
-        )
+        The array is the transpose of a C-contiguous one, so each column (the
+        images of one point under every element) is contiguous, and its type
+        is the narrowest unsigned one that holds (q+1)^2, so pair indices
+        a*q + b and a*(q+1) + b computed on it cannot overflow."""
+        if self._pgl_images is None:
+            images = self.image_array(self.elements("pgl"))
+            dtype = np.min_scalar_type((self.q + 1) ** 2)
+            self._pgl_images = np.ascontiguousarray(images.T, dtype=dtype).T
+        return self._pgl_images
 
     def image_array(self, elements) -> np.ndarray:
         """Row i holds the images x^g of the points x = 0..q under elements[i].
@@ -379,27 +320,30 @@ class PGL2:
         t goes to (b + t d) / (a + t c) and infinity to d / c, and to infinity
         where the denominator is 0."""
         q = self.q
-        tables = self._field_arrays()
-        add, mul, inv = tables["add"], tables["mul"], tables["inv"]
+        arrays = self.ctx.arrays
+        add, mul, inv = arrays.add, arrays.mul, arrays.inv
         a, b, c, d = np.array(elements, dtype=np.intp).reshape(-1, 4).T[:, :, None]
         t = np.arange(q)
         den = np.concatenate([add[a, mul[t, c]], c], axis=1)
         num = np.concatenate([add[b, mul[t, d]], d], axis=1)
         return np.where(den == 0, q, mul[num, inv[den]])
 
-    def elements_with_constraints(self, pairs, which: str = "pgl") -> list[Element]:
-        """All elements sending src -> tgt for each (src, tgt) pair, sorted.
+    def elements_with_constraints(self, pairs) -> list[Element]:
+        """All elements of PGL(2,q) sending src -> tgt for each (src, tgt)
+        pair, sorted.
 
         One to three constraints on points 0..q; sources must be pairwise
         distinct, likewise targets.  With two constraints PGL(2,q) has
         exactly q-1 solutions and with three exactly one (sharp
         3-transitivity).
         """
-        return self.image_index(which).members(self.constraint_mask(pairs, which))
+        pgl = self.elements("pgl")
+        return sorted(pgl[i] for i in np.flatnonzero(self.constraint_mask(pairs)).tolist())
 
-    def constraint_mask(self, pairs, which: str = "pgl") -> int:
-        """The elements of `elements_with_constraints` as a mask over the
-        image index: the intersection of the cosets {g : src^g = tgt}."""
+    def constraint_mask(self, pairs) -> np.ndarray:
+        """The elements of `elements_with_constraints` as a boolean mask over
+        `elements("pgl")`: the intersection of the cosets {g : src^g = tgt},
+        each read off one contiguous column of `pgl_images`."""
         pairs = list(pairs)
         if not 1 <= len(pairs) <= 3:
             raise InvalidConstraintError("need 1 to 3 constraints")
@@ -409,11 +353,8 @@ class PGL2:
                     raise InvalidConstraintError(f"{pt!r} is not a point of PG(1,{self.q})")
         if len({s for s, _ in pairs}) != len(pairs) or len({t for _, t in pairs}) != len(pairs):
             raise InvalidConstraintError("repeated source or target point")
-        coset = self.image_index(which).coset
-        mask = -1
-        for src, tgt in pairs:
-            mask &= coset[src][tgt]
-        return mask
+        columns = self.pgl_images().T
+        return np.logical_and.reduce([columns[src] == tgt for src, tgt in pairs])
 
     def swap_one_infinity(self) -> Element:
         """The unique element fixing 0 and exchanging 1 with infinity.

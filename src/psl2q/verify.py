@@ -104,7 +104,7 @@ def run_table_suite(q: int, seed: int = 0) -> dict:
     rows = np.array(pgl, dtype=np.intp)
     classes = group.class_array(rows)
     in_psl = group.psl_mask(rows)
-    point_images = group.image_array(rows)
+    point_images = group.pgl_images()
 
     sizes = np.bincount(classes, minlength=len(labels))
     census_ok = (
@@ -204,7 +204,7 @@ def base_coset_log_shifts(ctx) -> set[int]:
     product r u computed in one numpy pass."""
     q = ctx.q
     r = np.arange(1, q * q)[:, None]
-    log2 = np.array([0] + ctx.log2[1:])
+    log2 = ctx.arrays.log2
     shifts = (log2[ctx.q2_mul_array(r, np.arange(1, q))] - log2[r]) % (q + 1)
     return set(shifts.ravel().tolist())
 
@@ -430,13 +430,12 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
         "entrywise over all pairs",
     )
 
-    pgl = group.elements("pgl")
-    index = group.image_index()
+    images = group.pgl_images()
     ok = True
     for _ in range(200):
         r_pair = rng.choice(model.omega)
         c_pair = rng.choice(model.omega)
-        image = index.image(rng.choice(pgl))
+        image = images[rng.randrange(len(images))].tolist()  # draws as rng.choice(elements("pgl")) does
         moved_r = (image[r_pair[0]], image[r_pair[1]])
         moved_c = (image[c_pair[0]], image[c_pair[1]])
         ok = ok and (

@@ -1,6 +1,7 @@
 """Tests for exact cyclotomic arithmetic."""
 
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,29 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
     # degree is Euler phi
     assert len(cyclotomic_polynomial(84)) - 1 == 24
+
+
+@functools.cache
+def _phi_by_divisors(m):
+    """The oracle: x^m - 1 divided exactly by Phi_d for every proper divisor d."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = _phi_by_divisors(d)
+            quot = [0] * (len(poly) - len(den) + 1)
+            for k in range(len(quot) - 1, -1, -1):
+                quot[k] = poly[k + len(den) - 1] // den[-1]
+                for i, c in enumerate(den):
+                    poly[k + i] -= quot[k] * c
+            assert not any(poly)
+            poly = quot
+    return poly
+
+
+def test_cyclotomic_polynomials_match_the_divisor_quotients():
+    # 1860 and 3660 are the conductors lcm(q-1, q+1) and (q-1)p at q = 61
+    for m in [*range(1, 300), 1860, 3660]:
+        assert cyclotomic_polynomial(m) == _phi_by_divisors(m), m
 
 
 def test_roots_of_unity_basic_relations():

@@ -9,6 +9,7 @@ from psl2q.ekr import (
     classify_family,
     is_intersecting,
     max_intersecting_families,
+    psl_point_cosets,
     stabilizer_coset,
 )
 from psl2q.errors import BudgetExceededError, NotIntersectingError
@@ -28,6 +29,28 @@ def test_graph_budget():
         IntersectionGraph(G)
     with pytest.raises(BudgetExceededError):
         max_intersecting_families(G)
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27])
+def test_psl_point_cosets_match_the_action(q):
+    """The graph's vertices, image tuples and coset masks against `act`, one
+    point at a time; q = 9, 25, 27 are prime powers with p = 3 and p = 5,
+    built here past the clique-search budget."""
+    G = PGL2(field_ctx_for_q(q))
+    vertices, images, coset = psl_point_cosets(G)
+    assert vertices == sorted(G.elements("psl"))
+    assert images == [tuple(G.act(x, g) for x in G.points) for g in vertices]
+    expected = [[0] * (q + 1) for _ in G.points]
+    for i, image in enumerate(images):
+        for x, y in enumerate(image):
+            expected[x][y] |= 1 << i
+    assert coset == expected
+    assert all(type(y) is int for image in images for y in image)
+    assert all(type(mask) is int for row in coset for mask in row)
+    if q <= 9:
+        graph = IntersectionGraph(G)
+        assert (graph.vertices, graph.images, graph.coset) == (vertices, images, coset)
+        assert graph.index == {g: i for i, g in enumerate(vertices)}
 
 
 def test_graph_q5(psl_groups):

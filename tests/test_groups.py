@@ -4,6 +4,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from psl2q.errors import InvalidConstraintError
@@ -149,12 +150,12 @@ def test_constrained_elements(groups, q):
         with pytest.raises(InvalidConstraintError):
             G.elements_with_constraints(bad)
         with pytest.raises(InvalidConstraintError):
-            G.elements_with_constraints(bad, "psl")
+            G.constraint_mask(bad)
 
 
 def test_constraints_psl_example():
     G = PGL2(field_ctx_for_q(7))
-    sols = G.elements_with_constraints([(0, G.infinity), (1, 3)], "psl")
+    sols = [g for g in G.elements_with_constraints([(0, G.infinity), (1, 3)]) if G.in_psl(g)]
     assert len(sols) == 3  # half of the q-1 solutions in PGL
 
 
@@ -177,13 +178,15 @@ def test_single_constraint_fiber(groups, q):
         rng = random.Random(q)
         for k in (2, 3):
             queries += [list(zip(rng.sample(points, k), rng.sample(points, k))) for _ in range(150)]
-    for which, order in (("pgl", q**3 - q), ("psl", (q**3 - q) // 2)):
-        elements = G.elements(which)
-        for pairs in queries:
-            brute = sorted(g for g in elements if all(G.act(s, g) == t for s, t in pairs))
-            assert G.elements_with_constraints(pairs, which) == brute, (which, pairs)
-            if len(pairs) == 1:
-                assert len(brute) * (q + 1) == order
+    pgl = G.elements("pgl")
+    for pairs in queries:
+        brute = sorted(g for g in pgl if all(G.act(s, g) == t for s, t in pairs))
+        assert G.elements_with_constraints(pairs) == brute, pairs
+        assert G.constraint_mask(pairs).tolist() == [g in brute for g in pgl]
+        if len(pairs) == 1:
+            assert len(brute) * (q + 1) == q**3 - q
+            psl = [g for g in G.elements("psl") if G.act(pairs[0][0], g) == pairs[0][1]]
+            assert len(psl) * (q + 1) == (q**3 - q) // 2
     # sharp 3-transitivity: one element of PGL per image of (0, 1, infinity)
     sources = (0, 1, G.infinity)
     for targets in itertools.permutations(points, 3):
@@ -194,31 +197,22 @@ def test_single_constraint_fiber(groups, q):
 def test_two_point_transitivity_q5(groups):
     G = groups[5]
     pairs = [(a, b) for a in G.points for b in G.points if a != b]
+    psl = G.elements("psl")
     for src in pairs:
         for tgt in pairs:
-            sols = G.elements_with_constraints([(src[0], tgt[0]), (src[1], tgt[1])], "psl")
-            assert sols, (src, tgt)
+            assert any(G.act(src[0], g) == tgt[0] and G.act(src[1], g) == tgt[1] for g in psl), (src, tgt)
 
 
 @pytest.mark.parametrize("q", [3, 9, 25, 27])
-def test_image_index_matches_the_action(q):
-    """The vectorised index against `act`, one point at a time; q = 9, 25, 27
-    are prime powers with p = 3 and p = 5."""
+def test_pgl_images_match_the_action(q):
+    """The cached image array against `act`, one point at a time; q = 9, 25,
+    27 are prime powers with p = 3 and p = 5."""
     G = PGL2(field_ctx_for_q(q))
-    by_act = {g: tuple(G.act(x, g) for x in G.points) for g in G.elements("pgl")}
-    for which in ("pgl", "psl"):
-        index = G.image_index(which)
-        assert index.elements == sorted(G.elements(which))
-        assert index.images == [by_act[g] for g in index.elements]
-        assert index.image_array.tolist() == [list(image) for image in index.images]
-        assert index.position == {g: i for i, g in enumerate(index.elements)}
-        coset = [[0] * (q + 1) for _ in G.points]
-        for i, g in enumerate(index.elements):
-            for x, y in enumerate(by_act[g]):
-                coset[x][y] |= 1 << i
-        assert index.coset == coset
-        assert all(type(y) is int for image in index.images for y in image)
-        assert all(type(mask) is int for row in index.coset for mask in row)
+    images = G.pgl_images()
+    assert images is G.pgl_images()
+    assert images.tolist() == [[G.act(x, g) for x in G.points] for g in G.elements("pgl")]
+    assert images.T.flags.c_contiguous
+    assert images.dtype.kind == "u" and np.iinfo(images.dtype).max >= (q + 1) ** 2
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
