@@ -39,11 +39,13 @@ Z/L and one reduction, with no per-point product.  `gram` builds each
 function's numerator matrix once and runs that kernel on every ordered pair;
 `l2_inner` is its one-pair case.  The Katz sum holds the q-1 Gauss sums
 g(omega_1^j) once, as the rows of an integer matrix; the choice of omega only
-permutes the rows.  Its sum over k is one row-wise product
-(`cyclotomic.row_products`) per parameter on the rows gathered at k + a_i and
--k - b_j, a rotation of row k by the twist omega^k((-1)^m lambda), one
-reduction of the summed rows, and one product with the k-independent inverses
-of the g(omega^(a_i)) and g(omega^(-b_j)), each checked against its Gauss sum.
+permutes the rows.  Its sum over k starts from the rows gathered at k + a_1
+and takes one row-wise product (`cyclotomic.row_products`) with the rows
+gathered at each further k + a_i and -k - b_j: 2m - 1 products for m
+parameters.  Then come a rotation of row k by the twist omega^k((-1)^m lambda),
+one reduction of the summed rows, and one product with the k-independent
+inverses of the g(omega^(a_i)) and g(omega^(-b_j)), each checked against its
+Gauss sum.
 """
 
 from __future__ import annotations
@@ -301,7 +303,7 @@ class CharacterSums:
     ) -> CycNum:
         """Gauss-sum normalized hypergeometric sum H_q(alpha, beta; lambda).
 
-        Both parameter lists must have the same length m, and every
+        Both parameter lists must have the same length m >= 1, and every
         (q-1)*alpha_i and (q-1)*beta_j must be an integer, so the characters
         omega^((q-1)alpha) are defined.  omega is the character of exponent
         omega_exponent (coprime to q-1) with respect to the field generator;
@@ -310,8 +312,8 @@ class CharacterSums:
         """
         ctx = self.ctx
         q = self.q
-        if len(alpha) != len(beta):
-            raise ArityMismatchError("alpha and beta must have equal length")
+        if len(alpha) != len(beta) or not alpha:
+            raise ArityMismatchError("alpha and beta must be nonempty and of equal length")
         if math.gcd(omega_exponent, q - 1) != 1:
             raise ValueError("omega_exponent must be coprime to q - 1")
         a_exps = []
@@ -335,9 +337,9 @@ class CharacterSums:
         n = q - 1
         # row k: the product over the parameters of g(omega^(k+a)) and g(omega^(-k-b))
         k = np.arange(n)
-        product = np.zeros(rows.shape, dtype=np.int64)
-        product[:, 0] = 1
-        for j in [k + ae for ae in a_exps] + [-k - be for be in b_exps]:
+        exponents = [k + ae for ae in a_exps] + [-k - be for be in b_exps]
+        product = rows[(exponents[0] * omega_exponent) % n]
+        for j in exponents[1:]:
             product = row_products(m, product, rows[(j * omega_exponent) % n])
         inverses = CycNum.rational(1)  # the k-independent factors
         for j in a_exps + [-be for be in b_exps]:

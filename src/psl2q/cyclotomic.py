@@ -18,12 +18,17 @@ Phi_m, stored as their nonzero (index, coefficient) pairs because
 cyclotomic polynomials are sparse.
 
 Many products at once, row i of A times row i of B for integer matrices of
-reduced numerators, go through `row_products`: a numpy convolution over the
-columns, then one matrix product with the dense reduction rows R (row k is
-x^(phi(m)+k) mod Phi_m).  Every entry and partial sum is at most
-deg * max|A| * max|B| * (1 + the largest column sum of |R|), so the work runs
-in int64 exactly when that bound is below 2^63, and in Python integers
-(dtype=object) otherwise.
+reduced numerators, go through `row_products`: one convolution per row, then
+one matrix product with the dense reduction rows R (row k is x^(phi(m)+k) mod
+Phi_m).  Every entry and partial sum is at most
+B = deg * max|A| * max|B| * (1 + the largest column sum of |R|), and B picks
+the arithmetic.  Below 2^53 the work runs in float64, so the product with R
+is a BLAS call: every value it or `np.convolve` (a direct sum, never an FFT)
+forms is an integer of size at most B, which float64 holds exactly, so no
+operation rounds, in whatever order BLAS sums and with or without fused
+multiply-adds, and the result casts back to int64 unchanged.  Below 2^63 the
+same steps run in int64, and past that in Python integers (dtype=object),
+which `np.convolve` and the matrix product handle exactly too.
 
 Many sums of roots of unity at once, row i of an integer matrix C with m
 columns standing for sum_j C[i, j] zeta_m^j, go through
@@ -55,9 +60,9 @@ _PHI_CACHE: dict[int, list[int]] = {}
 # m -> rows of (index, coefficient) pairs; row k holds the nonzero
 # coefficients of x^(phi(m)+k) reduced mod Phi_m
 _ROW_CACHE: dict[int, list[list[tuple[int, int]]]] = {}
-# m -> (rows 0..deg-2 of _ROW_CACHE[m] as a dense int64 matrix, the largest
-# column sum of its absolute values)
-_DENSE_CACHE: dict[int, tuple[np.ndarray, int]] = {}
+# m -> (rows 0..deg-2 of _ROW_CACHE[m] as a dense int64 matrix, its float64
+# copy, the largest column sum of its absolute values)
+_DENSE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -130,7 +135,7 @@ def _reduction_rows(m: int) -> list[list[tuple[int, int]]]:
     return rows
 
 
-def _dense_reduction(m: int) -> tuple[np.ndarray, int]:
+def _dense_reduction(m: int) -> tuple[np.ndarray, np.ndarray, int]:
     hit = _DENSE_CACHE.get(m)
     if hit is None:
         deg = _degree(m)
@@ -138,7 +143,7 @@ def _dense_reduction(m: int) -> tuple[np.ndarray, int]:
         for k, row in enumerate(_reduction_rows(m)[: deg - 1]):
             for i, c in row:
                 dense[k, i] = c
-        hit = _DENSE_CACHE[m] = (dense, max_abs(np.abs(dense).sum(axis=0)))
+        hit = _DENSE_CACHE[m] = (dense, dense.astype(np.float64), max_abs(np.abs(dense).sum(axis=0)))
     return hit
 
 
@@ -155,15 +160,24 @@ def exact_dtype(bound: int):
 
 def row_products(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i holds the reduced numerators of a[i] * b[i] in Q(zeta_m), where a
-    and b are integer matrices of reduced numerators, phi(m) columns each."""
+    and b are integer matrices of reduced numerators, phi(m) columns each.
+
+    Every value formed, each convolution entry, each partial sum of the
+    product with the reduction rows and the final sum, is an integer of size
+    at most B = deg * max|a| * max|b| * (1 + col), col the largest column sum
+    of |rows|.  For B < 2^53 the work runs in float64, which holds every
+    integer of that size exactly, so each addition and multiplication (fused
+    or not, in any order) returns the exact integer and the int64 cast loses
+    nothing; for B < 2^63 it runs in int64, and otherwise in Python
+    integers."""
     deg = _degree(m)
-    dense, col = _dense_reduction(m)
-    dtype = exact_dtype(deg * max_abs(a) * max_abs(b) * (1 + col))
+    dense, dense_float, col = _dense_reduction(m)
+    bound = deg * max_abs(a) * max_abs(b) * (1 + col)
+    dtype, reduction = (np.float64, dense_float) if bound < 2**53 else (exact_dtype(bound), dense)
     a, b = a.astype(dtype), b.astype(dtype)
-    conv = np.zeros((a.shape[0], 2 * deg - 1), dtype=dtype)
-    for i in range(deg):
-        conv[:, i : i + deg] += a[:, i : i + 1] * b
-    return conv[:, :deg] + conv[:, deg:] @ dense.astype(dtype)
+    conv = np.array([np.convolve(x, y) for x, y in zip(a, b)], dtype=dtype).reshape(-1, 2 * deg - 1)
+    out = conv[:, :deg] + conv[:, deg:] @ reduction.astype(dtype, copy=False)
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def reduce_zeta_counts(m: int, counts: np.ndarray) -> np.ndarray:

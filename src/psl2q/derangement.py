@@ -136,18 +136,6 @@ class DerangementModel:
             raise IdentityViolationError(f"Gram entry N[(0, inf), ({c}, {d})] = {val} is not an integer")
         return int(val)
 
-    def gram_entry_closed(self, row_pair, col_pair) -> int:
-        """Any N entry via invariance under simultaneous relabeling of points."""
-        for pair in (row_pair, col_pair):
-            a, b = pair
-            if a == b or not (0 <= a <= self.q) or not (0 <= b <= self.q):
-                raise NotInOmegaError(f"{pair} is not an ordered pair of distinct points")
-        a, b = row_pair
-        group = self.group
-        first = np.flatnonzero(group.constraint_mask([(a, 0), (b, group.infinity)]))[0]
-        image = group.pgl_images()[first].tolist()
-        return self._entry_for_row_zero_inf(image[col_pair[0]], image[col_pair[1]])
-
     def gram_closed(self) -> np.ndarray:
         """Row (a, b) is the closed-form row (0, inf) read at the images of
         each (c, d) under an element sending a -> 0 and b -> inf, and all

@@ -305,9 +305,9 @@ class FieldCtx:
             self.exp2[j] = acc
             self.log2[acc] = j
             acc = mul2(acc, self.generator2)
-        self.frob_table = [0] + [self.exp2[(self.log2[x] * q) % (q * q - 1)] for x in range(1, q * q)]
-        self.trace2_table = [self.q2_add(x, self.frob_table[x]) for x in range(q * q)]
-        self.norm2_table = [mul2(x, self.frob_table[x]) for x in range(q * q)]
+        frob = [0] + [self.exp2[(self.log2[x] * q) % (q * q - 1)] for x in range(1, q * q)]  # x -> x^q
+        self.trace2_table = [self.q2_add(x, frob[x]) for x in range(q * q)]
+        self.norm2_table = [mul2(x, frob[x]) for x in range(q * q)]
         if not all(t < q for t in self.trace2_table):
             raise IdentityViolationError("a GF(q^2) trace is not in GF(q)")
         if not all(n < q for n in self.norm2_table):
@@ -343,9 +343,6 @@ class FieldCtx:
 
     def elements(self) -> range:
         return range(self.q)
-
-    def units(self) -> range:
-        return range(1, self.q)
 
     def is_square(self, x: int) -> bool:
         return x != 0 and self.log[x] % 2 == 0
@@ -390,23 +387,11 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of 0 in GF(q^2)")
         return self.exp2[(-self.log2[a]) % (self.q * self.q - 1)]
 
-    def q2_pow(self, a: int, n: int) -> int:
-        if a == 0:
-            return 0 if n else 1
-        return self.exp2[(self.log2[a] * n) % (self.q * self.q - 1)]
-
-    def frobenius(self, a: int) -> int:
-        """a -> a^q; an involution of GF(q^2) fixing exactly the embedded GF(q)."""
-        return self.frob_table[a]
-
     def q2_trace(self, a: int) -> int:
         return self.trace2_table[a]
 
     def q2_norm(self, a: int) -> int:
         return self.norm2_table[a]
-
-    def q2_elements(self) -> range:
-        return range(self.q * self.q)
 
     def q2_units(self) -> range:
         return range(1, self.q * self.q)

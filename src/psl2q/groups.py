@@ -359,10 +359,10 @@ class PGL2:
     def swap_one_infinity(self) -> Element:
         """The unique element fixing 0 and exchanging 1 with infinity.
 
-        On finite points b not in {0, 1} it acts as b -> b / (b - 1), and it
-        is an involution.
+        It is the matrix (1, 0; -1, -1), already in normal form: a point t
+        goes to -t / (1 - t), so 0 is fixed, 1 goes to infinity and infinity,
+        the row (0, 1), to (-1, -1) ~ 1.  On finite points b not in {0, 1} it
+        acts as b -> b / (b - 1), and it is an involution.
         """
-        (g,) = self.elements_with_constraints(
-            [(0, 0), (1, self.infinity), (self.infinity, 1)]
-        )
-        return g
+        minus_one = self.ctx.neg(1)
+        return (1, 0, minus_one, minus_one)

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import psl2q
 from psl2q.cli import main
 
 
@@ -146,3 +150,11 @@ def test_dumps_are_deterministic(tmp_path):
     assert main(["dump", "table", "--q", "5", "--out", str(out1)]) == 0
     assert main(["dump", "table", "--q", "5", "--out", str(out2)]) == 0
     assert (out1 / "table_q5.csv").read_bytes() == (out2 / "table_q5.csv").read_bytes()
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = str(Path(psl2q.__file__).resolve().parents[1])
+    cmd = [sys.executable, "-m", "psl2q", "verify", "--q", "5", "--suite", "sums", "--out", str(tmp_path)]
+    done = subprocess.run(cmd, env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "verify_q5_sums.json").read_text())["pass"] is True

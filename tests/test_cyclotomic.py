@@ -322,21 +322,46 @@ def test_convolution_matches_schoolbook(a, b):
     assert _convolve(a, b) == _schoolbook(a, b)
 
 
-# conductors of degree 1, small ones, and those of the Gauss sums at q = 9, 19,
-# 25 and 27 (lcm(p, q-1) = 24, 342, 120, 78)
-ROW_CONDUCTORS = [1, 2, 3, 12, 24, 78, 120, 342]
+# conductors of degree 1, small ones, and those of the Gauss sums at q = 9, 17,
+# 19, 25, 27 and 31 (lcm(p, q-1) = 24, 272, 342, 120, 78, 930)
+ROW_CONDUCTORS = [1, 2, 3, 12, 24, 78, 120, 272, 342, 930]
+
+# regime -> (the largest |entry| of the operands given deg * (1 + col), the
+# range [low, high) of the exactness bound, the result's dtype): the float64
+# path well inside and just under its 2^53 bound, the int64 path past 2^53,
+# and Python integers past 2^63 (entries above 2^31 whose products pass the
+# int64 bound, so the dtype must follow the values, not the input dtype)
+ROW_REGIMES = {
+    "int64": (lambda scale: 50, 0, 2**53, np.int64),
+    "under-2^53": (lambda scale: math.isqrt((2**53 - 1) // scale), 2**52, 2**53, np.int64),
+    "past-2^53": (lambda scale: math.isqrt(2**62 // scale), 2**53, 2**63, np.int64),
+    "object": (lambda scale: 50 * (2**31 + 1), 2**63, math.inf, object),
+}
+
+
+@functools.cache
+def _bound_scale(m):
+    """deg * (1 + col), col the largest column sum of |x^(deg+k) mod Phi_m|
+    over k = 0..deg-2, from `CycNum.root_of_unity`: the exactness bound of a
+    row product is this times max|a| * max|b|."""
+    deg = len(cyclotomic_polynomial(m)) - 1
+    rows = [CycNum.root_of_unity(m, deg + k).nums for k in range(deg - 1)]
+    return deg * (1 + max((sum(abs(c) for c in column) for column in zip(*rows)), default=0))
 
 
 @pytest.mark.parametrize("m", ROW_CONDUCTORS)
-@pytest.mark.parametrize("scale, dtype", [(1, np.int64), (2**31 + 1, object)], ids=["int64", "object"])
-def test_row_products_match_cycnum_products(m, scale, dtype):
-    # int64 operands above 2^31 have products past the int64 bound: the
-    # helper must switch to Python integers from the values, not the dtype
+@pytest.mark.parametrize("regime", list(ROW_REGIMES))
+def test_row_products_match_cycnum_products(m, regime):
+    top_for, low, high, dtype = ROW_REGIMES[regime]
+    scale = _bound_scale(m)
+    top = top_for(scale)
+    assert low <= scale * top * top < high
     rng = random.Random(m)
     deg = len(cyclotomic_polynomial(m)) - 1
-    a = [[rng.randrange(-50, 51) * scale for _ in range(deg)] for _ in range(5)]
-    b = [[rng.randrange(-50, 51) * scale for _ in range(deg)] for _ in range(5)]
-    a[0] = [scale] + [0] * (deg - 1)  # a rational row
+    a = [[rng.randrange(-top, top + 1) for _ in range(deg)] for _ in range(5)]
+    b = [[rng.randrange(-top, top + 1) for _ in range(deg)] for _ in range(5)]
+    a[0] = [top] + [0] * (deg - 1)  # a rational row
+    b[1][0] = -top  # both operands reach the bound's max|entry|
     got = row_products(m, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
     assert got.dtype == dtype
     for ra, rb, rg in zip(a, b, got):

@@ -116,9 +116,12 @@ def test_psl_normality(groups, q):
 
 
 def test_swap_one_infinity(groups):
-    for q in (5, 7, 9):
-        G = groups[q]
+    for q in (5, 7, 9, 25):
+        G = groups[q] if q in groups else PGL2(field_ctx_for_q(q))
         h = G.swap_one_infinity()
+        assert G.elements_with_constraints([(0, 0), (1, G.infinity), (G.infinity, 1)]) == [h]
+        assert G.make(*h) == h  # a normal form
+        assert G.mul(h, h) == G.identity
         assert G.act(0, h) == 0
         assert G.act(1, h) == G.infinity
         assert G.act(G.infinity, h) == 1
