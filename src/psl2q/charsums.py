@@ -27,8 +27,12 @@ counts the powers of the sum at t.  The 2F1 base table is one `np.bincount`
 over all (t, y), and each higher level one gather-sum of rows t*y rotated by
 the exponent of the level's summand at y; a value reads and reduces one row.
 The Soto-Andrade summand is constant on the cosets r * GF(q)* (trace and
-norm scale by u and u^2, beta is trivial on GF(q)*), so R_beta walks the
-q+1 coset representatives gen2^j.
+norm scale by u and u^2, beta is trivial on GF(q)*), so R_beta counts the
+q+1 coset representatives gen2^j.  Each family is one table of the reduced
+numerators of q P_gamma(a), or q R_beta(a), for every exponent k and every
+a: one bincount per sign of phi over (k, a, k log x), or (k, a, k j), and
+one `reduce_zeta_counts`.  `legendre_sum` and `soto_andrade_sum` read a
+row; the complex conjugate of row k is row -k.
 
 The weighted Hermitian form works on numerators too: numerator i of f1(x)
 times numerator j of f2(x), weighted by the measure at x, counts at
@@ -55,7 +59,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNum, exact_dtype, max_abs, row_products
+from .cyclotomic import CycNum, _canonical, exact_dtype, max_abs, reduce_zeta_counts, row_products
 from .errors import (
     ArityMismatchError,
     DomainMismatchError,
@@ -88,6 +92,7 @@ class CharacterSums:
         self.q = ctx.q
         self._legendre_cache: dict[tuple[int, int], CycNum] = {}
         self._soto_cache: dict[tuple[int, int], CycNum] = {}
+        self._tables: dict[int, np.ndarray] = {}  # conductor -> Legendre or Soto-Andrade table
         self._gauss: tuple[int, np.ndarray] | None = None
         self._gauss_inv: dict[int, CycNum] = {}
         self._greene_tables: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[np.ndarray, Fraction]] = {}
@@ -148,23 +153,50 @@ class CharacterSums:
 
     # -- Legendre and Soto-Andrade sums ----------------------------------------
 
+    def legendre_table(self) -> np.ndarray:
+        """[k, a]: the reduced numerators of q P_gamma(a), gamma of exponent k;
+        built once.  Term x != 0 adds phi(x^2 - 2ax + 1) at zeta^(k log x)."""
+        if self.q - 1 not in self._tables:
+            add, mul, neg = self.ctx.arrays.add, self.ctx.arrays.mul, self.ctx.arrays.neg
+            x, a = np.arange(1, self.q), np.arange(self.q)[:, None]
+            args = add[add[mul[x, x], neg[mul[add[a, a], x]]], 1]
+            self._tables[self.q - 1] = self._zeta_table(self.q - 1, self.ctx.arrays.log[x], args)
+        return self._tables[self.q - 1]
+
+    def soto_andrade_table(self) -> np.ndarray:
+        """[k, a]: the reduced numerators of q R_beta(a), beta of exponent k;
+        built once.  Coset representative r = gen2^j adds
+        phi(Tr(r)^2 - 2(a+1) N(r)) at zeta^(k j)."""
+        if self.q + 1 not in self._tables:
+            ctx, q = self.ctx, self.q
+            add, mul, neg = ctx.arrays.add, ctx.arrays.mul, ctx.arrays.neg
+            r = np.array(ctx.exp2[: q + 1])
+            trace, norm = np.array(ctx.trace2_table)[r], np.array(ctx.norm2_table)[r]
+            args = add[mul[trace, trace], neg[mul[mul[ctx.embed_int(2), add[np.arange(q), 1]][:, None], norm]]]
+            self._tables[q + 1] = self._zeta_table(q + 1, np.arange(q + 1), args)
+        return self._tables[self.q + 1]
+
+    def _zeta_table(self, m: int, logs: np.ndarray, args: np.ndarray) -> np.ndarray:
+        """[k, a]: the reduced numerators of the sum over t of phi(args[a, t])
+        zeta_m^(k logs[t]), for every k mod m: one bincount per sign over
+        (k, a, k logs[t] mod m), each count at most the number of terms, then
+        `reduce_zeta_counts`, whose dtype rule covers its sums."""
+        rows = len(args)
+        k = np.arange(m)[:, None, None]
+        index = (k * rows + np.arange(rows)[:, None]) * m + k * logs % m
+        sign = np.broadcast_to(self.ctx.arrays.phi[args], index.shape)
+        size = m * rows * m
+        counts = np.bincount(index[sign > 0], minlength=size) - np.bincount(index[sign < 0], minlength=size)
+        return reduce_zeta_counts(m, counts.reshape(-1, m)).reshape(m, rows, -1)
+
     def legendre_sum(self, gamma: MultCharFq, a: int) -> CycNum:
         self.ctx.check_char(gamma)
         key = (gamma.exponent, a)
         val = self._legendre_cache.get(key)
         if val is None:
             self._check_element(a)
-            ctx = self.ctx
-            q = self.q
-            two_a = ctx.add(a, a)
-            vec = [0] * (q - 1)
-            for x in range(1, q):
-                arg = ctx.add(ctx.sub(ctx.mul(x, x), ctx.mul(two_a, x)), 1)
-                s = ctx.phi_int(arg)
-                if s:
-                    vec[(gamma.exponent * ctx.log[x]) % (q - 1)] += s
-            val = CycNum.from_zeta_powers(q - 1, vec, Fraction(1, q))
-            self._legendre_cache[key] = val
+            row = tuple(self.legendre_table()[key].tolist())  # q P_gamma(a), so the value is row / q
+            val = self._legendre_cache[key] = _canonical(self.q - 1, row, self.q)
         return val
 
     def legendre_phi(self, a: int) -> Fraction:
@@ -177,20 +209,8 @@ class CharacterSums:
         val = self._soto_cache.get(key)
         if val is None:
             self._check_element(a)
-            ctx = self.ctx
-            q = self.q
-            factor = ctx.mul(ctx.embed_int(2), ctx.add(a, 1))
-            vec = [0] * (q + 1)
-            # gen2^j for j = 0..q: one term per coset of GF(q)*, q-1 terms each
-            for j in range(q + 1):
-                r = ctx.exp2[j]
-                tr = ctx.q2_trace(r)
-                arg = ctx.sub(ctx.mul(tr, tr), ctx.mul(factor, ctx.q2_norm(r)))
-                s = ctx.phi_int(arg)
-                if s:
-                    vec[(beta.exponent * j) % (q + 1)] += s
-            val = CycNum.from_zeta_powers(q + 1, vec, Fraction(1, q))
-            self._soto_cache[key] = val
+            row = tuple(self.soto_andrade_table()[key].tolist())
+            val = self._soto_cache[key] = _canonical(self.q + 1, row, self.q)
         return val
 
     # -- the orthogonal basis ----------------------------------------------------
@@ -333,7 +353,7 @@ class CharacterSums:
         twist = lam if m_count % 2 == 0 else ctx.neg(lam)
         if twist == 0:
             return CycNum.zero()  # omega^k(0) = 0 under the zero convention
-        m, rows = self._gauss_table()
+        m, rows = self.gauss_table()
         n = q - 1
         # row k: the product over the parameters of g(omega^(k+a)) and g(omega^(-k-b))
         k = np.arange(n)
@@ -350,7 +370,7 @@ class CharacterSums:
         np.add.at(counts, (e[:, None] + np.arange(rows.shape[1])) % m, product.astype(object))
         return CycNum.from_zeta_powers(m, counts.tolist()) * inverses * Fraction(1, 1 - q)
 
-    def _gauss_table(self) -> tuple[int, np.ndarray]:
+    def gauss_table(self) -> tuple[int, np.ndarray]:
         """The conductor m of the Gauss sums and the integer matrix whose row j
         holds the reduced numerators of g(omega_1^j), omega_1 the character of
         exponent 1; the character of exponent s permutes the rows, j -> s*j."""
@@ -367,7 +387,7 @@ class CharacterSums:
         """1 / g(omega_1^j), checked against g."""
         inv = self._gauss_inv.get(j)
         if inv is None:
-            m, rows = self._gauss_table()
+            m, rows = self.gauss_table()
             g = CycNum(m, tuple(rows[j].tolist()))
             if j == 0:
                 inv = CycNum.rational(-1)  # g(trivial) = -1

@@ -25,15 +25,18 @@ K the 2q kernel witnesses, checked exactly (N K^T = 0 and rank_p(K) = 2q),
 rank_p(N) = q(q+1) - 2q decides rank(N); otherwise a second prime and then
 Bareiss elimination do.
 
-A character sum over a set of elements is an integer vector of class counts
-(`CharTable.class_sum`), and the class of every element of PGL(2,q), and of
-its inverse, is read once (`PGL2.class_array`).  Constraint sets are
-boolean masks over the same elements (`PGL2.constraint_mask`).  The sets
-{g : 0^g = a, infinity^g = b} partition PGL(2,q), so the direct sum is one
-scatter-add over the group's cached image array (`PGL2.pgl_images`): each g
-adds N[(0, infinity), (0^g, infinity^g)] to the count of the class of
-g^(-1).  The closed-form Gram matrix is one gather from its (0, infinity)
-row.
+The target characters' values are integer arrays of reduced numerators, one
+per family conductor (`families`): psi_minus1 and the nu over
+Q(zeta_(q-1)), the eta over Q(zeta_(q+1)).  A character sum over a set of
+elements is an integer vector of class counts, so the sums of every target
+over many sets are one matrix product per family (`class_sums`), already
+reduced; the class of every element and of its inverse is read once
+(`PGL2.class_array`).  The direct sum is one scatter-add over the cached
+image array (`PGL2.pgl_images`), each g adding N[(0, infinity),
+(0^g, infinity^g)] to the class of g^(-1).  The closed forms of the
+restricted sums, of t(chi) and of the (0, infinity) row of N read the
+Legendre and Soto-Andrade tables (`CharacterSums.legendre_table`), and the
+closed-form Gram matrix is one gather from that row.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from .chartable import CharTable, IrreducibleChar
 from .charsums import CharacterSums
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, exact_dtype, max_abs
 from .errors import IdentityViolationError, NotInOmegaError, UnsupportedCharacterError
 from .groups import PGL2
 from .intrank import rank_with_kernel
@@ -54,6 +57,13 @@ def pair_column(a, b, q: int):
     """Column of the ordered pair (a, b) of distinct points: a*q + b, less one
     when b > a skips (a, a).  Works on integers and on numpy arrays."""
     return a * q + b - (b > a)
+
+
+def _exact_product(a: np.ndarray, b: np.ndarray, extra: int = 0) -> np.ndarray:
+    """a @ b for integer arrays in the dtype `exact_dtype` picks for the bound
+    (largest row sum of |a|) * max|b| + extra, extra for constants added later."""
+    dtype = exact_dtype(max_abs(np.abs(a).sum(axis=-1)) * max_abs(b) + extra)
+    return a.astype(dtype) @ b.astype(dtype)
 
 
 class DerangementModel:
@@ -75,8 +85,11 @@ class DerangementModel:
         self._kernel: np.ndarray | None = None
         self._rank_n: tuple[int, str] | None = None
         self._position_classes: dict[bool, np.ndarray] = {}
-        self._restricted: dict[tuple, CycNum] = {}
+        self._families: dict[int, tuple[list[IrreducibleChar], np.ndarray]] | None = None
+        self._restricted_rows: dict[IrreducibleChar, np.ndarray] | None = None
+        self._assembled: dict[IrreducibleChar, CycNum] = {}
         self._closed_forms: dict[IrreducibleChar, CycNum] = {}
+        self._gram_row: np.ndarray | None = None
 
     # -- matrices -----------------------------------------------------------
 
@@ -111,38 +124,13 @@ class DerangementModel:
 
     # -- closed-form Gram entries ----------------------------------------------
 
-    def _entry_for_row_zero_inf(self, c: int, d: int) -> int:
-        """N[(0, inf), (c, d)] from the case analysis of the entry counts."""
-        q = self.q
-        ctx = self.ctx
-        inf = self.group.infinity
-        if (c, d) == (0, inf):
-            return (q - 1) ** 2 // 4
-        if c == 0 or d == inf:
-            return 0  # a permutation cannot split a source or collide targets
-        if (c, d) == (inf, 0):
-            return 0 if q % 4 == 1 else (q - 1) // 2
-        if c == inf or d == 0:
-            # chain patterns reduce to the count at (1, 0)
-            return (q - 1) // 4 if q % 4 == 1 else (q - 3) // 4
-        # generic: move (0, inf, c) to (0, inf, 1) with x -> x / c
-        dd = ctx.mul(d, ctx.inv(c))
-        val = (
-            Fraction(q - 1, 4)
-            - Fraction(ctx.phi_int(ctx.sub(1, dd)), 2)
-            - Fraction(q, 4) * self.sums.legendre_phi(ctx.sub(ctx.add(dd, dd), 1))
-        )
-        if val.denominator != 1:
-            raise IdentityViolationError(f"Gram entry N[(0, inf), ({c}, {d})] = {val} is not an integer")
-        return int(val)
-
     def gram_closed(self) -> np.ndarray:
         """Row (a, b) is the closed-form row (0, inf) read at the images of
         each (c, d) under an element sending a -> 0 and b -> inf, and all
         rows are one gather.  Each element g sends the points whose images
         are 0 and inf there; the first element, in `elements("pgl")` order,
         of each pair is kept, and by sharp 2-transitivity every pair has one."""
-        row = np.array(self.gram_row_zero_inf_closed(), dtype=np.int64)
+        row = self.gram_row_zero_inf_closed()
         images = self.group.pgl_images()
         by_point = images.T
         to_zero = np.argmax(by_point == 0, axis=0)
@@ -153,8 +141,27 @@ class DerangementModel:
         columns = pair_column(image[:, c], image[:, d], self.q).ravel()
         return row.take(columns).reshape(len(c), len(c))
 
-    def gram_row_zero_inf_closed(self) -> list[int]:
-        return [self._entry_for_row_zero_inf(c, d) for (c, d) in self.omega]
+    def gram_row_zero_inf_closed(self) -> np.ndarray:
+        """Row (0, inf) of N, in `omega` order, by the case analysis of the entry
+        counts; built once.  A generic (c, d), both in F_q*, moves to (1, d/c)
+        by x -> x / c, where 4 N = q - 1 - 2 phi(1 - d/c) - q P_phi(2d/c - 1)
+        must be a multiple of 4."""
+        if self._gram_row is None:
+            q, inf, arrays = self.q, self.group.infinity, self.ctx.arrays
+            c, d = np.array(self.omega).T
+            swap, chain = (0, (q - 1) // 4) if q % 4 == 1 else ((q - 1) // 2, (q - 3) // 4)  # chains: as (1, 0)
+            cases = [(c == 0) & (d == inf), (c == 0) | (d == inf), (c == inf) & (d == 0), (c == inf) | (d == 0)]
+            row = np.select(cases, [(q - 1) ** 2 // 4, 0, swap, chain])
+            generic = (c != 0) & (c != inf) & (d != 0) & (d != inf)
+            ratio = arrays.mul[d[generic], arrays.inv[c[generic]]]
+            u = self.sums.legendre_table()[(q - 1) // 2, self._doubled_minus_one(ratio), 0]  # P_phi is rational
+            four = q - 1 - 2 * arrays.phi[arrays.add[1, arrays.neg[ratio]]] - u
+            if (four % 4).any():
+                pair = self.omega[np.flatnonzero(generic)[np.argmax(four % 4 != 0)]]
+                raise IdentityViolationError(f"Gram entry N[(0, inf), {pair}] is not an integer")
+            row[generic] = four // 4
+            self._gram_row = row.astype(np.int64)
+        return self._gram_row
 
     # -- kernel witnesses --------------------------------------------------------
 
@@ -242,132 +249,158 @@ class DerangementModel:
         classes = self.classes_by_position(inverse)[self.group.constraint_mask(pairs)]
         return np.bincount(classes, minlength=len(self.table.classes)).tolist()
 
-    def character_sum_direct(self, chi: IrreducibleChar, gram: np.ndarray | None = None) -> CycNum:
-        """The double sum over pairs (a, b), against the (0, inf) Gram row:
-        one scatter-add of N[(0, inf), (0^g, inf^g)] into the class of g^(-1)
-        over the PGL image array."""
-        self._check_supported(chi, allow_lambda1=True)
-        if gram is None:
-            gram = self.gram_bruteforce()
+    def families(self) -> dict[int, tuple[list[IrreducibleChar], np.ndarray]]:
+        """Per family conductor m, q-1 for psi_minus1 and the nu and q+1 for
+        the eta: its characters, and their values on the classes as an int64
+        (characters, classes, phi(m)) array of numerators over Q(zeta_m)."""
+        if self._families is None:
+            self._families = {}
+            for m in (self.q - 1, self.q + 1):
+                chars = [chi for chi in self.target_characters()[1:] if self._conductor(chi) == m]  # [0]: lambda1
+                values = [[v.lift(m) for v in self.table.values[self.table.char_index(chi)]] for chi in chars]
+                if any(v.den != 1 for row in values for v in row):
+                    raise IdentityViolationError("a character value is not an algebraic integer")
+                self._families[m] = chars, np.array([[v.nums for v in row] for row in values], dtype=np.int64)
+        return self._families
+
+    def _targets(self) -> list[IrreducibleChar]:
+        return [chi for chars, _ in self.families().values() for chi in chars]
+
+    def _conductor(self, chi: IrreducibleChar) -> int:
+        return self.q + 1 if chi.kind == "eta" else self.q - 1
+
+    def class_sums(self, counts) -> dict[IrreducibleChar, np.ndarray]:
+        """Row r of each target's entry (lambda1 aside): the numerators of its
+        sum over the class counts of row r, one matrix product per family."""
+        counts = np.asarray(counts)
+        return {chi: rows for chars, values in self.families().values()
+                for chi, rows in zip(chars, _exact_product(counts, values))}
+
+    def direct_sums(self, gram: np.ndarray | None = None) -> dict[IrreducibleChar, CycNum]:
+        """Every target's t(chi), lambda1 included, as the double sum over
+        pairs: one scatter-add of N[(0, inf), (0^g, inf^g)] into the class of
+        g^(-1) over the PGL image array, then `class_sums`."""
+        gram = self.gram_bruteforce() if gram is None else gram
         image = self.group.pgl_images()
         weights = gram[self.zero_inf][pair_column(image[:, 0], image[:, self.group.infinity], self.q)]
         counts = np.zeros(len(self.table.classes), dtype=np.int64)
         np.add.at(counts, self.classes_by_position(inverse=True), weights)
-        return self.table.class_sum(chi, counts.tolist())
+        out = {chi: self._value(chi, rows[0]) for chi, rows in self.class_sums(counts[None]).items()}
+        return {self.table.chars[0]: CycNum.rational(int(counts.sum())), **out}
+
+    def _value(self, chi: IrreducibleChar, nums: np.ndarray, scale: Fraction = Fraction(1)) -> CycNum:
+        return CycNum.from_zeta_powers(self._conductor(chi), nums.tolist(), scale)
+
+    def character_sum_direct(self, chi: IrreducibleChar, gram: np.ndarray | None = None) -> CycNum:
+        self._check_supported(chi, allow_lambda1=True)
+        return self.direct_sums(gram)[chi]
 
     def restricted_char_sum(self, chi: IrreducibleChar, constraint, inverse: bool = True) -> CycNum:
         """Brute-force sum of chi(g^(-1)) (or chi(g)) over the q-1 elements
-        matching a two-point constraint; computed once per argument."""
+        matching a two-point constraint, one product per class."""
         self._check_supported(chi, allow_lambda1=False)
-        key = chi, tuple(map(tuple, constraint)), inverse
-        if key not in self._restricted:
-            self._restricted[key] = self.table.class_sum(chi, self.class_counts(constraint, inverse))
-        return self._restricted[key]
+        return self.table.class_sum(chi, self.class_counts(constraint, inverse))
+
+    def restricted_counts(self) -> np.ndarray:
+        """Class counts of g^(-1): row 0 over the swap 0 <-> infinity, row d-1
+        over 0 -> infinity, 1 -> d (d = 2..q-1), keyed by the image of 1."""
+        q, inf, k = self.q, self.group.infinity, len(self.table.classes)
+        images, classes = self.group.pgl_images(), self.classes_by_position(inverse=True)
+        to_inf = images[:, 0] == inf
+        by_one = np.bincount(images[to_inf, 1].astype(np.intp) * k + classes[to_inf], minlength=q * k)
+        swap = np.bincount(classes[to_inf & (images[:, inf] == 0)], minlength=k)
+        return np.vstack([swap, by_one.reshape(q, k)[2:]])
+
+    def restricted_sums(self) -> dict[IrreducibleChar, np.ndarray]:
+        if self._restricted_rows is None:  # computed once
+            self._restricted_rows = self.class_sums(self.restricted_counts())
+        return self._restricted_rows
+
+    def _closed_terms(self, chi: IrreducibleChar) -> tuple[np.ndarray, int, int, int, int, int]:
+        """(table, k, sign, swap, c, c_f): q P_gamma(a) or -q R_beta(a) is
+        sign * table[k, a], swap the swap sum, and 4 t(chi) / (q-1) is c less
+        q^2 times the cross sum, or c_f less phi(2) q^2 <f, .>."""
+        q = self.q
+        phi_m1 = self.ctx.phi_int(self.ctx.neg(1))
+        if chi.kind == "psi_minus1":
+            return self.sums.legendre_table(), (q - 1) // 2, 1, phi_m1 * (q - 1), q * q - 2 * q - 3, q * q - q - 2
+        k = chi.param.exponent
+        if chi.kind == "nu":
+            e = -1 if k % 2 else 1
+            return self.sums.legendre_table(), k, 1, e * (q - 1), q * q - 3 * q - (q + 1) * e * phi_m1, q * q - 3 * q
+        e = chi.param.sign_at_i()
+        return self.sums.soto_andrade_table(), k, -1, -e * (q - 1), q * q + q + (q + 1) * e * phi_m1, q * q + q
+
+    def _doubled_minus_one(self, points: np.ndarray) -> np.ndarray:
+        return self.ctx.arrays.add[self.ctx.arrays.add[points, points], self.ctx.arrays.neg[1]]
+
+    def restricted_closed_forms(self) -> dict[IrreducibleChar, np.ndarray]:
+        """The rows of `restricted_sums` from the closed forms: the swap sum
+        is phi(-1)(q-1) for psi_minus1, (-1)^k (q-1) for nu and -beta(i)(q-1)
+        for eta, and with 1 -> d it is q P_phi(2d-1), q P_gamma(2d-1) or
+        -q R_beta(2d-1), a table row."""
+        out = {}
+        for chi in self._targets():
+            table, k, sign, swap, _, _ = self._closed_terms(chi)
+            out[chi] = sign * table[k, self._doubled_minus_one(np.arange(1, self.q))]
+            out[chi][0] = swap * (np.arange(table.shape[2]) == 0)
+        return out
 
     def restricted_sum_closed_form(self, chi: IrreducibleChar, constraint) -> CycNum:
         """Closed forms for the two constraint shapes used by the assembly:
         the swap 0 <-> infinity, and 0 -> infinity with 1 -> d."""
         self._check_supported(chi, allow_lambda1=False)
-        ctx = self.ctx
-        q = self.q
         inf = self.group.infinity
-        pairs = tuple(constraint)
-        if pairs == ((0, inf), (inf, 0)):
-            if chi.kind == "psi_minus1":
-                return CycNum.rational(ctx.phi_int(ctx.neg(1)) * (q - 1))
-            if chi.kind == "nu":
-                sign = -1 if chi.param.exponent % 2 else 1
-                return CycNum.rational(sign * (q - 1))
-            return CycNum.rational(-chi.param.sign_at_i() * (q - 1))
-        if len(pairs) == 2 and pairs[0] == (0, inf) and pairs[1][0] == 1:
-            d = pairs[1][1]
-            if d in (0, 1, inf):
-                raise NotInOmegaError("closed form needs d outside {0, 1, infinity}")
-            arg = ctx.sub(ctx.add(d, d), 1)
-            if chi.kind == "nu":
-                return self.sums.legendre_sum(chi.param, arg) * q
-            if chi.kind == "eta":
-                beta = self.ctx.b_char(chi.param.exponent)
-                return self.sums.soto_andrade_sum(beta, arg) * (-q)
-            return self.sums.legendre_sum(ctx.quadratic_char(), arg) * q
-        raise NotInOmegaError(f"no closed form for constraint {pairs}")
+        rows = {((0, inf), (inf, 0)): 0, **{((0, inf), (1, d)): d - 1 for d in range(2, self.q)}}
+        pairs = tuple(map(tuple, constraint))
+        if pairs not in rows:
+            raise NotInOmegaError(f"no closed form for {pairs}: 1 -> d needs d outside {{0, 1, infinity}}")
+        return self._value(chi, self.restricted_closed_forms()[chi][rows[pairs]])
 
     def character_sum_assembled(self, chi: IrreducibleChar) -> CycNum:
-        """t(chi) assembled from restricted sums and closed-form Gram entries,
-        branching on q mod 4."""
+        """t(chi) from restricted sums and closed-form Gram entries, branching
+        on q mod 4: one integer weight per row of `restricted_sums`."""
         self._check_supported(chi, allow_lambda1=False)
-        ctx = self.ctx
-        q = self.q
-        inf = self.group.infinity
-        h = self.group.swap_one_infinity()
-        swap = self.restricted_char_sum(chi, ((0, inf), (inf, 0)))
-        total = CycNum.rational(Fraction((q - 1) ** 3, 4))
-        if q % 4 == 1:
-            total = total - swap * Fraction(q - 1, 2)
-        else:
-            total = total + swap
-        for b in range(2, q):  # b in F_q* with b != 1
-            bh = self.group.act(b, h)
-            inner = self.restricted_char_sum(chi, ((0, inf), (1, bh)))
-            entry = self._entry_for_row_zero_inf(1, b)
-            if entry:
-                total = total + inner * ((q - 1) * entry)
-        return total
+        if not self._assembled:
+            q = self.q
+            b = np.arange(2, q)  # b in F_q* with b != 1
+            weights = np.zeros(q - 1, dtype=np.int64)
+            weights[0] = -((q - 1) // 2) if q % 4 == 1 else 1
+            h = self.group.image_array([self.group.swap_one_infinity()])[0]
+            np.add.at(weights, h[b] - 1, (q - 1) * self.gram_row_zero_inf_closed()[pair_column(1, b, q)])
+            for other, rows in self.restricted_sums().items():
+                total = _exact_product(weights, rows, (q - 1) ** 3)
+                total[0] += (q - 1) ** 3 // 4
+                self._assembled[other] = self._value(other, total)
+        return self._assembled[chi]
 
     def character_sum_closed_form(self, chi: IrreducibleChar) -> CycNum:
-        """t(chi) from the Legendre/Soto-Andrade closed forms; computed once
-        per character.  The equivalent expression through the inner products
-        <f, .> is evaluated as well and the two must agree."""
+        """t(chi) from the Legendre/Soto-Andrade closed forms, all targets at
+        once, checked against the form through <f, .>.  With u = q P_phi and
+        S = q P_gamma or q R_beta, the cross sum is the sum over b = 2..q-1 of
+        u(2b-1) S(2 b^h - 1), and q^2 <f, S/q> the sum over a of
+        measure(a) q f(a) S_(-k)(a), f having denominator q: each an integer
+        weight vector times table rows."""
         self._check_supported(chi, allow_lambda1=False)
-        if chi not in self._closed_forms:
-            self._closed_forms[chi] = self._closed_form(chi)
+        if not self._closed_forms:
+            q, sums = self.q, self.sums
+            b = np.arange(2, q)
+            u = sums.legendre_table()[(q - 1) // 2, :, 0]  # P_phi is rational
+            h = self.group.image_array([self.group.swap_one_infinity()])[0]
+            cross = np.zeros(q, dtype=np.int64)
+            np.add.at(cross, self._doubled_minus_one(h[b]), u[self._doubled_minus_one(b)])
+            f_weights = np.array([sums.measure(a) * int(v.as_fraction() * q) for a, v in enumerate(sums.f_vector())])
+            phi2, closed = self.ctx.phi_int(self.ctx.embed_int(2)), {}
+            for other in self._targets():
+                table, k, sign, _, c, c_f = self._closed_terms(other)
+                value = -sign * _exact_product(cross, table[k], 2 * q * q)
+                alt = -phi2 * sign * _exact_product(f_weights, table[-k % len(table)], 2 * q * q)
+                value[0], alt[0] = value[0] + c, alt[0] + c_f
+                if not np.array_equal(value, alt):
+                    raise IdentityViolationError(f"closed forms disagree for {other.name()}")
+                closed[other] = self._value(other, value, Fraction(q - 1, 4))
+            self._closed_forms = closed
         return self._closed_forms[chi]
-
-    def _closed_form(self, chi: IrreducibleChar) -> CycNum:
-        ctx = self.ctx
-        q = self.q
-        sums = self.sums
-        h = self.group.swap_one_infinity()
-        phi_m1 = ctx.phi_int(ctx.neg(1))
-        phi2 = ctx.phi_int(ctx.embed_int(2))
-        quarter = Fraction(q - 1, 4)
-        f_vec = sums.f_vector()
-
-        def cross_sum(values_at) -> CycNum:
-            acc = CycNum.zero()
-            for b in range(2, q):
-                bh = self.group.act(b, h)
-                acc = acc + values_at(ctx.sub(ctx.add(bh, bh), 1)) * sums.legendre_phi(
-                    ctx.sub(ctx.add(b, b), 1)
-                )
-            return acc
-
-        if chi.kind == "psi_minus1":
-            phi = ctx.quadratic_char()
-            s = cross_sum(lambda x: sums.legendre_sum(phi, x))
-            value = (CycNum.rational(q * q - 2 * q - 3) - s * (q * q)) * quarter
-            p_phi = [sums.legendre_sum(phi, a) for a in range(q)]
-            inner = sums.l2_inner(f_vec, p_phi)
-            alt = (CycNum.rational(q * q - q - 2) - inner * (phi2 * q * q)) * quarter
-        elif chi.kind == "nu":
-            gamma = chi.param
-            sign = (-1 if gamma.exponent % 2 else 1) * phi_m1
-            s = cross_sum(lambda x: sums.legendre_sum(gamma, x))
-            value = (CycNum.rational(q * q - 3 * q - (q + 1) * sign) - s * (q * q)) * quarter
-            p_gamma = [sums.legendre_sum(gamma, a) for a in range(q)]
-            inner = sums.l2_inner(f_vec, p_gamma)
-            alt = (CycNum.rational(q * q - 3 * q) - inner * (phi2 * q * q)) * quarter
-        else:  # eta
-            beta = self.ctx.b_char(chi.param.exponent)
-            sign = beta.sign_at_i() * phi_m1
-            s = cross_sum(lambda x: sums.soto_andrade_sum(beta, x))
-            value = (CycNum.rational(q * q + q + (q + 1) * sign) + s * (q * q)) * quarter
-            r_beta = [sums.soto_andrade_sum(beta, a) for a in range(q)]
-            inner = sums.l2_inner(f_vec, r_beta)
-            alt = (CycNum.rational(q * q + q) + inner * (phi2 * q * q)) * quarter
-        if value != alt:
-            raise IdentityViolationError(f"closed forms disagree for {chi.name()}")
-        return value
 
     def lambda1_value(self) -> Fraction:
         q = self.q

@@ -102,9 +102,9 @@ class MultCharB:
 @dataclass(frozen=True)
 class FieldArrays:
     """numpy copies of the GF(q) tables, indexed by field element: add and
-    mul (q x q), neg, inv, log and square (q), and the GF(q^2) log (q^2).
-    The undefined entries inv[0], log[0] and log2[0] are 0; square is the
-    mask of nonzero squares."""
+    mul (q x q), neg, inv, log, square and phi (q), and the GF(q^2) log
+    (q^2).  The undefined entries inv[0], log[0] and log2[0] are 0; square
+    is the mask of nonzero squares and phi the quadratic character."""
 
     add: np.ndarray
     mul: np.ndarray
@@ -113,6 +113,7 @@ class FieldArrays:
     log: np.ndarray
     log2: np.ndarray
     square: np.ndarray
+    phi: np.ndarray
 
 
 class FieldCtx:
@@ -143,6 +144,7 @@ class FieldCtx:
             log=np.array([0] + self.log[1:]),
             log2=np.array([0] + self.log2[1:]),
             square=np.array([self.is_square(x) for x in range(q)]),
+            phi=np.array([self.phi_int(x) for x in range(q)]),
         )
         self.i_elem = self.exp2[(q + 1) // 2]
         if not (self.q2_mul(self.i_elem, self.i_elem) < q and self.i_elem >= q):

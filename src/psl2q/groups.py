@@ -304,29 +304,30 @@ class PGL2:
         images of the points under elements("pgl")[i].
 
         The array is the transpose of a C-contiguous one, so each column (the
-        images of one point under every element) is contiguous, and its type
-        is the narrowest unsigned one that holds (q+1)^2, so pair indices
-        a*q + b and a*(q+1) + b computed on it cannot overflow."""
+        images of one point under every element) is contiguous."""
         if self._pgl_images is None:
-            images = self.image_array(self.elements("pgl"))
-            dtype = np.min_scalar_type((self.q + 1) ** 2)
-            self._pgl_images = np.ascontiguousarray(images.T, dtype=dtype).T
+            self._pgl_images = np.ascontiguousarray(self.image_array(self.elements("pgl")).T).T
         return self._pgl_images
 
     def image_array(self, elements) -> np.ndarray:
         """Row i holds the images x^g of the points x = 0..q under elements[i].
 
-        The same action as `act`, over the field tables in one pass: a finite
-        t goes to (b + t d) / (a + t c) and infinity to d / c, and to infinity
-        where the denominator is 0."""
+        The same action as `act`, over the field tables a block of elements
+        at a time: a finite t goes to (b + t d) / (a + t c) and infinity to
+        d / c, and to infinity where the denominator is 0.  The type holds
+        (q+1)^2, so pair indices a*q + b computed on it cannot overflow."""
         q = self.q
         arrays = self.ctx.arrays
         add, mul, inv = arrays.add, arrays.mul, arrays.inv
-        a, b, c, d = np.array(elements, dtype=np.intp).reshape(-1, 4).T[:, :, None]
-        t = np.arange(q)
-        den = np.concatenate([add[a, mul[t, c]], c], axis=1)
-        num = np.concatenate([add[b, mul[t, d]], d], axis=1)
-        return np.where(den == 0, q, mul[num, inv[den]])
+        elements = np.array(elements, dtype=np.intp).reshape(-1, 4)
+        out = np.empty((len(elements), q + 1), dtype=np.min_scalar_type((q + 1) ** 2))
+        t, block = np.arange(q), 8192
+        for start in range(0, len(elements), block):
+            a, b, c, d = elements[start : start + block].T[:, :, None]
+            den = np.concatenate([add[a, mul[t, c]], c], axis=1)
+            num = np.concatenate([add[b, mul[t, d]], d], axis=1)
+            out[start : start + block] = np.where(den == 0, q, mul[num, inv[den]])
+        return out
 
     def elements_with_constraints(self, pairs) -> list[Element]:
         """All elements of PGL(2,q) sending src -> tgt for each (src, tgt)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .chartable import build_table
 from .charsums import CharacterSums
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, row_products
 from .derangement import DerangementModel
 from .ekr import (
     IntersectionGraph,
@@ -379,10 +379,11 @@ def run_sums_suite(q: int, seed: int = 0) -> dict:
         ok = ok and Fraction(s) == -2 + q * sums.legendre_phi(arg)
     checks.add("trace_square_double_sum", ok, "all d outside {0, 1}")
 
-    ok = ctx.gauss_sum(eps) == -1
-    for k in range(1, q - 1):
-        g = ctx.gauss_sum(ctx.fq_char(k))
-        ok = ok and g * g.conjugate() == q
+    # row k of the Gauss table is g(omega_1^k); all |g|^2 in one row_products
+    m, gauss = sums.gauss_table()
+    conjugates = np.array([CycNum(m, tuple(row)).conjugate().nums for row in gauss[1:].tolist()])
+    norms = row_products(m, gauss[1:], conjugates)
+    ok = ctx.gauss_sum(eps) == -1 and bool((norms[:, 0] == q).all()) and not norms[:, 1:].any()
     checks.add("gauss_sum_properties", ok, "g(trivial) = -1 and |g|^2 = q")
 
     ok = True
@@ -463,19 +464,13 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
     checks.add("kernel_witness", ok, "2q independent vectors annihilated by M")
 
     targets = [chi for chi in model.target_characters() if chi.kind != "lambda1"]
-    ok = True
-    for chi in targets:
-        ok = ok and table.class_sum(chi, model.class_counts(((0, 0), (inf, inf)))) == q - 1
-        for target in (0, inf):
-            ok = ok and table.class_sum(chi, model.class_counts([(0, target)])).is_zero()
+    fixing = model.class_sums([model.class_counts(c) for c in (((0, 0), (inf, inf)), [(0, 0)], [(0, inf)])])
+    ok = all(rows[0, 0] == q - 1 and not rows[0, 1:].any() and not rows[1:].any() for rows in fixing.values())
     checks.add("restriction_multiplicity_sums", ok, "fixing sums q-1, 0, 0 per character")
 
-    constraints = [((0, inf), (inf, 0))] + [((0, inf), (1, d)) for d in range(2, q)]
-    ok = all(
-        model.restricted_char_sum(chi, c) == model.restricted_sum_closed_form(chi, c)
-        for chi in targets
-        for c in constraints
-    )
+    # row 0 is the swap constraint 0 <-> inf, row d-1 is 0 -> inf, 1 -> d
+    brute, closed = model.restricted_sums(), model.restricted_closed_forms()
+    ok = all(np.array_equal(brute[chi], closed[chi]) for chi in targets)
     # g and g^(-1) lie in the same class at every element, so every sum of
     # chi(g) over a set equals the sum of chi(g^(-1))
     ok = ok and bool((model.classes_by_position(True) == model.classes_by_position(False)).all())
@@ -485,14 +480,13 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
         "all admissible targets; g and g^(-1) sums agree",
     )
 
-    lam1 = table.chars[0]
-    ok = model.character_sum_direct(lam1, gram) == model.lambda1_value()
+    direct = model.direct_sums(gram)
+    ok = direct[table.chars[0]] == model.lambda1_value()
     t_values = {}
     for chi in targets:
-        d = model.character_sum_direct(chi, gram)
         a = model.character_sum_assembled(chi)
         c = model.character_sum_closed_form(chi)
-        ok = ok and d == a and a == c
+        ok = ok and direct[chi] == a and a == c
         t_values[chi.name()] = c
     checks.add("character_sums_triple_equality", ok, "direct, assembled and closed forms")
 

@@ -72,6 +72,46 @@ def test_characters_of_another_field_are_rejected(entry):
     assert S._greene_tables.keys() == tables.keys()
 
 
+def _legendre_oracle(S, gamma, a):
+    """P_gamma(a) summed one x at a time with scalar field operations."""
+    ctx, q = S.ctx, S.q
+    two_a = ctx.add(a, a)
+    vec = [0] * (q - 1)
+    for x in range(1, q):
+        s = ctx.phi_int(ctx.add(ctx.sub(ctx.mul(x, x), ctx.mul(two_a, x)), 1))
+        vec[(gamma.exponent * ctx.log[x]) % (q - 1)] += s
+    return CycNum.from_zeta_powers(q - 1, vec, Fraction(1, q))
+
+
+def _soto_andrade_oracle(S, beta, a):
+    """R_beta(a) summed one coset representative gen2^j at a time."""
+    ctx, q = S.ctx, S.q
+    factor = ctx.mul(ctx.embed_int(2), ctx.add(a, 1))
+    vec = [0] * (q + 1)
+    for j in range(q + 1):
+        r = ctx.exp2[j]
+        tr = ctx.q2_trace(r)
+        s = ctx.phi_int(ctx.sub(ctx.mul(tr, tr), ctx.mul(factor, ctx.q2_norm(r))))
+        vec[(beta.exponent * j) % (q + 1)] += s
+    return CycNum.from_zeta_powers(q + 1, vec, Fraction(1, q))
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27, 31])
+def test_sum_tables_match_the_scalar_loops(sums, q):
+    S = sums[q] if q in sums else CharacterSums(field_ctx_for_q(q))
+    ctx = S.ctx
+    assert S.legendre_table().shape[:2] == (q - 1, q)
+    assert S.soto_andrade_table().shape[:2] == (q + 1, q)
+    for a in range(q):
+        for k in range(q - 1):
+            got, expected = S.legendre_sum(ctx.fq_char(k), a), _legendre_oracle(S, ctx.fq_char(k), a)
+            assert (got.m, got.nums, got.den) == (expected.m, expected.nums, expected.den), (k, a)
+        for k in range(q + 1):
+            got, expected = S.soto_andrade_sum(ctx.b_char(k), a), _soto_andrade_oracle(S, ctx.b_char(k), a)
+            assert (got.m, got.nums, got.den) == (expected.m, expected.nums, expected.den), (k, a)
+    assert S.legendre_table() is S.legendre_table() and S.soto_andrade_table() is S.soto_andrade_table()
+
+
 def test_legendre_phi_at_zero_q5(sums):
     # oracle: direct summation over GF(5)* gives contributions -1, 0, 0, -1
     assert sums[5].legendre_phi(0) == Fraction(-2, 5)

@@ -26,14 +26,19 @@ def model():
 
 
 def test_non_integral_gram_entry_raises(model, monkeypatch):
-    monkeypatch.setattr(model.sums, "legendre_phi", lambda a: Fraction(1, 3))
+    # q P_phi one off everywhere makes 4 N odd at every generic entry
+    table = model.sums.legendre_table().copy()
+    table[(model.q - 1) // 2, :, 0] += 1
+    monkeypatch.setattr(model.sums, "legendre_table", lambda: table)
     with pytest.raises(IdentityViolationError, match="not an integer"):
-        model._entry_for_row_zero_inf(1, 2)  # the generic case
+        model.gram_row_zero_inf_closed()
 
 
 def test_disagreeing_closed_forms_raise(model, monkeypatch):
-    l2_inner = model.sums.l2_inner
-    monkeypatch.setattr(model.sums, "l2_inner", lambda f, g: l2_inner(f, g) + 1)
+    # f one off at x = 1, where no P_gamma or R_beta vanishes, moves the
+    # <f, .> form of every t(chi) and leaves the cross sums as they are
+    f_vector = model.sums.f_vector
+    monkeypatch.setattr(model.sums, "f_vector", lambda: [v + 1 if x == 1 else v for x, v in enumerate(f_vector())])
     chi = next(c for c in model.target_characters() if c.kind == "eta")
     with pytest.raises(IdentityViolationError, match="closed forms disagree"):
         model.character_sum_closed_form(chi)

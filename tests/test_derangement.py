@@ -1,11 +1,13 @@
 """Tests for the derangement matrix, Gram matrix, kernel and character sums."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from psl2q.chartable import build_table
+from psl2q.charsums import CharacterSums
 from psl2q.cyclotomic import CycNum
 from psl2q.derangement import DerangementModel
 from psl2q.errors import NotInOmegaError, UnsupportedCharacterError
@@ -13,6 +15,7 @@ from psl2q.fields import field_ctx_for_q
 from psl2q.groups import PGL2
 from psl2q import intrank
 from psl2q.intrank import PRIMES, bareiss_rank, rank_with_kernel
+from psl2q.verify import run_suite
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +57,28 @@ def test_gram_special_entries(models):
         assert gram[zi, mixed] == 0
 
 
+def _entry_oracle(D, c, d):
+    """N[(0, inf), (c, d)] from the case analysis of the entry counts, one
+    entry at a time with scalar field operations."""
+    q, ctx, inf = D.q, D.ctx, D.group.infinity
+    if (c, d) == (0, inf):
+        return (q - 1) ** 2 // 4
+    if c == 0 or d == inf:
+        return 0
+    if (c, d) == (inf, 0):
+        return 0 if q % 4 == 1 else (q - 1) // 2
+    if c == inf or d == 0:
+        return (q - 1) // 4 if q % 4 == 1 else (q - 3) // 4
+    dd = ctx.mul(d, ctx.inv(c))
+    val = (
+        Fraction(q - 1, 4)
+        - Fraction(ctx.phi_int(ctx.sub(1, dd)), 2)
+        - Fraction(q, 4) * D.sums.legendre_phi(ctx.sub(ctx.add(dd, dd), 1))
+    )
+    assert val.denominator == 1
+    return int(val)
+
+
 def _gram_entry_closed(D, row_pair, col_pair):
     """The oracle for one N entry: an element g sending row_pair to (0, inf),
     found by constraint and applied by `act`, carries the entry to the
@@ -61,7 +86,7 @@ def _gram_entry_closed(D, row_pair, col_pair):
     G = D.group
     a, b = row_pair
     g = G.elements_with_constraints([(a, 0), (b, G.infinity)])[0]
-    return D._entry_for_row_zero_inf(G.act(col_pair[0], g), G.act(col_pair[1], g))
+    return _entry_oracle(D, G.act(col_pair[0], g), G.act(col_pair[1], g))
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25])
@@ -69,6 +94,7 @@ def test_gram_closed_form_matches(models, q):
     D = models[q] if q in models else _fresh_model(q)
     gram = D.gram_bruteforce()
     assert (gram == D.gram_closed()).all()
+    assert D.gram_row_zero_inf_closed().tolist() == [_entry_oracle(D, c, d) for c, d in D.omega]
     rng = random.Random(q)
     for _ in range(30):
         row, col = rng.choice(D.omega), rng.choice(D.omega)
@@ -475,7 +501,7 @@ def _direct_counts_per_element(D, gram):
     return counts
 
 
-@pytest.mark.parametrize("q", [5, 7, 9, 25])
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25])
 def test_character_sum_direct_matches_the_per_element_loop(models, q):
     D = models[q] if q in models else _fresh_model(q)
     gram = D.gram_bruteforce()
@@ -487,3 +513,72 @@ def test_character_sum_direct_matches_the_per_element_loop(models, q):
         counts = _direct_counts_per_element(D, matrix)
         for chi in D.target_characters():
             assert D.character_sum_direct(chi, matrix) == D.table.class_sum(chi, counts), chi.name()
+
+
+def _assembled_oracle(D, chi):
+    """t(chi) assembled one constraint at a time: per-element restricted sums
+    against the scalar closed-form Gram entries, branching on q mod 4."""
+    q, G = D.q, D.group
+    inf = G.infinity
+    h = G.swap_one_infinity()
+    swap = _char_sum_per_element(D, chi, ((0, inf), (inf, 0)))
+    total = CycNum.rational(Fraction((q - 1) ** 3, 4))
+    total = total - swap * Fraction(q - 1, 2) if q % 4 == 1 else total + swap
+    for b in range(2, q):
+        inner = _char_sum_per_element(D, chi, ((0, inf), (1, G.act(b, h))))
+        total = total + inner * ((q - 1) * _entry_oracle(D, 1, b))
+    return total
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25])
+def test_batched_sums_match_the_per_element_loops(models, q):
+    D = models[q] if q in models else _fresh_model(q)
+    inf = D.group.infinity
+    constraints = [((0, inf), (inf, 0))] + [((0, inf), (1, d)) for d in range(2, q)]
+    brute, closed = D.restricted_sums(), D.restricted_closed_forms()
+    targets = [chi for chi in D.target_characters() if chi.kind != "lambda1"]
+    assert set(brute) == set(closed) == set(targets)
+    for chi in targets:
+        m = q + 1 if chi.kind == "eta" else q - 1
+        assert brute[chi].shape == closed[chi].shape == (q - 1, len(CycNum.root_of_unity(m, 1).nums))
+        for r, pairs in enumerate(constraints):
+            expected = _char_sum_per_element(D, chi, pairs)
+            assert CycNum.from_zeta_powers(m, brute[chi][r].tolist()) == expected, (chi.name(), pairs)
+            assert D.restricted_sum_closed_form(chi, pairs) == expected, (chi.name(), pairs)
+        assert D.character_sum_assembled(chi) == _assembled_oracle(D, chi), chi.name()
+
+
+def _failed_checks(report):
+    return {c["name"] for c in report["checks"] if not c["pass"]}
+
+
+def test_an_off_by_one_legendre_entry_fails_the_rank_suite(monkeypatch):
+    # at q = 7 the entry q P_gamma(0) of nu[1] enters only the restricted
+    # closed form at d = 4 (2d - 1 = 0): the cross sum of t(nu[1]) weighs it
+    # by q P_phi(2b - 1) at b = 6, the b with b^h = 4, and that is 0
+    legendre_table = CharacterSums.legendre_table
+
+    def off_by_one(self):
+        table = legendre_table(self).copy()
+        table[1, 0, 0] += 1
+        return table
+
+    monkeypatch.setattr(CharacterSums, "legendre_table", off_by_one)
+    report = run_suite("rank", 7)
+    assert "restricted_sums_match_closed_forms" in _failed_checks(report)
+    assert report["pass"] is False
+
+
+def test_a_shifted_class_count_row_fails_the_rank_suite(monkeypatch):
+    restricted_counts = DerangementModel.restricted_counts
+
+    def shifted(self):
+        counts = restricted_counts(self).copy()
+        counts[2] = np.roll(counts[2], 1)
+        return counts
+
+    monkeypatch.setattr(DerangementModel, "restricted_counts", shifted)
+    report = run_suite("rank", 7)
+    failed = _failed_checks(report)
+    assert {"restricted_sums_match_closed_forms", "character_sums_triple_equality"} <= failed
+    assert report["pass"] is False

@@ -1,7 +1,7 @@
 """The `verify` reports and the `dump` CSVs are byte-identical to the files
 recorded in tests/golden (q = 5, 7, 9; q = 3 for ekr; q = 11 and 13 for table,
-sums and rank; q = 17 and 19 for sums; q = 5 and 7 for the matrixM and matrixN
-dumps), with and without `python -O`."""
+sums and rank; q = 17 and 19 for sums and rank; q = 5 and 7 for the matrixM
+and matrixN dumps), with and without `python -O`."""
 
 import subprocess
 import sys
@@ -15,7 +15,7 @@ GOLDEN = Path(__file__).parent / "golden"
 QS = "5,7,9"
 TABLE_QS = "5,7,9,11,13"
 EKR_QS = "3,5,7,9"
-RANK_QS = "5,7,9,11,13"
+RANK_QS = "5,7,9,11,13,17,19"
 SUMS_QS = "5,7,9,11,13,17,19"
 MATRIX_QS = "5,7"
 
@@ -50,7 +50,7 @@ def test_golden_set_is_complete():
     expected = {f"verify_q{q}_{s}.json" for q in (5, 7, 9) for s in ("table", "sums", "rank")}
     expected |= {f"verify_q{q}_ekr.json" for q in (3, 5, 7, 9)}
     expected |= {f"verify_q{q}_{s}.json" for q in (11, 13) for s in ("table", "sums", "rank")}
-    expected |= {f"verify_q{q}_sums.json" for q in (17, 19)}
+    expected |= {f"verify_q{q}_{s}.json" for q in (17, 19) for s in ("sums", "rank")}
     expected |= {f"{w}_q{q}.csv" for q in (5, 7, 9) for w in ("table", "legendre")}
     expected |= {f"{w}_q{q}.csv" for q in (5, 7) for w in ("matrixM", "matrixN")}
     assert set(_golden_names()) == expected
