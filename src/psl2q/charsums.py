@@ -147,10 +147,6 @@ class CharacterSums:
         conductor = int(np.lcm.reduce(np.lcm(c1[both], c2[both])))
         return CycNum.from_zeta_powers(conductor, counts[:: big // conductor].tolist(), Fraction(1, d1 * d2))
 
-    def _check_element(self, x: int) -> None:
-        if not 0 <= x < self.q:
-            raise DomainMismatchError(f"{x!r} is not an element of GF({self.q}), i.e. not in 0..{self.q - 1}")
-
     # -- Legendre and Soto-Andrade sums ----------------------------------------
 
     def legendre_table(self) -> np.ndarray:
@@ -194,7 +190,7 @@ class CharacterSums:
         key = (gamma.exponent, a)
         val = self._legendre_cache.get(key)
         if val is None:
-            self._check_element(a)
+            self.ctx.check_element(a)
             row = tuple(self.legendre_table()[key].tolist())  # q P_gamma(a), so the value is row / q
             val = self._legendre_cache[key] = _canonical(self.q - 1, row, self.q)
         return val
@@ -208,7 +204,7 @@ class CharacterSums:
         key = (beta.exponent, a)
         val = self._soto_cache.get(key)
         if val is None:
-            self._check_element(a)
+            self.ctx.check_element(a)
             row = tuple(self.soto_andrade_table()[key].tolist())
             val = self._soto_cache[key] = _canonical(self.q + 1, row, self.q)
         return val
@@ -296,7 +292,7 @@ class CharacterSums:
         """Row x of the count table, times its scale."""
         for char in (*upper, *lower):
             self.ctx.check_char(char)
-        self._check_element(x)
+        self.ctx.check_element(x)
         table, scale = self._greene_table(tuple([c.exponent for c in upper]), tuple([c.exponent for c in lower]))
         return CycNum.from_zeta_powers(self.q - 1, table[x].tolist(), scale)
 
@@ -434,10 +430,10 @@ class CharacterSums:
         """Squares of the coefficients of f in the orthonormalized basis,
         i.e. <f, b>^2 / ||b||^2 per basis element.  Each coefficient is real;
         the squares sum to ||f||^2."""
-        f = self.f_vector()
+        f = self._operand(self.f_vector())
         out = []
         for name, vec, norm_sq in self.orthogonal_basis():
-            c = self.l2_inner(f, vec)
+            c = self._form(f, self._operand(vec))
             if not c.is_real():
                 raise IdentityViolationError(f"coefficient <f, {name}> is not real")
             out.append((name, c * c * (Fraction(1) / norm_sq)))

@@ -148,8 +148,9 @@ def _dense_reduction(m: int) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def max_abs(mat: np.ndarray) -> int:
-    """The largest absolute value of an integer array (0 if it is empty)."""
-    return int(np.abs(mat).max()) if mat.size else 0
+    """The largest absolute value of an integer array (0 if it is empty);
+    exact at the int64 minimum, which np.abs leaves negative."""
+    return max(int(mat.max()), -int(mat.min())) if mat.size else 0
 
 
 def exact_dtype(bound: int):

@@ -17,13 +17,17 @@ forms in terms of Legendre and Soto-Andrade sums.  Nonvanishing of every
 t(chi) together with the witnessed 2q-dimensional kernel pins the rank of M
 at exactly q(q-1).
 
-M, N and the kernel check all read one array: the column of (a, a^g) for
-every derangement g and point a.  The exact rank takes one elimination, of
-N: over Q, M v = 0 exactly when v^T M^T M v = |M v|^2 = 0, so
-rank(M) = rank(N), and the certificate of rank(N) certifies rank(M).  With
-K the 2q kernel witnesses, checked exactly (N K^T = 0 and rank_p(K) = 2q),
-rank_p(N) = q(q+1) - 2q decides rank(N); otherwise a second prime and then
-Bareiss elimination do.
+N and every product with M read one array, `columns`: the column of
+(a, a^g) for every derangement g and point a; M itself is built only for
+`psl2q dump matrixM`.  The kernel check reads M on the 2(q+1) indicators
+first[x] and second[x] of the pairs (x, .) and (., x): M first[x] =
+M second[x] = 1 for all x exactly when M kills every witness l[a,b] =
+first[a] - first[b] and r[a,b] = second[a] - second[b].  The exact rank
+takes one elimination, of N: over Q, M v = 0 exactly when |M v|^2 =
+v^T N v = 0, so rank(M) = rank(N).  With K the 2q witnesses l[0,b] and
+r[0,b], checked exactly (N K^T = 0 and rank_p(K) = 2q), rank_p(N) =
+q(q+1) - 2q decides rank(N); otherwise a second prime and then Bareiss
+elimination do.
 
 The target characters' values are integer arrays of reduced numerators, one
 per family conductor (`families`): psi_minus1 and the nu over
@@ -81,7 +85,7 @@ class DerangementModel:
         self._m_columns: np.ndarray | None = None
         self._m_matrix: np.ndarray | None = None
         self._gram: np.ndarray | None = None
-        self._witnesses: tuple[dict, dict] | None = None
+        self._indicators: tuple[np.ndarray, np.ndarray] | None = None
         self._kernel: np.ndarray | None = None
         self._rank_n: tuple[int, str] | None = None
         self._position_classes: dict[bool, np.ndarray] = {}
@@ -93,7 +97,7 @@ class DerangementModel:
 
     # -- matrices -----------------------------------------------------------
 
-    def _columns(self) -> np.ndarray:
+    def columns(self) -> np.ndarray:
         """Row i, entry a: the column of (a, a^g) for the i-th derangement g,
         i.e. where the ones of row i of M sit."""
         if self._m_columns is None:
@@ -102,9 +106,10 @@ class DerangementModel:
         return self._m_columns
 
     def build_m(self) -> np.ndarray:
-        """Rows: derangements of PSL(2,q) in enumeration order; q+1 ones per row."""
+        """Rows: derangements of PSL(2,q) in enumeration order; q+1 ones per
+        row.  Built for the matrixM dump only: the suites read `columns`."""
         if self._m_matrix is None:
-            columns = self._columns()
+            columns = self.columns()
             m = np.zeros((len(columns), len(self.omega)), dtype=np.int8)
             np.put_along_axis(m, columns, 1, axis=1)
             self._m_matrix = m
@@ -114,7 +119,7 @@ class DerangementModel:
         """N = M^T M, counted exactly: each row of M adds one to N at every
         pair of its q+1 columns."""
         if self._gram is None:
-            columns = self._columns()
+            columns = self.columns()
             n = len(self.omega)
             gram = np.zeros(n * n, dtype=np.int64)
             for first in columns.T:
@@ -165,48 +170,39 @@ class DerangementModel:
 
     # -- kernel witnesses --------------------------------------------------------
 
-    def kernel_vectors(self) -> tuple[dict, dict]:
-        """The left and right difference vectors annihilated by M; built once.
-
-        l[a,b] is the indicator of the pairs (a, .) minus that of the pairs
-        (b, .): +1 on (a, p) and -1 on (b, p) for p outside {a, b}, +1 on
-        (a, b) and -1 on (b, a).  r[a,b] is the mirror on second coordinates.
-        Every derangement sends a and b somewhere and something to a and b,
-        so M l[a,b] = M r[a,b] = 0.  Each family spans a q-dimensional space
-        and the two spans intersect trivially, witnessing a 2q-dimensional
-        kernel of M.
-        """
-        if self._witnesses is None:
+    def kernel_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, second): row x of first is the 0/1 indicator of the pairs
+        (x, .), row x of second that of the pairs (., x); built once.  Every
+        derangement sends each point somewhere and something to each point,
+        so M first[x] = M second[x] = 1.  The differences l[a,b] and r[a,b]
+        span two q-dimensional spaces meeting trivially, a 2q-dimensional
+        kernel of M."""
+        if self._indicators is None:
             points = np.arange(self.q + 1)[:, None]
             first = (np.array([a for a, _ in self.omega]) == points).astype(np.int64)
             second = (np.array([b for _, b in self.omega]) == points).astype(np.int64)
-            left = {(a, b): first[a] - first[b] for a, b in self.omega}
-            right = {(a, b): second[a] - second[b] for a, b in self.omega}
-            self._witnesses = left, right
-        return self._witnesses
+            self._indicators = first, second
+        return self._indicators
 
     def kernel_basis(self) -> np.ndarray:
         """The 2q witnesses l[0,b] and r[0,b], b != 0, stacked as rows."""
         if self._kernel is None:
-            left, right = self.kernel_vectors()
-            others = [b for b in self.group.points if b != 0]
-            self._kernel = np.array([left[(0, b)] for b in others] + [right[(0, b)] for b in others])
+            first, second = self.kernel_vectors()
+            self._kernel = np.vstack([first[0] - first[1:], second[0] - second[1:]])
         return self._kernel
 
-    def annihilates(self, vectors) -> bool:
-        """Exactly whether M v = 0 for every integer vector v given.
-
-        Entry g of M v is the sum of v over the q+1 columns of g's ones; the
-        sum is gathered one point at a time, in the narrowest integer type
-        that holds every partial sum (object when no fixed width does)."""
+    def m_times(self, vectors) -> np.ndarray:
+        """M v^T, exactly, for integer row vectors v: entry (g, j) sums v_j
+        over the q+1 columns of g's ones, gathered one point at a time in the
+        narrowest integer type holding every partial sum (object if none)."""
         v = np.array(vectors)
-        bound = (self.q + 1) * max(int(v.max()), -int(v.min()))
+        bound = (self.q + 1) * max_abs(v)
         vt = np.ascontiguousarray(v.T, dtype=np.min_scalar_type(-bound - 1))
-        columns = self._columns()
+        columns = self.columns()
         total = vt.take(columns[:, 0], axis=0)
         for x in range(1, self.q + 1):
             total += vt.take(columns[:, x], axis=0)
-        return not total.any()
+        return total
 
     def rank_of_gram(self) -> tuple[int, str]:
         """rank(N) over Q and the method that decided it; computed once.  The

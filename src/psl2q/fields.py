@@ -438,9 +438,17 @@ class FieldCtx:
                 f"{type(char).__name__} of modulus {char.modulus} is not a character of this field (q = {self.q})"
             )
 
+    def check_element(self, x: int, order: int | None = None) -> None:
+        """Raise DomainMismatchError unless 0 <= x < order (default q)."""
+        order = order or self.q
+        if not 0 <= x < order:
+            raise DomainMismatchError(f"{x!r} is not an element of GF({order}), i.e. not in 0..{order - 1}")
+
     def char_eval(self, char, x: int) -> CycNum:
-        """Evaluate a multiplicative character, with the zero-at-0 convention."""
+        """Evaluate a multiplicative character, with the zero-at-0 convention:
+        a MultCharFq at an element of GF(q), a MultCharB at one of GF(q^2)."""
         self.check_char(char)
+        self.check_element(x, self.q if isinstance(char, MultCharFq) else self.q * self.q)
         if x == 0:
             return CycNum.zero()
         if isinstance(char, MultCharFq):
@@ -458,6 +466,7 @@ class FieldCtx:
         if not isinstance(char, MultCharFq):
             raise TypeError(f"not a character of GF(q)*: {char!r}")
         self.check_char(char)
+        self.check_element(additive_index)
         if additive_index == 0:
             raise ValueError("additive character must be nontrivial")
         q, p = self.q, self.p

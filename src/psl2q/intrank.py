@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cyclotomic import exact_dtype, max_abs
+
 # The two largest primes below 2^31: products of reduced entries stay below
 # 2^62, so one multiply-subtract fits in int64 before it is reduced.
 PRIMES = (2147483629, 2147483587)
@@ -82,12 +84,6 @@ def _integer_array(matrix, n_cols: int | None = None) -> np.ndarray:
     return arr
 
 
-def _max_abs(arr: np.ndarray) -> int:
-    if arr.size == 0:
-        return 0
-    return max(int(arr.max()), -int(arr.min()))
-
-
 def modular_rank(matrix, p: int = PRIMES[0]) -> int:
     """Rank over F_p of an integer matrix, for a prime p < 2^31."""
     if not 2 <= p < 2**31:
@@ -118,11 +114,8 @@ def modular_rank(matrix, p: int = PRIMES[0]) -> int:
 
 def _annihilates(a: np.ndarray, kernel: np.ndarray) -> bool:
     """Exactly whether a @ kernel^T == 0, in int64 only when it cannot overflow."""
-    if max(_max_abs(a), 1) * max(_max_abs(kernel), 1) * a.shape[1] < 2**63:
-        product = a.astype(np.int64) @ kernel.astype(np.int64).T
-    else:
-        product = a.astype(object) @ kernel.astype(object).T
-    return not product.any()
+    dtype = exact_dtype(max(max_abs(a), 1) * max(max_abs(kernel), 1) * a.shape[1])
+    return not (a.astype(dtype) @ kernel.astype(dtype).T).any()
 
 
 def rank_with_kernel(matrix, kernel=()) -> tuple[int, str]:

@@ -413,14 +413,15 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
     rng = _rng(seed, q, "rank")
     inf = group.infinity
 
-    m = model.build_m()
-    n_rows, n_cols = m.shape
+    # a row of the 0/1 matrix M sums to q+1 exactly when its q+1 columns differ
+    columns = model.columns()
+    n_rows, n_cols = len(columns), len(model.omega)
     checks.add(
         "derangement_matrix_shape",
         n_rows == q * (q - 1) ** 2 // 4
         and n_cols == q * (q + 1)
-        and (m.sum(axis=1) == q + 1).all()
-        and (m.sum(axis=0) == (q - 1) ** 2 // 4).all(),
+        and (np.diff(np.sort(columns, axis=1), axis=1) != 0).all()
+        and (np.bincount(columns.ravel(), minlength=n_cols) == (q - 1) ** 2 // 4).all(),
         f"{n_rows} x {n_cols}, row sums q+1, column sums (q-1)^2/4",
     )
 
@@ -454,12 +455,14 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
     rank_n, method_n = model.rank_of_gram()
     checks.add("rank_of_gram_matches", rank_n == rank_m, f"rank(N) = {rank_n} ({method_n})")
 
-    left, right = model.kernel_vectors()
-    ok = model.annihilates([*left.values(), *right.values()])
+    # M 1 = q+1 on every row, so M first[x] = M second[x] = 1 for all x exactly
+    # when M kills every l[a,b] = first[a] - first[b] and r[a,b] likewise
+    first, second = model.kernel_vectors()
+    ok = (model.m_times(np.vstack([first, second])) == 1).all()
     ok = ok and rank_with_kernel(kernel)[0] == 2 * q
-    ok = ok and not (gram @ left[(0, 1)]).any()
-    a_pt, b_pt, c_pt = 0, 1, 2
-    ok = ok and (left[(a_pt, b_pt)] - left[(a_pt, c_pt)] == left[(c_pt, b_pt)]).all()
+    ok = ok and not (gram @ (first[0] - first[1])).any()
+    # l[0,1] - l[0,2] = l[2,1]
+    ok = ok and ((first[0] - first[1]) - (first[0] - first[2]) == first[2] - first[1]).all()
     ok = ok and rank_m + 2 * q <= q * (q + 1)
     checks.add("kernel_witness", ok, "2q independent vectors annihilated by M")
 

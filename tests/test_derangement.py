@@ -119,12 +119,42 @@ def test_gram_relabeling_invariance(models, q):
         )
 
 
+def _witnesses(D):
+    """l[a,b] = first[a] - first[b] and r[a,b] = second[a] - second[b] for
+    every pair (a, b), in omega order, from the indicator rows."""
+    first, second = D.kernel_vectors()
+    left = {(a, b): first[a] - first[b] for a, b in D.omega}
+    right = {(a, b): second[a] - second[b] for a, b in D.omega}
+    return left, right
+
+
+def _pointwise_witnesses(D):
+    """l[a,b] and r[a,b] from their definition: +1 on (a, p) and -1 on
+    (b, p) for p outside {a, b}, +1 on (a, b) and -1 on (b, a); r mirrored."""
+    left, right = {}, {}
+    for a, b in D.omega:
+        lv = np.zeros(len(D.omega), dtype=np.int64)
+        rv = np.zeros(len(D.omega), dtype=np.int64)
+        for p in D.group.points:
+            if p not in (a, b):
+                lv[D.omega_index[(a, p)]] += 1
+                lv[D.omega_index[(b, p)]] -= 1
+                rv[D.omega_index[(p, a)]] += 1
+                rv[D.omega_index[(p, b)]] -= 1
+        lv[D.omega_index[(a, b)]] += 1
+        lv[D.omega_index[(b, a)]] -= 1
+        rv[D.omega_index[(b, a)]] += 1
+        rv[D.omega_index[(a, b)]] -= 1
+        left[(a, b)], right[(a, b)] = lv, rv
+    return left, right
+
+
 @pytest.mark.parametrize("q", [5, 7, 9])
 def test_kernel_vectors(models, q):
     D = models[q]
     G = D.group
     m = D.build_m()
-    left, right = D.kernel_vectors()
+    left, right = _witnesses(D)
     for v in left.values():
         assert not (m @ v).any()
     for v in right.values():
@@ -198,42 +228,91 @@ def test_unannihilated_kernel_sends_both_ranks_to_bareiss(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [5, 7])
-def test_annihilates_matches_the_matrix_product(models, q):
+def test_m_times_matches_the_matrix_product(models, q):
     D = models[q]
     m = D.build_m().astype(np.int64)
     rng = np.random.default_rng(q)
-    left, right = D.kernel_vectors()
+    first, second = D.kernel_vectors()
+    indicators = np.vstack([first, second])
+    assert (D.m_times(indicators) == 1).all() and (m @ indicators.T == 1).all()
+    left, right = _witnesses(D)
     witnesses = np.array([*left.values(), *right.values()])
-    assert D.annihilates(witnesses)
+    assert not D.m_times(witnesses).any()
     assert not (m @ witnesses.T).any()
     for scale in (1, 2**40):
         vectors = witnesses * scale
         vectors[rng.integers(len(vectors))] += rng.integers(-1, 2, size=m.shape[1])
-        assert D.annihilates(vectors) == (not (m.astype(object) @ vectors.astype(object).T).any())
-        assert D.annihilates(vectors.astype(object) * 2**40) == D.annihilates(vectors)
-    assert all(D.annihilates(v) for v in left.values())
+        expected = m.astype(object) @ vectors.astype(object).T
+        assert (D.m_times(vectors) == expected).all()
+        assert (D.m_times(vectors.astype(object) * 2**40) == expected * 2**40).all()
+    assert D.m_times(first[0]).shape == (len(m),)
+    assert all(not D.m_times(v).any() for v in left.values())
 
 
 def test_kernel_vectors_match_the_pointwise_definition(models):
     D = models[5]
-    points = D.group.points
-    left, right = D.kernel_vectors()
-    assert list(left) == list(right) == D.omega
-    for a, b in D.omega:
-        lv = np.zeros(len(D.omega), dtype=np.int64)
-        rv = np.zeros(len(D.omega), dtype=np.int64)
-        for p in points:
-            if p not in (a, b):
-                lv[D.omega_index[(a, p)]] += 1
-                lv[D.omega_index[(b, p)]] -= 1
-                rv[D.omega_index[(p, a)]] += 1
-                rv[D.omega_index[(p, b)]] -= 1
-        lv[D.omega_index[(a, b)]] += 1
-        lv[D.omega_index[(b, a)]] -= 1
-        rv[D.omega_index[(b, a)]] += 1
-        rv[D.omega_index[(a, b)]] -= 1
-        assert (left[(a, b)] == lv).all() and (right[(a, b)] == rv).all()
+    first, second = D.kernel_vectors()
+    assert first.shape == second.shape == (D.q + 1, len(D.omega))
+    for x in D.group.points:
+        assert (first[x] == [a == x for a, _ in D.omega]).all()
+        assert (second[x] == [b == x for _, b in D.omega]).all()
+    left, right = _witnesses(D)
+    pointwise_left, pointwise_right = _pointwise_witnesses(D)
+    for pair in D.omega:
+        assert (left[pair] == pointwise_left[pair]).all() and (right[pair] == pointwise_right[pair]).all()
+    others = [b for b in D.group.points if b != 0]
+    assert (D.kernel_basis() == [left[(0, b)] for b in others] + [right[(0, b)] for b in others]).all()
     assert D.kernel_vectors() is D.kernel_vectors()
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
+def test_indicator_premise_agrees_with_every_witness(q):
+    # the dense M, exactly, against all 2q(q+1) witnesses built pointwise:
+    # they are killed exactly when M first[x] = M second[x] = 1 for all x
+    D = _fresh_model(q)
+    m = D.build_m().astype(object)
+    left, right = _pointwise_witnesses(D)
+    witnesses = np.array([*left.values(), *right.values()], dtype=object)
+    assert len(witnesses) == 2 * q * (q + 1)
+    assert not (m @ witnesses.T).any()
+    first, second = D.kernel_vectors()
+    assert (D.m_times(np.vstack([first, second])) == 1).all()
+
+
+@pytest.mark.parametrize("compensate", [False, True])
+def test_a_repeated_column_fails_the_shape_and_kernel_checks(monkeypatch, compensate):
+    # one derangement's row names a pair twice and drops another, so the 0/1
+    # matrix has a row sum of q and M first[x] is 2 at one point; with
+    # compensate, a second row trades the pairs back and every column sum holds
+    columns = DerangementModel.columns
+
+    def repeated(self):
+        fresh = self._m_columns is None
+        out = columns(self)
+        if fresh:
+            kept, dropped = out[0, 0], out[0, 1]
+            out[0, 1] = kept
+            if compensate:
+                j = next(j for j in range(1, len(out)) if kept in out[j] and dropped not in out[j])
+                out[j][out[j] == kept] = dropped
+        return out
+
+    monkeypatch.setattr(DerangementModel, "columns", repeated)
+    D = _fresh_model(5)
+    assert not (D.m_times(np.vstack(D.kernel_vectors())) == 1).all()
+    if compensate:
+        assert (np.bincount(D.columns().ravel()) == 4).all()
+    report = run_suite("rank", 5)
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert {"derangement_matrix_shape", "kernel_witness"} <= failed and report["pass"] is False
+
+
+def test_rank_suite_never_builds_m(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the rank suite built M")
+
+    monkeypatch.setattr(DerangementModel, "build_m", refuse)
+    assert run_suite("rank", 7)["pass"] is True
 
 
 @pytest.mark.parametrize("q", [5, 9])
@@ -302,7 +381,7 @@ def test_kernel_affords_doubled_standard_character(models, q):
     D = models[q]
     G = D.group
     T = D.table
-    left, right = D.kernel_vectors()
+    left, right = _witnesses(D)
     basis_keys = [("l", b) for b in G.points if b != 0] + [("r", b) for b in G.points if b != 0]
     basis = [left[(0, b)] if side == "l" else right[(0, b)] for side, b in basis_keys]
     psi1 = T.chars[2]

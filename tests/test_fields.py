@@ -224,6 +224,24 @@ def test_characters_of_another_field_are_rejected():
     assert ctx5.char_eval(ctx5.fq_char(1), 2) == CycNum.root_of_unity(4, 1)
 
 
+@pytest.mark.parametrize("q", [7, 9])
+def test_arguments_outside_the_field_are_rejected(q):
+    # -1 used to read element q-1 and q to raise IndexError
+    ctx = field_ctx_for_q(q)
+    for x in (-1, q):
+        with pytest.raises(DomainMismatchError, match="not an element"):
+            ctx.char_eval(ctx.fq_char(1), x)
+        with pytest.raises(DomainMismatchError, match="not an element"):
+            ctx.gauss_sum(ctx.fq_char(1), x)
+    # a beta character is evaluated on GF(q^2)
+    for x in (-1, q * q):
+        with pytest.raises(DomainMismatchError, match="not an element"):
+            ctx.char_eval(ctx.b_char(1), x)
+    assert ctx.char_eval(ctx.fq_char(1), ctx.neg(1)) == -1
+    assert ctx.char_eval(ctx.b_char(1), ctx.i_elem) == ctx.b_char(1).sign_at_i()
+    assert ctx.gauss_sum(ctx.fq_char(1), q - 1) * ctx.gauss_sum(ctx.fq_char(1), q - 1).conjugate() == q
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))
 def test_gf9_addition_commutes_hypothesis(x, y):
