@@ -25,7 +25,8 @@ over Z[x]/(x^(q-1) - 1), a ring mapping onto Q(zeta_(q-1)): one q x (q-1)
 int64 table per tuple of (upper, lower) exponents, cached, whose row t
 counts the powers of the sum at t.  The 2F1 base table is one `np.bincount`
 over all (t, y), and each higher level one gather-sum of rows t*y rotated by
-the exponent of the level's summand at y; a value reads and reduces one row.
+the exponent of the level's summand at y (`_greene_level`); a value reads and
+reduces one row, and `greene_table` returns a whole table with its scale.
 The Soto-Andrade summand is constant on the cosets r * GF(q)* (trace and
 norm scale by u and u^2, beta is trivial on GF(q)*), so R_beta counts the
 q+1 coset representatives gen2^j.  Each family is one table of the reduced
@@ -38,12 +39,18 @@ The weighted Hermitian form works on numerators too: numerator i of f1(x)
 times numerator j of f2(x), weighted by the measure at x, counts at
 zeta_L^(i L/m1 - j L/m2), with m1, m2 the conductors of f1, f2 and
 L = lcm(m1, m2); the minus sign is the complex conjugation of f2.  So the
-form is one integer matrix product, one scatter into a count vector over
-Z/L and one reduction, with no per-point product.  `gram` builds each
-function's numerator matrix once and runs that kernel on every ordered pair;
-`l2_inner` is its one-pair case.  The Katz sum holds the q-1 Gauss sums
-g(omega_1^j) once, as the rows of an integer matrix; the choice of omega only
-permutes the rows.  Its sum over k starts from the rows gathered at k + a_1
+form is one integer matrix product, one scatter into counts over Z/L and
+one reduction, with no per-point product.  `gram` does all ordered pairs at
+once: the nonzero numerator columns of every function side by side, weighted
+by the measure, times the same columns, one `np.add.at` scatter at
+i L/m1 - j L/m2 with L the lcm of every conductor, and one
+`reduce_zeta_counts`, for one block of rows at a time so that no count array
+holds more than GRAM_BLOCK entries.  It returns the reduced numerators and
+the denominators as arrays.  `l2_inner` runs the same kernel on one pair and
+returns a `CycNum` in the conductor the value lives in.
+
+The Katz sum holds the q-1 Gauss sums g(omega_1^j) once, as the rows of an
+integer matrix; the choice of omega only permutes the rows.  Its sum over k starts from the rows gathered at k + a_1
 and takes one row-wise product (`cyclotomic.row_products`) with the rows
 gathered at each further k + a_i and -k - b_j: 2m - 1 products for m
 parameters.  Then come a rotation of row k by the twist omega^k((-1)^m lambda),
@@ -56,10 +63,19 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CycNum, _canonical, exact_dtype, max_abs, reduce_zeta_counts, row_products
+from .cyclotomic import (
+    CycNum,
+    _canonical,
+    cyclotomic_polynomial,
+    exact_dtype,
+    max_abs,
+    reduce_zeta_counts,
+    row_products,
+)
 from .errors import (
     ArityMismatchError,
     DomainMismatchError,
@@ -70,6 +86,22 @@ from .errors import (
 from .fields import FieldCtx, MultCharB, MultCharFq
 
 MAX_HYPERGEOMETRIC_DEPTH = 4  # up to 4F3; nothing deeper is needed
+GRAM_BLOCK = 2**20  # count entries per block of `gram` rows
+
+
+class _Stack(NamedTuple):
+    """Functions on F_q as numerator columns: column c of nums (rows indexed
+    by x) holds numerators of function owner[c] (ascending) at
+    zeta_m^pos[c]; function r is those columns over dens[r]."""
+
+    m: int  # lcm of the conductors of every value
+    dens: list[int]
+    nums: np.ndarray
+    pos: np.ndarray
+    owner: np.ndarray
+    conductors: np.ndarray  # [r, x]: conductor of value x of function r, 0 where it vanishes
+    top: int  # the largest |numerator|
+    width: int  # the most columns of one function
 
 
 def _numerators(values: list[CycNum]) -> tuple[int, int, np.ndarray]:
@@ -82,6 +114,16 @@ def _numerators(values: list[CycNum]) -> tuple[int, int, np.ndarray]:
     for r, v in enumerate(values):
         rows[r, :: m // v.m][: len(v.nums)] = v.nums
     return m, d, rows * np.array([d // v.den for v in values], dtype=object)[:, None]
+
+
+def _greene_level(below: np.ndarray, mul: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """One level of Greene's recursion on a count table: new[t, j] is the sum
+    over y = 2..q-1 of below[t*y, (j - e[y - 2]) mod (q-1)], row t*y rotated
+    by the exponent e of the level's summand at y."""
+    n = below.shape[1]
+    y = np.arange(2, len(below))
+    columns = (np.arange(n)[None, :] - e[:, None]) % n
+    return below[mul[:, y][:, :, None], columns[None, :, :]].sum(axis=1)
 
 
 class CharacterSums:
@@ -106,46 +148,87 @@ class CharacterSums:
         return self.q + 1 if x == 1 or x == ctx.neg(1) else 1
 
     def l2_inner(self, f1: list[CycNum], f2: list[CycNum]) -> CycNum:
-        """Sum over x of measure(x) * f1(x) * conj(f2(x)): `gram` on one pair."""
-        return self._form(self._operand(f1), self._operand(f2))
+        """Sum over x of measure(x) * f1(x) * conj(f2(x))."""
+        return self._forms(self._stack([f1]), self._stack([f2]))[0]
 
-    def gram(self, functions: list[list[CycNum]]) -> list[list[CycNum]]:
-        """Entry (i, j) is l2_inner(functions[i], functions[j]), equal to it in
-        (m, nums, den); each function's numerators are built once."""
-        operands = [self._operand(f) for f in functions]
-        return [[self._form(a, b) for b in operands] for a in operands]
+    def gram(self, functions: list[list[CycNum]]) -> tuple[int, np.ndarray, np.ndarray]:
+        """(L, nums, dens): entry (i, j), l2_inner(functions[i], functions[j]),
+        is nums[i, j] / dens[i, j], nums[i, j] its reduced numerators in
+        Q(zeta_L), L the lcm of every conductor.  Built in blocks of rows so
+        that no count array has more than GRAM_BLOCK entries."""
+        stack = self._stack(functions)
+        m, n = stack.m, len(functions)
+        step = max(1, GRAM_BLOCK // (n * m))
+        nums = np.zeros((n, n, len(cyclotomic_polynomial(m)) - 1), dtype=np.int64)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            block = reduce_zeta_counts(m, self._counts(stack, stack, start, stop).reshape(m, -1).T)
+            if block.dtype == object:  # a block past 2^63; later blocks may be int64 again
+                nums = nums.astype(object)
+            nums[start:stop] = block.reshape(stop - start, n, -1)
+        dens = np.array(stack.dens, dtype=object)
+        return m, nums, np.outer(dens, dens)
 
-    def _operand(self, f: list[CycNum]) -> tuple:
-        """(m, d, rows, weighted rows transposed, conductor per point (0 where
-        f vanishes), largest |numerator|) of a function on F_q, with m, d and
-        rows its `_numerators`."""
-        if len(f) != self.q:
+    def _stack(self, functions: list[list[CycNum]]) -> _Stack:
+        """The numerator columns of functions on F_q: each function's
+        `_numerators`, lifted to the lcm m of every conductor, keeping the
+        columns that are nonzero at some point."""
+        if any(len(f) != self.q for f in functions):
             raise DomainMismatchError("functions must be indexed by the q field elements")
-        m, d, rows = _numerators(f)
-        top = max_abs(rows)
-        rows = rows.astype(exact_dtype((self.q + 1) * top))
-        conductors = np.array([0 if v.is_zero() else v.m for v in f], dtype=np.int64)
-        return m, d, rows, (rows * self._mu.astype(rows.dtype)[:, None]).T, conductors, top
+        m = math.lcm(*(v.m for f in functions for v in f))
+        parts = [_numerators(f) for f in functions]
+        live = [np.flatnonzero((rows != 0).any(axis=0)) for _, _, rows in parts]
+        nums = np.concatenate([rows[:, c] for (_, _, rows), c in zip(parts, live)], axis=1)
+        top = max_abs(nums)
+        width = max(len(c) for c in live)
+        return _Stack(
+            m,
+            [d for _, d, _ in parts],
+            nums.astype(exact_dtype((self.q + 1) * top)),
+            np.concatenate([c * (m // mr) for (mr, _, _), c in zip(parts, live)]),
+            np.repeat(np.arange(len(functions)), [len(c) for c in live]),
+            np.array([[0 if v.is_zero() else v.m for v in f] for f in functions], dtype=np.int64),
+            top,
+            width,
+        )
 
-    def _form(self, left: tuple, right: tuple) -> CycNum:
-        """The form on two operands.  Numerator i of f1(x) times numerator j of
-        f2(x) counts at zeta_L^(i L/m1 - j L/m2), L = lcm(m1, m2); the value
-        lives in Q(zeta_c), c the lcm of the conductors at the points where
-        neither function vanishes, so the counts sit at multiples of L/c."""
-        m1, d1, _, a_t, c1, top1 = left
-        m2, d2, b, _, c2, top2 = right
-        both = (c1 > 0) & (c2 > 0)
-        if not both.any():
-            return CycNum.zero()
-        dtype = exact_dtype(3 * self.q * a_t.shape[0] * b.shape[1] * top1 * top2)
-        products = a_t.astype(dtype, copy=False) @ b.astype(dtype, copy=False)  # sum over x of mu * a_i * b_j
-        big = math.lcm(m1, m2)
-        i = np.arange(a_t.shape[0])[:, None] * (big // m1)
-        j = np.arange(b.shape[1])[None, :] * (big // m2)
-        counts = np.zeros(big, dtype=dtype)
-        np.add.at(counts, (i - j) % big, products)
-        conductor = int(np.lcm.reduce(np.lcm(c1[both], c2[both])))
-        return CycNum.from_zeta_powers(conductor, counts[:: big // conductor].tolist(), Fraction(1, d1 * d2))
+    def _counts(self, left: _Stack, right: _Stack, start: int, stop: int) -> np.ndarray:
+        """[e, r - start, s] for start <= r < stop: the form of left function r
+        and right function s as counts of zeta_L^e, L = lcm(m1, m2).  Column
+        i of f1(x) times column j of f2(x), weighted by the measure at x,
+        counts at e = p1(i) L/m1 - p2(j) L/m2; the minus sign is the complex
+        conjugation of f2.  One matrix product and one scatter."""
+        big = math.lcm(left.m, right.m)
+        lo, hi = np.searchsorted(left.owner, [start, stop])
+        owner = left.owner[lo:hi]
+        # an entry sums, over x and over the column pairs of one function
+        # pair, at most 3q * top1 * top2 per pair
+        dtype = exact_dtype(3 * self.q * left.top * right.top * left.width * right.width)
+        counts = np.zeros((big, stop - start, len(right.dens)), dtype=dtype)
+        if hi == lo or not right.width:  # one side vanishes everywhere
+            return counts
+        weighted = left.nums[:, lo:hi].astype(dtype) * self._mu.astype(dtype)[:, None]
+        products = weighted.T @ right.nums.astype(dtype, copy=False)
+        power = (left.pos[lo:hi, None] * (big // left.m) - right.pos[None, :] * (big // right.m)) % big
+        np.add.at(counts, (power, owner[:, None] - start, right.owner[None, :]), products)
+        return counts
+
+    def _forms(self, left: _Stack, right: _Stack) -> list[CycNum]:
+        """The form of the first function of left with each function of right.
+        A value lives in Q(zeta_c), c the lcm of the conductors at the points
+        where neither function vanishes, so its counts sit at multiples of L/c."""
+        big = math.lcm(left.m, right.m)
+        counts = self._counts(left, right, 0, 1)[:, 0]
+        out = []
+        for s, conductors in enumerate(right.conductors):
+            both = (left.conductors[0] > 0) & (conductors > 0)
+            if not both.any():
+                out.append(CycNum.zero())
+                continue
+            conductor = int(np.lcm.reduce(np.lcm(left.conductors[0, both], conductors[both])))
+            scale = Fraction(1, left.dens[0] * right.dens[s])
+            out.append(CycNum.from_zeta_powers(conductor, counts[:: big // conductor, s].tolist(), scale))
+        return out
 
     # -- Legendre and Soto-Andrade sums ----------------------------------------
 
@@ -280,20 +363,27 @@ class CharacterSums:
             else:
                 below, scale = self._greene_table(upper[:-1], lower[:-1])
                 y = np.arange(2, q)  # y = 0 and y = 1 (1 - y = 0) are where every character vanishes
-                e = (ka * log[y] + (kb - ka) * log[one_minus[y]]) % n
-                # new[t, j] = sum over y of below[t*y, (j - e(y)) mod (q-1)]
-                columns = (np.arange(n)[None, :] - e[:, None]) % n
-                table = below[mul[:, y][:, :, None], columns[None, :, :]].sum(axis=1)
+                table = _greene_level(below, mul, (ka * log[y] + (kb - ka) * log[one_minus[y]]) % n)
             sign = -1 if (ka + kb) * (n // 2) % n else 1  # (A B)(-1)
             hit = self._greene_tables[key] = (table, scale * Fraction(sign, q))
         return hit
 
-    def _hypergeometric(self, upper: list[MultCharFq], lower: list[MultCharFq], x: int) -> CycNum:
-        """Row x of the count table, times its scale."""
+    def greene_table(self, upper: list[MultCharFq], lower: list[MultCharFq]) -> tuple[np.ndarray, Fraction]:
+        """Greene's (n+1)Fn with these characters as its q x (q-1) count table
+        and scale: the value at x is row x, read as powers of zeta_(q-1),
+        times the scale.  Cached per tuple of exponents."""
+        if len(upper) != len(lower) + 1 or len(upper) < 2:
+            raise ArityMismatchError("need n+1 upper and n lower parameters, n >= 1")
+        if len(upper) > MAX_HYPERGEOMETRIC_DEPTH:
+            raise ArityMismatchError(f"depth limited to {MAX_HYPERGEOMETRIC_DEPTH}F{MAX_HYPERGEOMETRIC_DEPTH - 1}")
         for char in (*upper, *lower):
             self.ctx.check_char(char)
+        return self._greene_table(tuple([c.exponent for c in upper]), tuple([c.exponent for c in lower]))
+
+    def _hypergeometric(self, upper: list[MultCharFq], lower: list[MultCharFq], x: int) -> CycNum:
+        """Row x of the count table, times its scale."""
         self.ctx.check_element(x)
-        table, scale = self._greene_table(tuple([c.exponent for c in upper]), tuple([c.exponent for c in lower]))
+        table, scale = self.greene_table(upper, lower)
         return CycNum.from_zeta_powers(self.q - 1, table[x].tolist(), scale)
 
     def greene_2f1(self, g0: MultCharFq, g1: MultCharFq, g2: MultCharFq, x: int) -> CycNum:
@@ -304,10 +394,6 @@ class CharacterSums:
         """Greene's (n+1)Fn at x, defined inductively from the 2F1 base case:
         a level adds, over y, the level below at t*y times A(y) (B/A)(1-y),
         and (A B)(-1)/q."""
-        if len(upper) != len(lower) + 1 or len(upper) < 2:
-            raise ArityMismatchError("need n+1 upper and n lower parameters, n >= 1")
-        if len(upper) > MAX_HYPERGEOMETRIC_DEPTH:
-            raise ArityMismatchError(f"depth limited to {MAX_HYPERGEOMETRIC_DEPTH}F{MAX_HYPERGEOMETRIC_DEPTH - 1}")
         return self._hypergeometric(upper, lower, x)
 
     def katz_h(
@@ -328,6 +414,7 @@ class CharacterSums:
         """
         ctx = self.ctx
         q = self.q
+        ctx.check_element(lam)
         if len(alpha) != len(beta) or not alpha:
             raise ArityMismatchError("alpha and beta must be nonempty and of equal length")
         if math.gcd(omega_exponent, q - 1) != 1:
@@ -430,10 +517,10 @@ class CharacterSums:
         """Squares of the coefficients of f in the orthonormalized basis,
         i.e. <f, b>^2 / ||b||^2 per basis element.  Each coefficient is real;
         the squares sum to ||f||^2."""
-        f = self._operand(self.f_vector())
+        basis = self.orthogonal_basis()
+        coefficients = self._forms(self._stack([self.f_vector()]), self._stack([vec for _, vec, _ in basis]))
         out = []
-        for name, vec, norm_sq in self.orthogonal_basis():
-            c = self._form(f, self._operand(vec))
+        for (name, _, norm_sq), c in zip(basis, coefficients):
             if not c.is_real():
                 raise IdentityViolationError(f"coefficient <f, {name}> is not real")
             out.append((name, c * c * (Fraction(1) / norm_sq)))

@@ -36,7 +36,10 @@ columns standing for sum_j C[i, j] zeta_m^j, go through
 is added into the columns of the reduction row x^j mod Phi_m, one vector
 operation per nonzero coefficient of those rows.  The rows are sparse (about
 16 of 480 coefficients at m = 1860), so this does far less work than a dense
-matrix product with them.  Every entry and partial sum is at most max|C|
+matrix product with them, and nearly every coefficient is +-1, which adds or
+subtracts a row with no product.  Counts built power-major (the transpose of
+a C-ordered (m, rows) array, as `CharacterSums.gram` builds them) are read in
+place, with no copy of the columns j >= phi(m).  Every entry and partial sum is at most max|C|
 times (1 + the largest column sum of |rows|), which chooses int64 or Python
 integers by the same rule.
 
@@ -196,10 +199,15 @@ def reduce_zeta_counts(m: int, counts: np.ndarray) -> np.ndarray:
     dtype = exact_dtype(max_abs(counts) * (1 + max(column_sums)))
     # one row per power of zeta, so each step below is a contiguous row operation
     out = np.array(counts[:, :deg].T, dtype=dtype, order="C")
-    tail = np.array(counts[:, deg:].T, dtype=dtype, order="C")
+    tail = np.asarray(counts[:, deg:].T, dtype=dtype, order="C")  # read only: no copy of a power-major input
     for power, row in zip(tail, rows):
         for i, c in row:
-            out[i] += c * power
+            if c == 1:  # most coefficients of cyclotomic polynomials are +-1
+                out[i] += power
+            elif c == -1:
+                out[i] -= power
+            else:
+                out[i] += c * power
     return out.T
 
 

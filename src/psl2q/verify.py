@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chartable import build_table
+from .chartable import build_table, hermitian_gram
 from .charsums import CharacterSums
-from .cyclotomic import CycNum, row_products
+from .cyclotomic import CycNum, reduce_zeta_counts, row_products
 from .derangement import DerangementModel
 from .ekr import (
     IntersectionGraph,
@@ -209,6 +209,125 @@ def base_coset_log_shifts(ctx) -> set[int]:
     return set(shifts.ravel().tolist())
 
 
+def _scaled_equal(a: np.ndarray, a_scale: Fraction, b: np.ndarray, b_scale: Fraction) -> bool:
+    """a * a_scale == b * b_scale entrywise, for integer arrays and rational
+    scales, cross-multiplied in Python integers."""
+    left = a.astype(object) * (a_scale.numerator * b_scale.denominator)
+    return bool((left == b.astype(object) * (b_scale.numerator * a_scale.denominator)).all())
+
+
+def sum_tables_real_and_symmetric(sums: CharacterSums) -> bool:
+    """Row k of the Legendre and the Soto-Andrade table, for each exponent k of
+    the gamma and beta sets, equals its complex conjugate and row -k.  The
+    conjugate counts numerator j at zeta_m^(-j): one `reduce_zeta_counts` of
+    the exponent-negated rows per conductor m."""
+    ctx = sums.ctx
+    ok = True
+    for table, chars in ((sums.legendre_table(), ctx.gamma_set()), (sums.soto_andrade_table(), ctx.beta_set())):
+        m = len(table)
+        k = np.array([c.exponent for c in chars], dtype=np.int64)
+        rows = table[k].reshape(-1, table.shape[2])
+        negated = np.zeros((len(rows), m), dtype=rows.dtype)
+        negated[:, -np.arange(rows.shape[1]) % m] = rows
+        ok = ok and (reduce_zeta_counts(m, negated) == rows).all() and (table[-k % m] == table[k]).all()
+    return bool(ok)
+
+
+def basis_gram_is_diagonal(sums: CharacterSums, basis: list) -> bool:
+    """The Gram matrix of the q basis functions is diagonal with the expected
+    squared norms, compared on the reduced numerators and denominators that
+    `CharacterSums.gram` returns."""
+    _, nums, dens = sums.gram([vec for _, vec, _ in basis])
+    first = nums[:, :, 0]
+    ok = len(basis) == sums.q and (nums[:, :, 1:] == 0).all() and (first == np.diag(first.diagonal())).all()
+    return bool(ok) and all(
+        Fraction(int(first[i, i]), int(dens[i, i])) == norm for i, (_, _, norm) in enumerate(basis)
+    )
+
+
+def character_grams_are_scalar(ctx) -> bool:
+    """The Hermitian Gram matrix of the q-1 characters of GF(q)* over its
+    elements is (q-1) I, and that of the q+1 characters of GF(q^2)*/GF(q)*
+    over the coset representatives gen2^j is (q+1) I: character k at a point
+    of log s is zeta_m^(k s)."""
+    q = ctx.q
+    ok = True
+    for m, logs in ((q - 1, ctx.arrays.log[1:]), (q + 1, np.arange(q + 1))):
+        k, point = np.divmod(np.arange(m * m), m)
+        ones = np.ones(m * m, dtype=np.int64)
+        gram = hermitian_gram(m, k, point, k * logs[point] % m, ones, ones[:m], m)
+        ok = ok and (gram[:, :, 0] == m * np.eye(m, dtype=np.int64)).all() and (gram[:, :, 1:] == 0).all()
+    return bool(ok)
+
+
+def legendre_matches_2f1(sums: CharacterSums) -> bool:
+    """P_gamma(a) = 2F1(gamma, conj gamma; eps | (1-a)/2) for every nontrivial
+    gamma and every a != +-1: row (k, a) of the Legendre table, q P_gamma(a),
+    against the reduced 2F1 count-table row at (1-a)/2 times q * scale."""
+    ctx, q = sums.ctx, sums.q
+    arrays = ctx.arrays
+    eps = ctx.trivial_char()
+    a = np.array([x for x in range(q) if x not in (1, ctx.neg(1))], dtype=np.int64)
+    args = arrays.mul[arrays.add[1, arrays.neg[a]], ctx.inv(ctx.embed_int(2))]
+    gammas = [ctx.fq_char(k) for k in range(1, q - 1)]
+    tables = [sums.greene_table([gamma, gamma.conj()], [eps]) for gamma in gammas]
+    rhs = reduce_zeta_counts(q - 1, np.concatenate([table[args] for table, _ in tables]))
+    rhs = rhs.reshape(len(tables), len(a), -1)
+    legendre = sums.legendre_table()
+    return all(
+        _scaled_equal(legendre[k, a], Fraction(1), rhs[k - 1], scale * q)
+        for k, (_, scale) in enumerate(tables, start=1)
+    )
+
+
+def f43_product_identity_holds(sums: CharacterSums) -> bool:
+    """q 4F3(gamma, conj gamma, phi, phi; eps, eps, eps | 1) = sum over z != 0
+    of phi(z) 2F1(phi, phi; eps | z) 2F1(gamma, conj gamma; eps | z) for every
+    nontrivial gamma.  The right-hand sides are one `row_products` of the
+    reduced 2F1 rows over all (k, z), never the level step of the tables."""
+    ctx, q = sums.ctx, sums.q
+    n = q - 1
+    phi, eps = ctx.quadratic_char(), ctx.trivial_char()
+    z = np.arange(1, q)
+    phi_table, phi_scale = sums.greene_table([phi, phi], [eps])
+    weights = reduce_zeta_counts(n, phi_table[z] * ctx.arrays.phi[z][:, None])
+    gammas = [ctx.fq_char(k) for k in range(1, n)]
+    tables = [sums.greene_table([gamma, gamma.conj()], [eps]) for gamma in gammas]
+    rows = reduce_zeta_counts(n, np.concatenate([table[z] for table, _ in tables]))
+    products = row_products(n, np.tile(weights, (len(gammas), 1)), rows).astype(object)
+    rhs = products.reshape(len(gammas), len(z), -1).sum(axis=1)
+    f43 = [sums.greene_table([gamma, gamma.conj(), phi, phi], [eps] * 3) for gamma in gammas]
+    lhs = reduce_zeta_counts(n, np.array([table[1] for table, _ in f43]))
+    return all(
+        _scaled_equal(lhs[i], f43[i][1] * q, rhs[i], phi_scale * tables[i][1]) for i in range(len(gammas))
+    )
+
+
+def f32_matches_2f1_recursion(sums: CharacterSums) -> bool:
+    """Greene's step 3F2(A0, A1, A2; B1, B2 | x) = (A2 B2)(-1)/q * sum over y of
+    A2(y) (B2/A2)(1-y) 2F1(A0, A1; B1 | xy), with every A_i of exponent 1 and
+    every B_i trivial, at every x.  The values are not real, so a
+    complex-conjugated 3F2 fails here.  The right-hand sides are one
+    `row_products` of the reduced weights and 2F1 rows over all (x, y), never
+    the level step of the tables."""
+    ctx, q = sums.ctx, sums.q
+    n = q - 1
+    arrays = ctx.arrays
+    gamma, eps = ctx.fq_char(1), ctx.trivial_char()
+    minus_one = ctx.neg(1)
+    base, base_scale = sums.greene_table([gamma, gamma], [eps])
+    y = np.arange(2, q)  # the weight gamma(y) conj(gamma)(1-y) vanishes at y = 0 and 1
+    powers = np.zeros((len(y), n), dtype=np.int64)
+    powers[np.arange(len(y)), (arrays.log[y] - arrays.log[arrays.add[1, arrays.neg[y]]]) % n] = 1
+    weights = reduce_zeta_counts(n, powers)
+    rows = reduce_zeta_counts(n, base[arrays.mul[:, y].ravel()])
+    products = row_products(n, np.tile(weights, (q, 1)), rows).astype(object)
+    rhs = products.reshape(q, len(y), -1).sum(axis=1)
+    table, scale = sums.greene_table([gamma] * 3, [eps] * 2)
+    sign = (ctx.char_eval(gamma, minus_one) * ctx.char_eval(eps, minus_one)).as_fraction()
+    return _scaled_equal(reduce_zeta_counts(n, table), scale, rhs, base_scale * sign / q)
+
+
 def run_sums_suite(q: int, seed: int = 0) -> dict:
     ctx = field_ctx_for_q(q)
     sums = CharacterSums(ctx)
@@ -243,24 +362,14 @@ def run_sums_suite(q: int, seed: int = 0) -> dict:
         ok = ok and sums.soto_andrade_sum(beta, minus_one) == Fraction(-beta.sign_at_i(), q)
     checks.add("boundary_values_at_plus_minus_one", ok)
 
-    ok = True
-    for gamma in gammas:
-        for a in range(q):
-            v = sums.legendre_sum(gamma, a)
-            ok = ok and v.is_real() and sums.legendre_sum(gamma.conj(), a) == v
-    for beta in betas:
-        for a in range(q):
-            v = sums.soto_andrade_sum(beta, a)
-            ok = ok and v.is_real() and sums.soto_andrade_sum(beta.conj(), a) == v
-    checks.add("values_real_and_inversion_symmetric", ok)
+    checks.add("values_real_and_inversion_symmetric", sum_tables_real_and_symmetric(sums))
 
     basis = sums.orthogonal_basis()
-    gram = sums.gram([vec for _, vec, _ in basis])
-    ok = len(basis) == q
-    for i, (_, _, norm1) in enumerate(basis):
-        for j in range(len(basis)):
-            ok = ok and gram[i][j] == (norm1 if i == j else 0)
-    checks.add("orthogonal_basis_gram_matrix", ok, f"{len(basis)} x {len(basis)} Gram, exact")
+    checks.add(
+        "orthogonal_basis_gram_matrix",
+        basis_gram_is_diagonal(sums, basis),
+        f"{len(basis)} x {len(basis)} Gram, exact",
+    )
 
     # beta(r u) = beta(r) for all r and u in GF(q)* iff k * (log2(r u) - log2(r)) = 0
     # mod q+1, so each log difference is computed once and checked for every beta
@@ -273,13 +382,7 @@ def run_sums_suite(q: int, seed: int = 0) -> dict:
     )
     checks.add("beta_trivial_on_base_cosets", ok, "nonvanishing and coset-constant")
 
-    ok = True
-    for d in range(q - 1):
-        total = CycNum.zero()
-        for x in range(1, q):
-            total = total + CycNum.root_of_unity(q - 1, d * ctx.log[x])
-        ok = ok and total == (q - 1 if d == 0 else 0)
-    checks.add("multiplicative_character_orthogonality", ok, "all character ratios")
+    checks.add("multiplicative_character_orthogonality", character_grams_are_scalar(ctx), "all character ratios")
 
     ok = True
     for gamma in gammas:
@@ -287,16 +390,7 @@ def run_sums_suite(q: int, seed: int = 0) -> dict:
             ok = ok and ctx.char_eval(gamma, x) * ctx.char_eval(gamma, ctx.inv(x)) == 1
     checks.add("character_inverse_product", ok)
 
-    half = ctx.inv(ctx.embed_int(2))
-    ok = True
-    for k in range(1, q - 1):
-        gamma = ctx.fq_char(k)
-        for a in range(q):
-            if a in (1, minus_one):
-                continue
-            arg = ctx.mul(ctx.sub(1, a), half)
-            ok = ok and sums.legendre_sum(gamma, a) == sums.greene_2f1(gamma, gamma.conj(), eps, arg)
-    checks.add("legendre_equals_2f1", ok, "all nontrivial characters, all a != +-1")
+    checks.add("legendre_equals_2f1", legendre_matches_2f1(sums), "all nontrivial characters, all a != +-1")
 
     ok = all(
         sums.greene_2f1(phi, phi, eps, x)
@@ -305,31 +399,8 @@ def run_sums_suite(q: int, seed: int = 0) -> dict:
     )
     checks.add("2f1_reflection", ok, "all x != 0")
 
-    ok = True
-    phi_2f1 = [sums.greene_2f1(phi, phi, eps, z) * ctx.phi_int(z) for z in range(1, q)]
-    for k in range(1, q - 1):
-        gamma = ctx.fq_char(k)
-        lhs = sums.greene_nfn([gamma, gamma.conj(), phi, phi], [eps, eps, eps], 1) * q
-        rhs = CycNum.zero()
-        for z, weight in enumerate(phi_2f1, start=1):
-            rhs = rhs + weight * sums.greene_2f1(gamma, gamma.conj(), eps, z)
-        ok = ok and lhs == rhs
-    checks.add("4f3_product_identity", ok, "all nontrivial characters")
-
-    # Greene's step 3F2(A0, A1, A2; B1, B2 | x) = (A2 B2)(-1)/q * sum over y of
-    # A2(y) (B2/A2)(1-y) 2F1(A0, A1; B1 | xy), on a tuple whose values are not
-    # real, so a complex-conjugated 3F2 fails here
-    gamma = ctx.fq_char(1)
-    base = [sums.greene_2f1(gamma, gamma, eps, t) for t in range(q)]
-    sign = ctx.char_eval(gamma, minus_one) * ctx.char_eval(eps, minus_one) * Fraction(1, q)
-    ok = True
-    for x in range(q):
-        rhs = CycNum.zero()
-        for y in range(1, q):
-            weight = ctx.char_eval(gamma, y) * ctx.char_eval(gamma.conj(), ctx.sub(1, y))
-            rhs = rhs + weight * base[ctx.mul(x, y)]
-        ok = ok and sums.greene_nfn([gamma] * 3, [eps] * 2, x) == rhs * sign
-    checks.add("3f2_matches_2f1_recursion", ok, "gamma of exponent 1, all x in F_q")
+    checks.add("4f3_product_identity", f43_product_identity_holds(sums), "all nontrivial characters")
+    checks.add("3f2_matches_2f1_recursion", f32_matches_2f1_recursion(sums), "gamma of exponent 1, all x in F_q")
 
     details = []
     ok = True

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from psl2q import charsums
 from psl2q.charsums import CharacterSums
-from psl2q.cyclotomic import CycNum
+from psl2q.cyclotomic import CycNum, _canonical, cyclotomic_polynomial
 from psl2q.errors import (
     ArityMismatchError,
     DomainMismatchError,
@@ -56,10 +57,11 @@ def _entry_points(S, ctx):
         "soto_andrade_sum": lambda: S.soto_andrade_sum(ctx.b_char(1), 2),
         "greene_2f1": lambda: S.greene_2f1(ctx.fq_char(1), phi, eps, 2),
         "greene_nfn": lambda: S.greene_nfn([ctx.fq_char(1), phi, phi], [eps, eps], 2),
+        "greene_table": lambda: S.greene_table([ctx.fq_char(1), phi, phi], [eps, eps])[0].tolist(),
     }
 
 
-@pytest.mark.parametrize("entry", ["legendre_sum", "soto_andrade_sum", "greene_2f1", "greene_nfn"])
+@pytest.mark.parametrize("entry", ["legendre_sum", "soto_andrade_sum", "greene_2f1", "greene_nfn", "greene_table"])
 def test_characters_of_another_field_are_rejected(entry):
     # GF(5) and GF(7) characters share exponents, so each cache is first filled
     # under the same exponents by a GF(5) call; the GF(7) call must still raise
@@ -507,20 +509,26 @@ def test_l2_inner_matches_the_pointwise_oracle():
         assert (got.m, got.nums, got.den) == (want.m, want.nums, want.den)
 
 
-def _same(a, b):
-    return (a.m, a.nums, a.den) == (b.m, b.nums, b.den)
+def _gram_entries(gram):
+    """The value of every entry of `gram`'s (L, numerators, denominators)."""
+    m, nums, dens = gram
+    assert nums.shape == (*dens.shape, len(cyclotomic_polynomial(m)) - 1)
+    return [
+        [_canonical(m, tuple(int(c) for c in nums[i, j]), int(dens[i, j])) for j in range(dens.shape[1])]
+        for i in range(dens.shape[0])
+    ]
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27])
 def test_gram_matches_pairwise_l2_inner_on_the_basis(sums, q):
     S = sums[q]
     functions = [vec for _, vec, _ in S.orthogonal_basis()]
-    gram = S.gram(functions)
+    gram = _gram_entries(S.gram(functions))
     assert len(gram) == len(functions) == q
     for i, f1 in enumerate(functions):
         assert len(gram[i]) == q
         for j, f2 in enumerate(functions):
-            assert _same(gram[i][j], S.l2_inner(f1, f2)), (i, j)
+            assert gram[i][j] == S.l2_inner(f1, f2), (i, j)
 
 
 def test_gram_matches_pairwise_l2_inner_and_the_oracle():
@@ -543,13 +551,44 @@ def test_gram_matches_pairwise_l2_inner_and_the_oracle():
         functions = [[CycNum.zero()] * q]
         for _ in range(8):
             functions.append([value(rng.choice(kinds)) for _ in range(q)])
-        gram = S.gram(functions)
+        gram = _gram_entries(S.gram(functions))
         for i, f1 in enumerate(functions):
             for j, f2 in enumerate(functions):
-                assert _same(gram[i][j], S.l2_inner(f1, f2)), (kinds, i, j)
-                assert _same(gram[i][j], _l2_inner_oracle(S, f1, f2)), (kinds, i, j)
+                assert gram[i][j] == S.l2_inner(f1, f2), (kinds, i, j)
+                assert gram[i][j] == _l2_inner_oracle(S, f1, f2), (kinds, i, j)
     with pytest.raises(DomainMismatchError):
         S.gram([[CycNum.zero()] * q, [CycNum.zero()] * (q + 1)])
+
+
+@pytest.mark.parametrize("q", [7, 13])
+def test_gram_is_the_same_in_any_block_size(q, monkeypatch):
+    # one row per block, blocks of two rows with a shorter last block, and
+    # one block; on the basis, then on a function past 2^63 at x = 0 only,
+    # whose row reduces in Python integers and the rows after it in int64
+    S = CharacterSums(field_ctx_for_q(q))
+    rng = random.Random(q)
+    big = [CycNum.root_of_unity(4, 1) * 2**70] + [CycNum.zero()] * (q - 1)
+    small = [[CycNum.zero()] + [CycNum.root_of_unity(4, rng.randrange(4)) for _ in range(q - 1)] for _ in range(3)]
+    for functions in ([vec for _, vec, _ in S.orthogonal_basis()], [big] + small):
+        m, nums, dens = S.gram(functions)
+        entries = _gram_entries((m, nums, dens))
+        for i, f1 in enumerate(functions):
+            for j, f2 in enumerate(functions):
+                assert entries[i][j] == _l2_inner_oracle(S, f1, f2), (i, j)
+        for block in (1, 2 * len(functions) * m, len(functions) ** 2 * m):
+            monkeypatch.setattr(charsums, "GRAM_BLOCK", block)
+            got = S.gram(functions)
+            assert got[0] == m and (got[1] == nums).all() and (got[2] == dens).all(), block
+        monkeypatch.undo()
+    assert nums.dtype == object and any(isinstance(c, int) and abs(c) >= 2**63 for c in nums.ravel())
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_katz_rejects_lambda_outside_the_field(q):
+    S = CharacterSums(field_ctx_for_q(q))
+    for bad in (-1, q, q + 1):
+        with pytest.raises(DomainMismatchError):
+            S.katz_h([Fraction(1, 2)] * 2, [Fraction(1)] * 2, bad)
 
 
 def _katz_oracle(S, alpha, beta, lam, omega_exponent):

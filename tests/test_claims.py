@@ -55,7 +55,7 @@ def test_wrong_gauss_sum_inverse_raises(monkeypatch):
 
 def test_non_real_coefficient_raises(monkeypatch):
     sums = CharacterSums(field_ctx_for_q(5))
-    monkeypatch.setattr(sums, "_form", lambda f, g: CycNum.root_of_unity(4, 1))
+    monkeypatch.setattr(sums, "_forms", lambda f, g: [CycNum.root_of_unity(4, 1)] * len(g.dens))
     with pytest.raises(IdentityViolationError, match="not real"):
         sums.orthonormal_coefficient_squares()
 
@@ -64,9 +64,10 @@ def test_wrong_gram_entry_fails_the_basis_check(monkeypatch):
     gram = CharacterSums.gram
 
     def perturbed(self, functions):
-        entries = gram(self, functions)
-        entries[0][1] = entries[0][1] + 1
-        return entries
+        m, nums, dens = gram(self, functions)
+        nums = nums.copy()
+        nums[0, 1, 0] += 1
+        return m, nums, dens
 
     monkeypatch.setattr(CharacterSums, "gram", perturbed)
     report = run_suite("sums", 5)
