@@ -35,19 +35,13 @@ a: one bincount per sign of phi over (k, a, k log x), or (k, a, k j), and
 one `reduce_zeta_counts`.  `legendre_sum` and `soto_andrade_sum` read a
 row; the complex conjugate of row k is row -k.
 
-The weighted Hermitian form works on numerators too: numerator i of f1(x)
-times numerator j of f2(x), weighted by the measure at x, counts at
-zeta_L^(i L/m1 - j L/m2), with m1, m2 the conductors of f1, f2 and
-L = lcm(m1, m2); the minus sign is the complex conjugation of f2.  So the
-form is one integer matrix product, one scatter into counts over Z/L and
-one reduction, with no per-point product.  `gram` does all ordered pairs at
-once: the nonzero numerator columns of every function side by side, weighted
-by the measure, times the same columns, one `np.add.at` scatter at
-i L/m1 - j L/m2 with L the lcm of every conductor, and one
-`reduce_zeta_counts`, for one block of rows at a time so that no count array
-holds more than GRAM_BLOCK entries.  It returns the reduced numerators and
-the denominators as arrays.  `l2_inner` runs the same kernel on one pair and
-returns a `CycNum` in the conductor the value lives in.
+The weighted Hermitian form is `cyclotomic.hermitian_form` of the
+functions' terms (`cyclotomic.zeta_terms`), with the measure as the weight.
+`gram` runs it on every ordered pair at once in Q(zeta_L), L the lcm of
+every conductor, and returns the reduced numerators and the denominators as
+arrays.  `l2_inner` and `orthonormal_coefficient_squares` run the cross form
+of one function with one or many, and return each value as a `CycNum` in the
+conductor it lives in.
 
 The Katz sum holds the q-1 Gauss sums g(omega_1^j) once, as the rows of an
 integer matrix; the choice of omega only permutes the rows.  Its sum over k starts from the rows gathered at k + a_1
@@ -63,19 +57,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import (
-    CycNum,
-    _canonical,
-    cyclotomic_polynomial,
-    exact_dtype,
-    max_abs,
-    reduce_zeta_counts,
-    row_products,
-)
+from . import cyclotomic
+from .cyclotomic import CycNum, _canonical, reduce_zeta_counts, row_products, zeta_terms
 from .errors import (
     ArityMismatchError,
     DomainMismatchError,
@@ -86,34 +72,6 @@ from .errors import (
 from .fields import FieldCtx, MultCharB, MultCharFq
 
 MAX_HYPERGEOMETRIC_DEPTH = 4  # up to 4F3; nothing deeper is needed
-GRAM_BLOCK = 2**20  # count entries per block of `gram` rows
-
-
-class _Stack(NamedTuple):
-    """Functions on F_q as numerator columns: column c of nums (rows indexed
-    by x) holds numerators of function owner[c] (ascending) at
-    zeta_m^pos[c]; function r is those columns over dens[r]."""
-
-    m: int  # lcm of the conductors of every value
-    dens: list[int]
-    nums: np.ndarray
-    pos: np.ndarray
-    owner: np.ndarray
-    conductors: np.ndarray  # [r, x]: conductor of value x of function r, 0 where it vanishes
-    top: int  # the largest |numerator|
-    width: int  # the most columns of one function
-
-
-def _numerators(values: list[CycNum]) -> tuple[int, int, np.ndarray]:
-    """(m, d, rows) with m the lcm of the conductors and d the lcm of the
-    denominators: row r holds d * values[r] in Z[x]/(x^m - 1), numerator i of
-    a value of conductor m_r at column i * m/m_r."""
-    m = math.lcm(*(v.m for v in values))
-    d = math.lcm(*(v.den for v in values))
-    rows = np.zeros((len(values), max((len(v.nums) - 1) * (m // v.m) + 1 for v in values)), dtype=object)
-    for r, v in enumerate(values):
-        rows[r, :: m // v.m][: len(v.nums)] = v.nums
-    return m, d, rows * np.array([d // v.den for v in values], dtype=object)[:, None]
 
 
 def _greene_level(below: np.ndarray, mul: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -149,85 +107,44 @@ class CharacterSums:
 
     def l2_inner(self, f1: list[CycNum], f2: list[CycNum]) -> CycNum:
         """Sum over x of measure(x) * f1(x) * conj(f2(x))."""
-        return self._forms(self._stack([f1]), self._stack([f2]))[0]
+        return self._forms(f1, [f2])[0]
 
     def gram(self, functions: list[list[CycNum]]) -> tuple[int, np.ndarray, np.ndarray]:
         """(L, nums, dens): entry (i, j), l2_inner(functions[i], functions[j]),
         is nums[i, j] / dens[i, j], nums[i, j] its reduced numerators in
-        Q(zeta_L), L the lcm of every conductor.  Built in blocks of rows so
-        that no count array has more than GRAM_BLOCK entries."""
-        stack = self._stack(functions)
-        m, n = stack.m, len(functions)
-        step = max(1, GRAM_BLOCK // (n * m))
-        nums = np.zeros((n, n, len(cyclotomic_polynomial(m)) - 1), dtype=np.int64)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            block = reduce_zeta_counts(m, self._counts(stack, stack, start, stop).reshape(m, -1).T)
-            if block.dtype == object:  # a block past 2^63; later blocks may be int64 again
-                nums = nums.astype(object)
-            nums[start:stop] = block.reshape(stop - start, n, -1)
-        dens = np.array(stack.dens, dtype=object)
-        return m, nums, np.outer(dens, dens)
+        Q(zeta_L), L the lcm of every conductor."""
+        self._check_domain(functions)
+        m, n = math.lcm(*(v.m for f in functions for v in f)), len(functions)
+        terms, dens = zeta_terms(functions, m)
+        dens = np.array(dens, dtype=object)
+        return m, cyclotomic.hermitian_form(m, self._mu, terms, n, terms, n), np.outer(dens, dens)
 
-    def _stack(self, functions: list[list[CycNum]]) -> _Stack:
-        """The numerator columns of functions on F_q: each function's
-        `_numerators`, lifted to the lcm m of every conductor, keeping the
-        columns that are nonzero at some point."""
+    def _check_domain(self, functions: list[list[CycNum]]):
         if any(len(f) != self.q for f in functions):
             raise DomainMismatchError("functions must be indexed by the q field elements")
-        m = math.lcm(*(v.m for f in functions for v in f))
-        parts = [_numerators(f) for f in functions]
-        live = [np.flatnonzero((rows != 0).any(axis=0)) for _, _, rows in parts]
-        nums = np.concatenate([rows[:, c] for (_, _, rows), c in zip(parts, live)], axis=1)
-        top = max_abs(nums)
-        width = max(len(c) for c in live)
-        return _Stack(
-            m,
-            [d for _, d, _ in parts],
-            nums.astype(exact_dtype((self.q + 1) * top)),
-            np.concatenate([c * (m // mr) for (mr, _, _), c in zip(parts, live)]),
-            np.repeat(np.arange(len(functions)), [len(c) for c in live]),
-            np.array([[0 if v.is_zero() else v.m for v in f] for f in functions], dtype=np.int64),
-            top,
-            width,
-        )
 
-    def _counts(self, left: _Stack, right: _Stack, start: int, stop: int) -> np.ndarray:
-        """[e, r - start, s] for start <= r < stop: the form of left function r
-        and right function s as counts of zeta_L^e, L = lcm(m1, m2).  Column
-        i of f1(x) times column j of f2(x), weighted by the measure at x,
-        counts at e = p1(i) L/m1 - p2(j) L/m2; the minus sign is the complex
-        conjugation of f2.  One matrix product and one scatter."""
-        big = math.lcm(left.m, right.m)
-        lo, hi = np.searchsorted(left.owner, [start, stop])
-        owner = left.owner[lo:hi]
-        # an entry sums, over x and over the column pairs of one function
-        # pair, at most 3q * top1 * top2 per pair
-        dtype = exact_dtype(3 * self.q * left.top * right.top * left.width * right.width)
-        counts = np.zeros((big, stop - start, len(right.dens)), dtype=dtype)
-        if hi == lo or not right.width:  # one side vanishes everywhere
-            return counts
-        weighted = left.nums[:, lo:hi].astype(dtype) * self._mu.astype(dtype)[:, None]
-        products = weighted.T @ right.nums.astype(dtype, copy=False)
-        power = (left.pos[lo:hi, None] * (big // left.m) - right.pos[None, :] * (big // right.m)) % big
-        np.add.at(counts, (power, owner[:, None] - start, right.owner[None, :]), products)
-        return counts
-
-    def _forms(self, left: _Stack, right: _Stack) -> list[CycNum]:
-        """The form of the first function of left with each function of right.
-        A value lives in Q(zeta_c), c the lcm of the conductors at the points
-        where neither function vanishes, so its counts sit at multiples of L/c."""
-        big = math.lcm(left.m, right.m)
-        counts = self._counts(left, right, 0, 1)[:, 0]
-        out = []
-        for s, conductors in enumerate(right.conductors):
-            both = (left.conductors[0] > 0) & (conductors > 0)
-            if not both.any():
-                out.append(CycNum.zero())
-                continue
-            conductor = int(np.lcm.reduce(np.lcm(left.conductors[0, both], conductors[both])))
-            scale = Fraction(1, left.dens[0] * right.dens[s])
-            out.append(CycNum.from_zeta_powers(conductor, counts[:: big // conductor, s].tolist(), scale))
+    def _forms(self, f: list[CycNum], functions: list[list[CycNum]]) -> list[CycNum]:
+        """The form of f with each of functions.  The value with g lives in
+        Q(zeta_c), c the lcm of the conductors at the points where neither f
+        nor g vanishes.  The functions of one c go through the kernel in
+        Q(zeta_c) together, each kept at the points where f is nonzero and f
+        at the points where one of them is, so every conductor divides c."""
+        self._check_domain([f, *functions])
+        zero = CycNum.zero()
+        live = np.array([[not v.is_zero() for v in g] for g in (f, *functions)])
+        groups: dict[int, list[int]] = {}
+        for s, g in enumerate(functions):
+            both = np.flatnonzero(live[0] & live[s + 1])
+            if both.size:
+                groups.setdefault(math.lcm(*(h[x].m for h in (f, g) for x in both)), []).append(s)
+        out = [zero] * len(functions)
+        for c, members in groups.items():
+            reach = live[0] & live[np.array(members) + 1].any(axis=0)
+            x, (d,) = zeta_terms([[v if keep else zero for v, keep in zip(f, reach)]], c)
+            y, dens = zeta_terms([[v if keep else zero for v, keep in zip(functions[s], live[0])] for s in members], c)
+            nums = cyclotomic.hermitian_form(c, self._mu, x, 1, y, len(members))[0]
+            for s, row, e in zip(members, nums, dens):
+                out[s] = _canonical(c, tuple(row.tolist()), d * e)
         return out
 
     # -- Legendre and Soto-Andrade sums ----------------------------------------
@@ -518,7 +435,7 @@ class CharacterSums:
         i.e. <f, b>^2 / ||b||^2 per basis element.  Each coefficient is real;
         the squares sum to ||f||^2."""
         basis = self.orthogonal_basis()
-        coefficients = self._forms(self._stack([self.f_vector()]), self._stack([vec for _, vec, _ in basis]))
+        coefficients = self._forms(self.f_vector(), [vec for _, vec, _ in basis])
         out = []
         for (name, _, norm_sq), c in zip(basis, coefficients):
             if not c.is_real():

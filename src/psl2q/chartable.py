@@ -9,20 +9,14 @@ order of `PGL2.class_labels`.
 The sign function delta on a class is computed from an explicit class
 representative: +1 when the representative lies in PSL(2,q), else -1.
 
-For the orthogonality relations the table is also held as integer arrays:
+For the orthogonality relations the table is also held as integer terms:
 `zeta_terms` lists every nonzero numerator of every value as a term
 (row, class, exponent, coefficient), the value's powers of zeta_m lifted to
 zeta_L with L = `conductor`.  Character values are algebraic integers, so a
-value with a denominator is an error.  `hermitian_gram` then builds
-G[a, b] = sum over s of w[s] * X[a, s] * conj(X[b, s]) from such terms in one
-scatter: the terms are grouped by the index s summed over, each pair of
-terms (a, e, x), (b, e', x') of a group adds w[s] * x * x' to the count of
-zeta_L^(e - e') in row (a, b) of a (k^2, L) count array, and all k^2 rows are
-reduced mod Phi_L in one batch (`cyclotomic.reduce_zeta_counts`).
-Summed over classes with the class sizes as weights it gives |G| times the
-row inner products (`row_gram`); summed over characters with weight 1, the
-column sums (`column_gram`).  Only pairs within one group are formed, never
-a dense (rows, classes, L) array.
+value with a denominator is an error.  Summed over classes with the class
+sizes as weights, `cyclotomic.hermitian_form` of these terms gives |G| times
+the row inner products (`row_gram`); summed over characters with weight 1,
+the column sums (`column_gram`).
 """
 
 from __future__ import annotations
@@ -33,7 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNum, exact_dtype, reduce_zeta_counts
+from . import cyclotomic
+from .cyclotomic import CycNum, zeta_terms
 from .errors import IdentityViolationError
 from .fields import MultCharB, MultCharFq
 from .groups import PGL2, ClassLabel
@@ -176,7 +171,6 @@ class CharTable:
         coefficient * zeta_L^exponent, with L = conductor.  Built once."""
         if self._terms is None:
             L = self.conductor
-            terms = []
             for i, row in enumerate(self.values):
                 for c, v in enumerate(row):
                     if v.den != 1 or L % v.m:
@@ -184,25 +178,24 @@ class CharTable:
                             f"{self.chars[i].name()} on {self.classes[c]} is {v!r}, "
                             f"not an algebraic integer of Q(zeta_{L})"
                         )
-                    step = L // v.m
-                    terms.extend((i, c, j * step, x) for j, x in enumerate(v.nums) if x)
-            self._terms = tuple(np.array(column, dtype=np.int64) for column in zip(*terms))
+            self._terms, _ = zeta_terms(self.values, L)
         return self._terms
 
     def row_gram(self) -> np.ndarray:
         """[i, j]: the numerators in Q(zeta_L) of
         sum over classes of size * chi_i * conj(chi_j), i.e. |G| times
         inner_product(values[i], values[j])."""
-        row, cls, exponent, coef = self.zeta_terms()
+        terms, n = self.zeta_terms(), len(self.chars)
         sizes = np.array(self.sizes, dtype=np.int64)
-        return hermitian_gram(self.conductor, row, cls, exponent, coef, sizes, len(self.chars))
+        return cyclotomic.hermitian_form(self.conductor, sizes, terms, n, terms, n)
 
     def column_gram(self) -> np.ndarray:
         """[a, b]: the numerators in Q(zeta_L) of
         sum over characters of chi(a) * conj(chi(b))."""
         row, cls, exponent, coef = self.zeta_terms()
+        terms, n = (cls, row, exponent, coef), len(self.classes)
         ones = np.ones(len(self.chars), dtype=np.int64)
-        return hermitian_gram(self.conductor, cls, row, exponent, coef, ones, len(self.classes))
+        return cyclotomic.hermitian_form(self.conductor, ones, terms, n, terms, n)
 
     def permutation_character(self) -> list[CycNum]:
         """Character of the module spanned by ordered pairs of distinct points:
@@ -219,28 +212,6 @@ class CharTable:
             m = self.inner_product(class_function, row)
             out[chi.name()] = m.as_fraction()
         return out
-
-
-def hermitian_gram(m: int, index, summed, exponent, coef, weight, n: int) -> np.ndarray:
-    """G[a, b] = sum over s of weight[s] * X[a, s] * conj(X[b, s]) for an
-    n-row matrix X over Q(zeta_m) given by its terms: term t adds
-    coef[t] * zeta_m^exponent[t] to X[index[t], summed[t]].  Returns the
-    reduced numerators of G as an (n, n, phi(m)) integer array."""
-    order = np.argsort(summed, kind="stable")
-    index, summed, exponent, coef = index[order], summed[order], exponent[order], coef[order]
-    size = np.bincount(summed)
-    start = np.cumsum(size) - size  # the first term of each group
-    reps = size[summed]  # term t meets every term of its group
-    left = np.repeat(np.arange(summed.size), reps)
-    offset = np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    right = start[summed[left]] + offset
-    bound = left.size * int(np.abs(weight).max()) * int(np.abs(coef).max()) ** 2
-    dtype = exact_dtype(bound)
-    w, x = weight.astype(dtype), coef.astype(dtype)
-    counts = np.zeros(n * n * m, dtype=dtype)
-    flat = (index[left] * n + index[right]) * m + (exponent[left] - exponent[right]) % m
-    np.add.at(counts, flat, w[summed[left]] * x[left] * x[right])
-    return reduce_zeta_counts(m, counts.reshape(n * n, m)).reshape(n, n, -1)
 
 
 def build_table(group: PGL2) -> CharTable:

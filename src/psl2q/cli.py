@@ -28,9 +28,9 @@ from .fields import factor_prime_power, field_ctx_for_q
 from .groups import PGL2
 from .verify import SUITES, run_suite
 
-# The ekr clique search stops at ekr.MAX_Q = 19, where it takes about 4 s on
-# a 2-core machine; every other suite takes under 0.5 s there.  Larger q is
-# neither budgeted nor timed.
+# The ekr clique search stops at ekr.MAX_Q = 19, where a fresh-process run
+# takes 6-8 s on a 2-core machine; the other suites take 0.3-0.6 s there,
+# rank the longest.  Larger q is neither budgeted nor timed.
 MAX_VERIFY_Q = 19
 
 
@@ -50,7 +50,7 @@ def _parse_q_list(text: str) -> list[int]:
 def _suites_for(q: int, requested: str) -> list[str]:
     """Applicable suites for one q, validating explicit requests."""
     if requested == "all":
-        return ["table", "sums", "rank", "ekr"] if q >= 5 else ["ekr"]
+        return list(SUITES) if q >= 5 else ["ekr"]
     if requested != "ekr" and q < 5:
         raise ValueError(f"suite {requested!r} requires q >= 5; q = 3 only supports ekr")
     return [requested]

@@ -34,14 +34,35 @@ Many sums of roots of unity at once, row i of an integer matrix C with m
 columns standing for sum_j C[i, j] zeta_m^j, go through
 `reduce_zeta_counts`, the batched `CycNum.from_zeta_powers`: column j >= phi(m)
 is added into the columns of the reduction row x^j mod Phi_m, one vector
-operation per nonzero coefficient of those rows.  The rows are sparse (about
+operation per nonzero coefficient of those rows, for each power j that
+some count reaches.  The rows are sparse (about
 16 of 480 coefficients at m = 1860), so this does far less work than a dense
 matrix product with them, and nearly every coefficient is +-1, which adds or
 subtracts a row with no product.  Counts built power-major (the transpose of
-a C-ordered (m, rows) array, as `CharacterSums.gram` builds them) are read in
-place, with no copy of the columns j >= phi(m).  Every entry and partial sum is at most max|C|
-times (1 + the largest column sum of |rows|), which chooses int64 or Python
-integers by the same rule.
+a C-ordered (m, rows) array, as `hermitian_form` builds them) are read in
+place, with no copy of the columns j >= phi(m).  Every entry and partial sum
+is at most max|C| times (1 + the largest column sum of |rows|), which chooses
+int64 or Python integers by the same rule.
+
+Every weighted Hermitian form of the verifier is one kernel,
+`hermitian_form`: the row and column orthogonality of the character table,
+the Gram matrices of the characters of GF(q)* and of GF(q^2)*/GF(q)*, and
+the form of functions on F_q in `charsums`.  It computes
+G[a, b] = sum over s of w[s] * X[a, s] * conj(Y[b, s]) for matrices X and Y
+over Q(zeta_m) given by their terms (row, s, exponent, coefficient), as
+`zeta_terms` lists them.  Each side becomes an integer matrix with one row
+per s and one column per distinct (row, exponent), and one matrix product
+of the weighted X columns with the Y columns sums over s.  The product of
+column (a, i) and column (b, j) counts at zeta_m^(i - j) in entry (a, b),
+the minus sign being the conjugation of Y, and one `np.add.at` scatter puts
+every nonzero product there.  One `reduce_zeta_counts` per block of X rows,
+each block at most GRAM_BLOCK counts and GRAM_BLOCK products, gives the
+reduced numerators.  A count sums at most min(the most columns of one X
+row, of one Y row) products, each at most sum|w| * max|X| * max|Y|, and
+that bound picks the arithmetic by the rule of `row_products`: float64 (a
+BLAS product) below 2^53, int64 below 2^63, else Python integers.  Callers
+reach it as `cyclotomic.hermitian_form`, looked up at each call, so one
+definition serves every form.
 
 Phi_m is built from its squarefree kernel r = rad(m): Phi_(pn)(x) =
 Phi_n(x^p) / Phi_n(x) for a prime p not dividing n takes Phi_1 = x - 1 to
@@ -66,6 +87,10 @@ _ROW_CACHE: dict[int, list[list[tuple[int, int]]]] = {}
 # m -> (rows 0..deg-2 of _ROW_CACHE[m] as a dense int64 matrix, its float64
 # copy, the largest column sum of its absolute values)
 _DENSE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+# m -> the largest column sum of the absolute values of the m - phi(m) rows of
+# _ROW_CACHE[m] that `reduce_zeta_counts` adds
+_COUNT_COLUMN_CACHE: dict[int, int] = {}
+GRAM_BLOCK = 2**20  # counts, and column products, per block of rows of `hermitian_form`
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -162,6 +187,13 @@ def exact_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
+def _arithmetic(bound: int):
+    """float64 if bound < 2^53, where it holds every integer up to bound
+    exactly, so no sum or product of such integers rounds, in whatever order
+    BLAS sums and with or without fused multiply-adds; else `exact_dtype`."""
+    return np.float64 if bound < 2**53 else exact_dtype(bound)
+
+
 def row_products(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i holds the reduced numerators of a[i] * b[i] in Q(zeta_m), where a
     and b are integer matrices of reduced numerators, phi(m) columns each.
@@ -177,7 +209,8 @@ def row_products(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     deg = _degree(m)
     dense, dense_float, col = _dense_reduction(m)
     bound = deg * max_abs(a) * max_abs(b) * (1 + col)
-    dtype, reduction = (np.float64, dense_float) if bound < 2**53 else (exact_dtype(bound), dense)
+    dtype = _arithmetic(bound)
+    reduction = dense_float if dtype is np.float64 else dense
     a, b = a.astype(dtype), b.astype(dtype)
     conv = np.array([np.convolve(x, y) for x, y in zip(a, b)], dtype=dtype).reshape(-1, 2 * deg - 1)
     out = conv[:, :deg] + conv[:, deg:] @ reduction.astype(dtype, copy=False)
@@ -186,22 +219,27 @@ def row_products(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def reduce_zeta_counts(m: int, counts: np.ndarray) -> np.ndarray:
     """Row i holds the reduced numerators of sum_j counts[i, j] * zeta_m^j in
-    Q(zeta_m), for an integer matrix with m columns: row by row the
-    numerators of `CycNum.from_zeta_powers(m, counts[i])`."""
+    Q(zeta_m), for an integer-valued matrix with m columns (int64, float64 or
+    Python integers): row by row the numerators of
+    `CycNum.from_zeta_powers(m, counts[i])`."""
     if counts.ndim != 2 or counts.shape[1] != m:
         raise ValueError(f"expected a matrix with {m} columns, got shape {counts.shape}")
     deg = _degree(m)
     rows = _reduction_rows(m)[: m - deg]  # row k is x^(deg+k) mod Phi_m
-    column_sums = [0] * deg
-    for row in rows:
-        for i, c in row:
-            column_sums[i] += abs(c)
-    dtype = exact_dtype(max_abs(counts) * (1 + max(column_sums)))
+    col = _COUNT_COLUMN_CACHE.get(m)
+    if col is None:
+        column_sums = [0] * deg
+        for row in rows:
+            for i, c in row:
+                column_sums[i] += abs(c)
+        col = _COUNT_COLUMN_CACHE[m] = max(column_sums)
+    dtype = exact_dtype(max_abs(counts) * (1 + col))
     # one row per power of zeta, so each step below is a contiguous row operation
     out = np.array(counts[:, :deg].T, dtype=dtype, order="C")
     tail = np.asarray(counts[:, deg:].T, dtype=dtype, order="C")  # read only: no copy of a power-major input
-    for power, row in zip(tail, rows):
-        for i, c in row:
+    for k in np.flatnonzero(tail.any(axis=1)):  # a power no count reaches adds nothing
+        power = tail[k]
+        for i, c in rows[k]:
             if c == 1:  # most coefficients of cyclotomic polynomials are +-1
                 out[i] += power
             elif c == -1:
@@ -209,6 +247,79 @@ def reduce_zeta_counts(m: int, counts: np.ndarray) -> np.ndarray:
             else:
                 out[i] += c * power
     return out.T
+
+
+def zeta_terms(rows: list[list["CycNum"]], m: int) -> tuple[tuple[np.ndarray, ...], list[int]]:
+    """The terms of a matrix over Q(zeta_m), m a multiple of every conductor,
+    and the lcm d[r] of the denominators of each row r.  The terms are arrays
+    (row, column, exponent, coefficient), one entry per nonzero numerator:
+    rows[r][c] is d[r]^-1 times the sum of coefficient * zeta_m^exponent over
+    its terms."""
+    dens = [math.lcm(*(v.den for v in row)) for row in rows]
+    by_conductor: dict[int, list] = {}  # the numerators of one conductor have one length
+    for r, (row, d) in enumerate(zip(rows, dens)):
+        for c, v in enumerate(row):
+            if m % v.m:
+                raise ValueError(f"conductor {v.m} does not divide {m}")
+            by_conductor.setdefault(v.m, []).append((r, c, d // v.den, v.nums))
+    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0, dtype=object),)]
+    for conductor, values in by_conductor.items():
+        row, column, scale, nums = zip(*values)
+        coef = np.array(nums, dtype=object) * np.array(scale, dtype=object)[:, None]
+        value, j = np.nonzero(coef)
+        parts.append((np.array(row)[value], np.array(column)[value], j * (m // conductor), coef[value, j]))
+    row, column, exponent, coef = (np.concatenate(part) for part in zip(*parts))
+    index = tuple(a.astype(np.int64) for a in (row, column, exponent))
+    return (*index, coef.astype(exact_dtype(max_abs(coef)))), dens
+
+
+def _columns(terms: tuple[np.ndarray, ...], m: int, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One column per distinct (row, exponent mod m) of a matrix's terms,
+    ordered by row: the row and the exponent of each column, and the
+    (points, columns) matrix of the coefficients."""
+    row, summed, exponent, coef = terms
+    keys, column = np.unique(row * m + exponent % m, return_inverse=True)
+    dense = np.zeros((points, len(keys)), dtype=coef.dtype)
+    np.add.at(dense, (summed, column), coef)
+    return keys // m, keys % m, dense
+
+
+def hermitian_form(m: int, weight: np.ndarray, x: tuple, x_rows: int, y: tuple, y_rows: int) -> np.ndarray:
+    """G[a, b] = sum over s of weight[s] * X[a, s] * conj(Y[b, s]) for an
+    x_rows-row matrix X and a y_rows-row matrix Y over Q(zeta_m), each given
+    by its terms (row, s, exponent, coefficient): the reduced numerators of G
+    as an (x_rows, y_rows, phi(m)) integer array, built in blocks of X rows
+    of at most GRAM_BLOCK counts and GRAM_BLOCK column products each."""
+    x_row, x_exp, a = _columns(x, m, len(weight))
+    y_row, y_exp, b = _columns(y, m, len(weight))
+    x_width, y_width = (int(np.bincount(r, minlength=1).max()) for r in (x_row, y_row))  # columns per row
+    # count (a, b, d) takes at most one column of Y row b per column of X row a
+    dtype = _arithmetic(sum(map(abs, weight.tolist())) * max_abs(a) * max_abs(b) * min(x_width, y_width))
+    a = a.astype(dtype) * weight.astype(dtype)[:, None]
+    b = b.astype(dtype, copy=False)
+    exact = np.int64 if dtype is np.float64 else dtype  # the counts, which the reduction reads in place
+    out = np.zeros((x_rows, y_rows, _degree(m)), dtype=np.int64)
+    step = max(1, GRAM_BLOCK // max(y_rows * m, x_width * len(y_exp)))  # counts and column products
+    counts = np.zeros(m * min(step, x_rows) * y_rows, dtype=exact)  # one buffer for every block
+    for start in range(0, x_rows, step):
+        stop = min(start + step, x_rows)
+        lo, hi = np.searchsorted(x_row, [start, stop])
+        size = (stop - start) * y_rows
+        products = a[:, lo:hi].T @ b
+        i, j = np.nonzero(products)  # column pairs that share no s add nothing
+        # power-major counts [power, a - start, b] through a flat index: column i
+        # of X times column j of Y counts at power e_i - e_j mod m, the minus
+        # sign being the conjugation of Y
+        left = x_exp[lo:hi] * size + (x_row[lo:hi] - start) * y_rows
+        flat = (left[i] + (m - y_exp[j]) * size + y_row[j]) % (m * size)
+        part = counts[: m * size]
+        part[:] = 0
+        np.add.at(part, flat, products[i, j].astype(exact, copy=False))
+        block = reduce_zeta_counts(m, part.reshape(m, -1).T)
+        if block.dtype == object:  # a block past 2^63; later blocks may be int64 again
+            out = out.astype(object)
+        out[start:stop] = block.reshape(stop - start, y_rows, -1)
+    return out
 
 
 def _reduce_int_poly(vec: list[int], m: int, deg: int) -> tuple[int, ...]:

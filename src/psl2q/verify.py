@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chartable import build_table, hermitian_gram
+from . import cyclotomic
+from .chartable import build_table
 from .charsums import CharacterSums
 from .cyclotomic import CycNum, reduce_zeta_counts, row_products
 from .derangement import DerangementModel
@@ -238,11 +239,7 @@ def basis_gram_is_diagonal(sums: CharacterSums, basis: list) -> bool:
     squared norms, compared on the reduced numerators and denominators that
     `CharacterSums.gram` returns."""
     _, nums, dens = sums.gram([vec for _, vec, _ in basis])
-    first = nums[:, :, 0]
-    ok = len(basis) == sums.q and (nums[:, :, 1:] == 0).all() and (first == np.diag(first.diagonal())).all()
-    return bool(ok) and all(
-        Fraction(int(first[i, i]), int(dens[i, i])) == norm for i, (_, _, norm) in enumerate(basis)
-    )
+    return len(basis) == sums.q and _is_diagonal(nums, [norm * dens[i, i] for i, (_, _, norm) in enumerate(basis)])
 
 
 def character_grams_are_scalar(ctx) -> bool:
@@ -254,10 +251,9 @@ def character_grams_are_scalar(ctx) -> bool:
     ok = True
     for m, logs in ((q - 1, ctx.arrays.log[1:]), (q + 1, np.arange(q + 1))):
         k, point = np.divmod(np.arange(m * m), m)
-        ones = np.ones(m * m, dtype=np.int64)
-        gram = hermitian_gram(m, k, point, k * logs[point] % m, ones, ones[:m], m)
-        ok = ok and (gram[:, :, 0] == m * np.eye(m, dtype=np.int64)).all() and (gram[:, :, 1:] == 0).all()
-    return bool(ok)
+        terms = (k, point, k * logs[point] % m, np.ones(m * m, dtype=np.int64))
+        ok = ok and _is_diagonal(cyclotomic.hermitian_form(m, np.ones(m, dtype=np.int64), terms, m, terms, m), [m] * m)
+    return ok
 
 
 def legendre_matches_2f1(sums: CharacterSums) -> bool:

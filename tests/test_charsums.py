@@ -2,12 +2,14 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from psl2q import charsums
+from psl2q import cyclotomic
 from psl2q.charsums import CharacterSums
+from psl2q.chartable import build_table
 from psl2q.cyclotomic import CycNum, _canonical, cyclotomic_polynomial
 from psl2q.errors import (
     ArityMismatchError,
@@ -16,6 +18,7 @@ from psl2q.errors import (
     TrivialCharacterError,
 )
 from psl2q.fields import field_ctx_for_q
+from psl2q.groups import PGL2
 
 
 @pytest.fixture(scope="module")
@@ -560,11 +563,42 @@ def test_gram_matches_pairwise_l2_inner_and_the_oracle():
         S.gram([[CycNum.zero()] * q, [CycNum.zero()] * (q + 1)])
 
 
+def _block_caps(terms, n, m):
+    """(rows per block, GRAM_BLOCK) pairs that give `hermitian_form` of an
+    n-row X with itself blocks of one row, of two rows (the last one shorter
+    when n is odd) and of all n rows: a row of X takes n * m counts, and its
+    columns times every column of products."""
+    row, _, exponent, _ = terms
+    columns = Counter(r for r, _ in set(zip(row.tolist(), (exponent % m).tolist())))
+    unit = max(n * m, max(columns.values()) * sum(columns.values()))
+    return [(1, 1), (2, 2 * unit), (n, n * unit)]
+
+
+def _same_in_every_block_size(monkeypatch, caps, n, build, want):
+    """build() equals want, dtype included, under every cap, and each cap
+    reduces the blocks of rows it names."""
+    reduce, sizes = cyclotomic.reduce_zeta_counts, []
+
+    def spy(m, counts):
+        sizes.append(len(counts))
+        return reduce(m, counts)
+
+    monkeypatch.setattr(cyclotomic, "reduce_zeta_counts", spy)
+    for rows, cap in caps:
+        sizes.clear()
+        monkeypatch.setattr(cyclotomic, "GRAM_BLOCK", cap)
+        got = build()
+        assert sizes == [min(rows, n - start) * n for start in range(0, n, rows)], rows
+        assert got.dtype == want.dtype and (got == want).all(), rows
+    monkeypatch.undo()
+
+
 @pytest.mark.parametrize("q", [7, 13])
 def test_gram_is_the_same_in_any_block_size(q, monkeypatch):
     # one row per block, blocks of two rows with a shorter last block, and
     # one block; on the basis, then on a function past 2^63 at x = 0 only,
-    # whose row reduces in Python integers and the rows after it in int64
+    # whose row reduces in Python integers and the rows after it in int64;
+    # then the character table's row and column Grams through the same kernel
     S = CharacterSums(field_ctx_for_q(q))
     rng = random.Random(q)
     big = [CycNum.root_of_unity(4, 1) * 2**70] + [CycNum.zero()] * (q - 1)
@@ -575,12 +609,15 @@ def test_gram_is_the_same_in_any_block_size(q, monkeypatch):
         for i, f1 in enumerate(functions):
             for j, f2 in enumerate(functions):
                 assert entries[i][j] == _l2_inner_oracle(S, f1, f2), (i, j)
-        for block in (1, 2 * len(functions) * m, len(functions) ** 2 * m):
-            monkeypatch.setattr(charsums, "GRAM_BLOCK", block)
-            got = S.gram(functions)
-            assert got[0] == m and (got[1] == nums).all() and (got[2] == dens).all(), block
-        monkeypatch.undo()
+        n = len(functions)
+        caps = _block_caps(cyclotomic.zeta_terms(functions, m)[0], n, m)
+        _same_in_every_block_size(monkeypatch, caps, n, lambda: S.gram(functions)[1], nums)
     assert nums.dtype == object and any(isinstance(c, int) and abs(c) >= 2**63 for c in nums.ravel())
+    T = build_table(PGL2(S.ctx))
+    n, m = len(T.classes), T.conductor
+    row, cls, exponent, coef = T.zeta_terms()
+    for build, terms in ((T.row_gram, (row, cls, exponent, coef)), (T.column_gram, (cls, row, exponent, coef))):
+        _same_in_every_block_size(monkeypatch, _block_caps(terms, n, m), n, build, build())
 
 
 @pytest.mark.parametrize("q", [7, 9])

@@ -1,12 +1,11 @@
 """Tests for the character table of PGL(2,q)."""
 
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from psl2q.chartable import build_table, hermitian_gram
+from psl2q.chartable import build_table
 from psl2q.cyclotomic import CycNum
 from psl2q.errors import IdentityViolationError
 from psl2q.fields import field_ctx_for_q
@@ -194,42 +193,3 @@ def test_column_gram_matches_the_column_loop(gram_tables, q):
             for row in T.values:
                 s = s + row[a] * row[b].conjugate()
             assert gram[a, b].tolist() == _numerators(s, T.conductor)
-
-
-def _random_matrix(rng, m, rows, cols):
-    """A matrix over Q(zeta_m) with algebraic-integer entries, some zero."""
-    return [
-        [
-            sum((CycNum.root_of_unity(m, rng.randrange(m)) * rng.randrange(-3, 4) for _ in range(rng.randrange(3))),
-                CycNum.zero())
-            for _ in range(cols)
-        ]
-        for _ in range(rows)
-    ]
-
-
-@pytest.mark.parametrize("m, weight_scale", [(12, 1), (40, 1), (12, 2**58)], ids=["m12", "m40", "object"])
-def test_hermitian_gram_on_a_non_real_matrix(m, weight_scale):
-    # the character table is real, so a kernel that forgets to conjugate
-    # passes both orthogonality checks; a non-real matrix tells them apart
-    rng = random.Random(m * 7 + 1)
-    n, cols = 4, 5
-    X = _random_matrix(rng, m, n, cols)
-    weight = [rng.randrange(1, 9) * weight_scale for _ in range(cols)]
-    terms = [
-        (a, s, j, x)
-        for a, line in enumerate(X)
-        for s, v in enumerate(line)
-        for j, x in enumerate(v.lift(m).nums)
-        if x
-    ]
-    index, summed, exponent, coef = (np.array(t, dtype=np.int64) for t in zip(*terms))
-    got = hermitian_gram(m, index, summed, exponent, coef, np.array(weight, dtype=np.int64), n)
-    assert got.dtype == (object if weight_scale > 1 else np.int64)
-    non_real = 0
-    for a in range(n):
-        for b in range(n):
-            expect = sum((X[a][s] * X[b][s].conjugate() * weight[s] for s in range(cols)), CycNum.zero())
-            non_real += not expect.is_real()
-            assert got[a, b].tolist() == _numerators(expect, m)
-    assert non_real

@@ -55,7 +55,7 @@ def test_wrong_gauss_sum_inverse_raises(monkeypatch):
 
 def test_non_real_coefficient_raises(monkeypatch):
     sums = CharacterSums(field_ctx_for_q(5))
-    monkeypatch.setattr(sums, "_forms", lambda f, g: [CycNum.root_of_unity(4, 1)] * len(g.dens))
+    monkeypatch.setattr(sums, "_forms", lambda f, g: [CycNum.root_of_unity(4, 1)] * len(g))
     with pytest.raises(IdentityViolationError, match="not real"):
         sums.orthonormal_coefficient_squares()
 

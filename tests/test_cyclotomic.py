@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2q.cyclotomic import CycNum, _convolve, cyclotomic_polynomial, reduce_zeta_counts, row_products
+from psl2q.cyclotomic import (
+    CycNum,
+    _convolve,
+    cyclotomic_polynomial,
+    hermitian_form,
+    reduce_zeta_counts,
+    row_products,
+    zeta_terms,
+)
 
 
 def test_cyclotomic_polynomials():
@@ -387,8 +395,100 @@ def test_reduce_zeta_counts_matches_from_zeta_powers(m, scale):
     assert got.dtype == (np.int64 if scale == 1 or (scale < 2**63 and m == 1) else object)
     for row, reduced in zip(rows, got):
         assert tuple(reduced.tolist()) == CycNum.from_zeta_powers(m, row).nums
+    # the even powers reach no row, so their reduction rows are skipped
+    sparse = counts.copy()
+    sparse[:, ::2] = 0
+    for row, reduced in zip(sparse.tolist(), reduce_zeta_counts(m, sparse)):
+        assert tuple(reduced.tolist()) == CycNum.from_zeta_powers(m, row).nums
 
 
 def test_reduce_zeta_counts_rejects_the_wrong_width():
     with pytest.raises(ValueError):
         reduce_zeta_counts(12, np.zeros((2, 11), dtype=np.int64))
+
+
+# -- the Hermitian form kernel ---------------------------------------------------
+
+
+def _random_matrix(rng, m, rows, cols, dens=(1,)):
+    """A matrix over Q(zeta_m), some entries zero, each a sum of a few
+    roots of unity of conductors dividing m over a denominator from dens."""
+    conductors = [d for d in range(1, m + 1) if m % d == 0]
+
+    def value():
+        terms = []
+        for _ in range(rng.randrange(3)):
+            c = rng.choice(conductors)
+            terms.append(CycNum.root_of_unity(c, rng.randrange(c)) * Fraction(rng.randrange(-3, 4), rng.choice(dens)))
+        return sum(terms, CycNum.zero())
+
+    return [[value() for _ in range(cols)] for _ in range(rows)]
+
+
+def _form_oracle(X, Y, weight, a, b):
+    return sum((X[a][s] * Y[b][s].conjugate() * w for s, w in enumerate(weight)), CycNum.zero())
+
+
+@pytest.mark.parametrize(
+    "m, weight_scale", [(12, 1), (40, 1), (12, 2**45), (12, 2**58)], ids=["m12", "m40", "int64", "object"]
+)
+def test_hermitian_form_on_a_non_real_matrix(m, weight_scale):
+    # the character table is real, so a kernel that forgets to conjugate
+    # passes both orthogonality checks; a non-real matrix tells them apart.
+    # The scaled weights put the kernel's bound past 2^53 (int64) and past
+    # 2^63 (Python integers)
+    rng = random.Random(m * 7 + 1)
+    n, cols = 4, 5
+    X = [[v.lift(m) for v in row] for row in _random_matrix(rng, m, n, cols)]
+    weight = [rng.randrange(1, 9) * weight_scale for _ in range(cols)]
+    terms = [(a, s, j, x) for a, line in enumerate(X) for s, v in enumerate(line) for j, x in enumerate(v.nums) if x]
+    terms = tuple(np.array(t, dtype=np.int64) for t in zip(*terms))
+    got = hermitian_form(m, np.array(weight, dtype=np.int64), terms, n, terms, n)
+    assert got.dtype == (object if weight_scale > 2**45 else np.int64)
+    non_real = 0
+    for a in range(n):
+        for b in range(n):
+            expect = _form_oracle(X, X, weight, a, b)
+            non_real += not expect.is_real()
+            assert got[a, b].tolist() == list(expect.lift(m).nums)
+    assert non_real
+
+
+@pytest.mark.parametrize("m", [12, 40, 84])
+def test_hermitian_form_of_two_matrices(m):
+    # X != Y with different row counts, denominators, values of smaller
+    # conductors, a zero column, a zero row of Y and weights of both signs,
+    # both sides through zeta_terms
+    rng = random.Random(m)
+    cols = 6
+    X = _random_matrix(rng, m, 3, cols, dens=(1, 2, 3))
+    Y = _random_matrix(rng, m, 5, cols, dens=(1, 5))
+    Y[4] = [CycNum.zero()] * cols
+    for row in (*X, *Y):
+        row[2] = CycNum.zero()
+    weight = [rng.choice([-2, -1, 1, 3, 7]) for _ in range(cols)]
+    (x, x_dens), (y, y_dens) = zeta_terms(X, m), zeta_terms(Y, m)
+    got = hermitian_form(m, np.array(weight, dtype=np.int64), x, len(X), y, len(Y))
+    assert got.shape == (len(X), len(Y), len(cyclotomic_polynomial(m)) - 1)
+    non_real = 0
+    for a in range(len(X)):
+        for b in range(len(Y)):
+            expect = _form_oracle(X, Y, weight, a, b)
+            non_real += not expect.is_real()
+            assert CycNum(m, tuple(got[a, b].tolist())) * Fraction(1, x_dens[a] * y_dens[b]) == expect, (a, b)
+    assert non_real and not got[:, 4].any()
+
+
+def test_zeta_terms_rebuild_every_value_over_its_row_denominator():
+    rng = random.Random(5)
+    m = 60
+    rows = _random_matrix(rng, m, 4, 7, dens=(1, 2, 7))
+    (row, column, exponent, coef), dens = zeta_terms(rows, m)
+    for r, line in enumerate(rows):
+        for c, v in enumerate(line):
+            at = (row == r) & (column == c)
+            counts = np.zeros(m, dtype=np.int64)
+            np.add.at(counts, exponent[at], coef[at])
+            assert CycNum.from_zeta_powers(m, counts.tolist(), Fraction(1, dens[r])) == v
+    with pytest.raises(ValueError):
+        zeta_terms([[CycNum.root_of_unity(7, 1)]], m)

@@ -1,12 +1,15 @@
 """Each test plants one fault in the program and checks that the sums suite
-reports it: the named check fails at q = 5 and 7."""
+reports it: the named check fails at q = 5 and 7.  One more checks that every
+caller of the Hermitian form reaches the kernel the fault is planted in."""
 
 import numpy as np
 import pytest
 
-from psl2q import charsums, verify
+from psl2q import charsums, cyclotomic
 from psl2q.charsums import CharacterSums
-from psl2q.cyclotomic import reduce_zeta_counts
+from psl2q.chartable import build_table
+from psl2q.fields import field_ctx_for_q
+from psl2q.groups import PGL2
 from psl2q.verify import run_suite
 
 
@@ -37,16 +40,18 @@ def _one_numerator_off(conductor, index):
     return perturbed
 
 
-def _unconjugated_gram(m, index, summed, exponent, coef, weight, n):
-    """`chartable.hermitian_gram` without the conjugation: each pair of terms
-    of a group counts at the sum of their exponents, not the difference."""
-    counts = np.zeros((n * n, m), dtype=np.int64)
-    for s in np.unique(summed):
-        terms = np.flatnonzero(summed == s)
-        for t in terms:
-            for u in terms:
-                counts[index[t] * n + index[u], (exponent[t] + exponent[u]) % m] += weight[s] * coef[t] * coef[u]
-    return reduce_zeta_counts(m, counts).reshape(n, n, -1)
+def _unconjugated_form(calls):
+    """`cyclotomic.hermitian_form` without the conjugation: Y's exponents are
+    negated first, so each product counts at the sum of the exponents, not
+    their difference.  Each call appends its conductor to calls."""
+    form = cyclotomic.hermitian_form
+
+    def planted(m, weight, x, x_rows, y, y_rows):
+        calls.append(m)
+        row, summed, exponent, coef = y
+        return form(m, weight, x, x_rows, (row, summed, -exponent % m, coef), y_rows)
+
+    return planted
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -70,5 +75,21 @@ def test_legendre_numerator_off_by_one(monkeypatch, q):
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_hermitian_gram_without_conjugation(monkeypatch, q):
-    monkeypatch.setattr(verify, "hermitian_gram", _unconjugated_gram)
+    monkeypatch.setattr(cyclotomic, "hermitian_form", _unconjugated_form([]))
     assert "multiplicative_character_orthogonality" in _failed(q)
+
+
+def test_every_form_reaches_the_planted_kernel(monkeypatch):
+    # the character table and the sums basis are real, so only a non-real
+    # l2_inner shows the fault by value; the call log shows the rest
+    ctx = field_ctx_for_q(7)
+    S, T = CharacterSums(ctx), build_table(PGL2(ctx))
+    chi = [ctx.char_eval(ctx.fq_char(1), x) for x in range(7)]
+    honest = S.l2_inner(chi, chi)
+    calls = []
+    monkeypatch.setattr(cyclotomic, "hermitian_form", _unconjugated_form(calls))
+    assert S.l2_inner(chi, chi) != honest and calls
+    for form in (T.row_gram, T.column_gram, lambda: S.gram([chi, chi]), S.orthonormal_coefficient_squares):
+        before = len(calls)
+        form()
+        assert len(calls) > before, form
