@@ -166,8 +166,8 @@ class CharacterSums:
         if self.q + 1 not in self._tables:
             ctx, q = self.ctx, self.q
             add, mul, neg = ctx.arrays.add, ctx.arrays.mul, ctx.arrays.neg
-            r = np.array(ctx.exp2[: q + 1])
-            trace, norm = np.array(ctx.trace2_table)[r], np.array(ctx.norm2_table)[r]
+            r = ctx.arrays.exp2[: q + 1]
+            trace, norm = ctx.arrays.trace2[r], ctx.arrays.norm2[r]
             args = add[mul[trace, trace], neg[mul[mul[ctx.embed_int(2), add[np.arange(q), 1]][:, None], norm]]]
             self._tables[q + 1] = self._zeta_table(q + 1, np.arange(q + 1), args)
         return self._tables[self.q + 1]

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from fractions import Fraction
 
@@ -379,8 +380,13 @@ class CycNum:
 
     @classmethod
     def rational(cls, value) -> "CycNum":
+        """An exact rational: an int, a Fraction or a numpy integer (stored
+        as Python ints); a float or a string raises TypeError, as it does in
+        arithmetic."""
         if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
+            if not isinstance(value, numbers.Rational):
+                raise TypeError(f"not an exact rational: {value!r}")
+            value = Fraction(int(value.numerator), int(value.denominator))
         return cls(1, (value.numerator,), value.denominator)
 
     @classmethod

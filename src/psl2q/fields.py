@@ -10,19 +10,32 @@ generated by gen2^(q+1), so exp2[0..q] holds one representative per coset
 of GF(q)* in GF(q^2)*.  A character value is a root of unity zeta_m^j:
 character sums (`gauss_sum`, and those in `charsums`) count each exponent
 j in an integer vector and build one `CycNum`.  Tables are built in full,
-so q <= MAX_Q.  The scalar operations read Python lists and return Python
-ints; `FieldCtx.arrays` holds numpy copies of the same tables, built once,
-for the vectorised passes of the other modules.
+so q <= MAX_Q.
 
-All structural choices are deterministic: the modulus polynomials and the
-multiplicative generators are the lexicographically smallest valid
-candidates, so every table and test vector is reproducible.
+Each table is computed once, as a numpy array; `FieldCtx.arrays` keeps
+those the vectorised passes of the other modules read.  The scalar
+operations read Python lists made by `.tolist()` from the same arrays and
+return Python ints.  The multiplication table of GF(q) comes from the base-p digit
+vectors and the reductions of x^k mod f for k < 2e - 1.  All structural
+choices are deterministic, so every table and test vector is reproducible:
+- the modulus f of GF(q) is the first monic degree-e candidate, in
+  (c_(e-1), ..., c_0) order, whose table has no zero divisor among the
+  nonzero elements (the quotient ring is a field exactly when f is
+  irreducible);
+- the modulus t^2 + c1 t + c0 of GF(q^2) is the first, in (c1, c0) order,
+  whose discriminant c1^2 - 4 c0 is a nonsquare;
+- each generator, of GF(q)* and of GF(q^2)*, is the smallest x with
+  x^(n/l) != 1 for every prime l dividing the group order n, every
+  candidate powered at once; exp2 is built by doubling with `q2_mul_array`;
+- the absolute trace of GF(q) and the trace and norm of GF(q^2) over GF(q)
+  come from one Frobenius array x -> x^p of GF(q^2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -101,19 +114,50 @@ class MultCharB:
 
 @dataclass(frozen=True)
 class FieldArrays:
-    """numpy copies of the GF(q) tables, indexed by field element: add and
-    mul (q x q), neg, inv, log, square and phi (q), and the GF(q^2) log
-    (q^2).  The undefined entries inv[0], log[0] and log2[0] are 0; square
-    is the mask of nonzero squares and phi the quadratic character."""
+    """The field tables, the one store the scalar lists of `FieldCtx` are
+    read from.  Indexed by element of GF(q): add and mul (q x q), neg, inv,
+    log, square (the mask of nonzero squares) and phi (the quadratic
+    character).  Indexed by element of GF(q^2): log2, trace2 and norm2
+    (both in GF(q)); exp2[j] is gen2^j.  The undefined entries inv[0],
+    log[0] and log2[0] are 0.  The GF(q^2) tables are None only while
+    `FieldCtx` builds them with `q2_mul_array`, which reads the others."""
 
     add: np.ndarray
     mul: np.ndarray
     neg: np.ndarray
     inv: np.ndarray
     log: np.ndarray
-    log2: np.ndarray
     square: np.ndarray
     phi: np.ndarray
+    log2: np.ndarray | None = None
+    exp2: np.ndarray | None = None
+    trace2: np.ndarray | None = None
+    norm2: np.ndarray | None = None
+
+
+def _generator(order: int, mul) -> int:
+    """The smallest x in 1..order with x^(order/l) != 1 for every prime l
+    dividing order, over the elementwise product `mul` of a cyclic group of
+    that order: every candidate is powered at once."""
+    x = np.arange(1, order + 1)
+    primitive = np.ones(order, dtype=bool)
+    for ell in _prime_factors(order):
+        n, base, acc = order // ell, x, np.ones_like(x)
+        while n:
+            if n & 1:
+                acc = mul(acc, base)
+            base, n = mul(base, base), n >> 1
+        primitive &= acc != 1
+    return int(np.argmax(primitive)) + 1
+
+
+def _powers(g: int, n: int, mul) -> np.ndarray:
+    """[g^0, ..., g^(n-1)] by doubling: each pass multiplies the powers so far
+    by g^(their count)."""
+    out = np.ones(1, dtype=np.int64)
+    while len(out) < n:
+        out = np.concatenate([out, mul(out, mul(out[-1], g))])
+    return out[:n]
 
 
 class FieldCtx:
@@ -132,188 +176,82 @@ class FieldCtx:
         self.p = p
         self.e = e
         self.q = q
-        self.modulus = self._smallest_irreducible()
-        self._build_base_tables()
-        self.modulus2 = self._smallest_quadratic_irreducible()
-        self._build_ext_tables()
-        self.arrays = FieldArrays(
-            add=np.array(self.add_table),
-            mul=np.array(self.mul_table),
-            neg=np.array(self.neg_table),
-            inv=np.array([0] + self.inv_table[1:]),
-            log=np.array([0] + self.log[1:]),
-            log2=np.array([0] + self.log2[1:]),
-            square=np.array([self.is_square(x) for x in range(q)]),
-            phi=np.array([self.phi_int(x) for x in range(q)]),
-        )
+        # base-p digit vectors, constant coefficient first, and their values
+        place = p ** np.arange(e)
+        digits = np.arange(q)[:, None] // place % p
+        add = (digits[:, None] + digits) % p @ place
+        neg = -digits % p @ place
+        self.modulus, mul = self._first_field_modulus(digits, place)
+        self.generator = _generator(q - 1, lambda a, b: mul[a, b])
+        exp = _powers(self.generator, q - 1, lambda a, b: mul[a, b])
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        phi = np.where(log % 2, -1, 1)
+        phi[0] = 0
+        square = phi == 1
+        inv = exp[-log % (q - 1)]
+        inv[0] = 0
+        # t^2 + c1 t + c0, ordered by (c1, c0), is irreducible iff its
+        # discriminant c1^2 - 4 c0 is a nonsquare
+        c = np.arange(q)
+        disc = add[mul[c, c][:, None], neg[mul[4 % p, c]]]
+        c1, c0 = divmod(int(np.argmax(phi[disc] == -1)), q)
+        self.modulus2 = (c0, c1)
+        self.arrays = FieldArrays(add, mul, neg, inv, log, square, phi)
+        self.generator2 = _generator(q * q - 1, self.q2_mul_array)
+        exp2 = _powers(self.generator2, q * q - 1, self.q2_mul_array)
+        log2 = np.zeros(q * q, dtype=np.int64)
+        log2[exp2] = np.arange(q * q - 1)
+        # x -> x^p on GF(q^2); on the embedded GF(q) (indices below q) it is
+        # the Frobenius of GF(q) as well
+        frob = exp2[log2 * p % (q * q - 1)]
+        frob[0] = 0
+        trace = power = np.arange(q)
+        for _ in range(e - 1):
+            power = frob[power]
+            trace = add[trace, power]
+        if not (trace < p).all():
+            raise IdentityViolationError("a trace of GF(q) is not in the prime field")
+        x = conj = np.arange(q * q)
+        for _ in range(e):
+            conj = frob[conj]  # x -> x^q
+        trace2 = add[x % q, conj % q] + q * add[x // q, conj // q]
+        norm2 = self.q2_mul_array(x, conj)
+        if not (trace2 < q).all():
+            raise IdentityViolationError("a GF(q^2) trace is not in GF(q)")
+        if not (norm2 < q).all():
+            raise IdentityViolationError("a GF(q^2) norm is not in GF(q)")
+        self.arrays = replace(self.arrays, log2=log2, exp2=exp2, trace2=trace2, norm2=norm2)
+        self.add_table, self.mul_table, self.neg_table = add.tolist(), mul.tolist(), neg.tolist()
+        self.inv_table = [None] + inv[1:].tolist()
+        self.exp, self.log = exp.tolist(), [None] + log[1:].tolist()
+        self.trace_table = trace.tolist()
+        self.exp2, self.log2 = exp2.tolist(), [None] + log2[1:].tolist()
+        self.trace2_table, self.norm2_table = trace2.tolist(), norm2.tolist()
         self.i_elem = self.exp2[(q + 1) // 2]
         if not (self.q2_mul(self.i_elem, self.i_elem) < q and self.i_elem >= q):
             raise IdentityViolationError("i = g^((q+1)/2) must lie outside GF(q) with i^2 in GF(q)")
 
-    # -- construction ------------------------------------------------------
-
-    def _poly_mod_p(self, a: list[int], b: list[int]) -> list[int]:
-        p = self.p
-        res = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    res[i + j] = (res[i + j] + x * y) % p
-        return res
-
-    def _poly_rem(self, num: list[int], den: list[int]) -> list[int]:
-        p = self.p
-        num = list(num)
-        dd = len(den) - 1
-        inv_lead = pow(den[-1], p - 2, p)
-        for k in range(len(num) - 1, dd - 1, -1):
-            c = num[k]
-            if c:
-                f = (c * inv_lead) % p
-                for i in range(dd + 1):
-                    num[k - dd + i] = (num[k - dd + i] - f * den[i]) % p
-        return num[:dd]
-
-    def _smallest_irreducible(self) -> tuple[int, ...]:
+    def _first_field_modulus(self, digits: np.ndarray, place: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+        """The first monic f of degree e, in (c_(e-1), ..., c_0) order, whose
+        multiplication table mod f has no zero divisor among the nonzero
+        elements (the quotient ring is a field exactly when f is
+        irreducible), with that table."""
         p, e = self.p, self.e
-        if e == 1:
-            return (0, 1)
-        # candidates ordered by (c_(e-1), ..., c_0); exhaustive trial division
-        lows = range(p)
-        from itertools import product
-
-        for digits in product(lows, repeat=e):
-            cand = list(reversed(digits)) + [1]
-            if cand[0] == 0:
-                continue
-            if self._is_irreducible(cand):
-                return tuple(cand)
+        for low in product(range(p), repeat=e):
+            modulus = tuple(reversed(low)) + (1,)
+            # rows[k] = the digits of x^k mod f, for k < 2e - 1
+            rows = np.zeros((2 * e - 1, e), dtype=np.int64)
+            rows[:e] = np.eye(e)
+            for k in range(e, 2 * e - 1):
+                rows[k, 1:] = rows[k - 1, :-1]
+                rows[k] = (rows[k] - rows[k - 1, -1] * np.array(modulus[:e])) % p
+            # x^i x^j = x^(i+j): sum the digit products into the reduced rows
+            reduce = rows[np.add.outer(np.arange(e), np.arange(e))]
+            mul = np.einsum("xi,yj,ijk->xyk", digits, digits, reduce) % p @ place
+            if mul[1:, 1:].all():
+                return modulus, mul
         raise AssertionError("no irreducible polynomial found")
-
-    def _is_irreducible(self, poly: list[int]) -> bool:
-        p = self.p
-        deg = len(poly) - 1
-        from itertools import product
-
-        for d in range(1, deg // 2 + 1):
-            for digits in product(range(p), repeat=d):
-                div = list(digits) + [1]
-                if all(c == 0 for c in self._poly_rem(poly, div)):
-                    return False
-        return True
-
-    def _build_base_tables(self):
-        p, e, q = self.p, self.e, self.q
-
-        def digits(x):
-            out = []
-            for _ in range(e):
-                out.append(x % p)
-                x //= p
-            return out
-
-        def undigits(ds):
-            x = 0
-            for d in reversed(ds):
-                x = x * p + d
-            return x
-
-        self.add_table = [
-            [undigits([(a + b) % p for a, b in zip(digits(x), digits(y))]) for y in range(q)]
-            for x in range(q)
-        ]
-        self.neg_table = [undigits([(-a) % p for a in digits(x)]) for x in range(q)]
-        mod = list(self.modulus)
-        mul_table = []
-        for x in range(q):
-            row = []
-            dx = digits(x)
-            for y in range(q):
-                prod = self._poly_mod_p(dx, digits(y))
-                row.append(undigits(self._poly_rem(prod + [0] * e, mod)[:e] if e > 1 else [prod[0] % p]))
-            mul_table.append(row)
-        self.mul_table = mul_table
-
-        self.generator = self._find_generator(q - 1, lambda a, b: mul_table[a][b], range(1, q))
-        self.exp = [0] * (q - 1)
-        self.log = [None] * q
-        acc = 1
-        for j in range(q - 1):
-            self.exp[j] = acc
-            self.log[acc] = j
-            acc = mul_table[acc][self.generator]
-        self.inv_table = [None] + [self.exp[(-(self.log[x])) % (q - 1)] for x in range(1, q)]
-        # absolute trace to the prime field
-        self.trace_table = []
-        for x in range(q):
-            acc_t = x
-            t = x
-            for _ in range(e - 1):
-                t = self.pow(t, p)
-                acc_t = self.add_table[acc_t][t]
-            if acc_t >= p:
-                raise IdentityViolationError(f"trace of {x} is not in the prime field")
-            self.trace_table.append(acc_t)
-
-    def _find_generator(self, order: int, mul, candidates) -> int:
-        primes = _prime_factors(order)
-
-        def elem_pow(x, n):
-            r = None
-            b = x
-            while n:
-                if n & 1:
-                    r = b if r is None else mul(r, b)
-                b = mul(b, b)
-                n >>= 1
-            return r
-
-        for x in candidates:
-            if all(elem_pow(x, order // ell) != 1 for ell in primes):
-                return x
-        raise AssertionError("no generator found")
-
-    def _smallest_quadratic_irreducible(self) -> tuple[int, int]:
-        # t^2 + c1*t + c0 over GF(q), ordered by (c1, c0); irreducible iff
-        # the discriminant c1^2 - 4*c0 is a nonsquare
-        for c1 in range(self.q):
-            for c0 in range(self.q):
-                disc = self.sub(self.mul(c1, c1), self.mul(self.embed_int(4), c0))
-                if disc != 0 and not self.is_square(disc):
-                    return (c0, c1)
-        raise AssertionError("no quadratic irreducible found")
-
-    def _build_ext_tables(self):
-        q = self.q
-        c0, c1 = self.modulus2
-
-        def mul2(a, b):
-            u1, v1 = a % q, a // q
-            u2, v2 = b % q, b // q
-            uu = self.mul(u1, u2)
-            vv = self.mul(v1, v2)
-            mid = self.add(self.mul(u1, v2), self.mul(u2, v1))
-            # t^2 = -c1*t - c0
-            u = self.sub(uu, self.mul(vv, c0))
-            v = self.sub(mid, self.mul(vv, c1))
-            return u + q * v
-
-        self._mul2 = mul2
-        self.generator2 = self._find_generator(q * q - 1, mul2, range(1, q * q))
-        self.exp2 = [0] * (q * q - 1)
-        self.log2 = [None] * (q * q)
-        acc = 1
-        for j in range(q * q - 1):
-            self.exp2[j] = acc
-            self.log2[acc] = j
-            acc = mul2(acc, self.generator2)
-        frob = [0] + [self.exp2[(self.log2[x] * q) % (q * q - 1)] for x in range(1, q * q)]  # x -> x^q
-        self.trace2_table = [self.q2_add(x, frob[x]) for x in range(q * q)]
-        self.norm2_table = [mul2(x, frob[x]) for x in range(q * q)]
-        if not all(t < q for t in self.trace2_table):
-            raise IdentityViolationError("a GF(q^2) trace is not in GF(q)")
-        if not all(n < q for n in self.norm2_table):
-            raise IdentityViolationError("a GF(q^2) norm is not in GF(q)")
 
     # -- GF(q) operations ----------------------------------------------------
 
@@ -333,11 +271,6 @@ class FieldCtx:
         if x == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
         return self.inv_table[x]
-
-    def pow(self, x: int, n: int) -> int:
-        if x == 0:
-            return 0 if n else 1
-        return self.exp[(self.log[x] * n) % (self.q - 1)]
 
     def embed_int(self, n: int) -> int:
         """The field element 1 + 1 + ... (n times), i.e. n mod p."""
@@ -370,7 +303,15 @@ class FieldCtx:
         return self.add(a % q, b % q) + q * self.add(a // q, b // q)
 
     def q2_mul(self, a: int, b: int) -> int:
-        return self._mul2(a, b)
+        """Product in GF(q^2) over the scalar GF(q) tables, with
+        t^2 = -c1*t - c0."""
+        q = self.q
+        c0, c1 = self.modulus2
+        u1, v1, u2, v2 = a % q, a // q, b % q, b // q
+        vv = self.mul(v1, v2)
+        u = self.sub(self.mul(u1, u2), self.mul(vv, c0))
+        v = self.sub(self.add(self.mul(u1, v2), self.mul(u2, v1)), self.mul(vv, c1))
+        return u + q * v
 
     def q2_mul_array(self, a, b) -> np.ndarray:
         """`q2_mul` elementwise over integer arrays (broadcast together), in

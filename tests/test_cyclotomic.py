@@ -76,6 +76,16 @@ def test_conjugation_and_rationality():
         z.as_fraction()
 
 
+def test_rational_accepts_only_exact_rationals():
+    assert CycNum.rational(np.int64(3)) == 3 and type(CycNum.rational(np.int64(3)).nums[0]) is int
+    assert CycNum.rational(Fraction(-1, 4)).as_fraction() == Fraction(-1, 4)
+    for value in (0.1, 2.0, "1/3", complex(1, 0)):
+        with pytest.raises(TypeError):
+            CycNum.rational(value)
+        with pytest.raises(TypeError):
+            CycNum.root_of_unity(4, 1) + value
+
+
 def test_cross_conductor_equality():
     assert CycNum.root_of_unity(4, 2) == CycNum.root_of_unity(6, 3)  # both -1
     assert CycNum.root_of_unity(6, 0) == 1

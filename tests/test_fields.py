@@ -1,5 +1,9 @@
 """Tests for GF(q), GF(q^2), characters and Gauss sums."""
 
+import dataclasses
+import hashlib
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +36,120 @@ def order_by_powering(ctx, x):
         acc = ctx.mul(acc, x)
         n += 1
     return n
+
+
+def poly_rem(num, den, p):
+    """num mod den over GF(p), coefficient lists from the constant term up."""
+    num = list(num)
+    dd = len(den) - 1
+    inv_lead = pow(den[-1], -1, p)
+    for k in range(len(num) - 1, dd - 1, -1):
+        f = num[k] * inv_lead % p
+        if f:
+            for i in range(dd + 1):
+                num[k - dd + i] = (num[k - dd + i] - f * den[i]) % p
+    return num[:dd]
+
+
+def is_irreducible(poly, p):
+    """Trial division by every monic polynomial of degree <= deg/2."""
+    deg = len(poly) - 1
+    return all(
+        any(poly_rem(poly, list(low) + [1], p)) for d in range(1, deg // 2 + 1) for low in product(range(p), repeat=d)
+    )
+
+
+def modulus_candidates(p, e):
+    """Monic degree-e polynomials in (c_(e-1), ..., c_0) order."""
+    for digits in product(range(p), repeat=e):
+        yield tuple(reversed(digits)) + (1,)
+
+
+ODD_PRIME_POWERS = [q for q in range(3, MAX_Q + 1) if factor_prime_power(q)]
+
+# SHA-256 of every table of FieldCtx(p, e), recorded from the trial-division
+# construction; any change to a modulus, generator, table entry, dtype or
+# element type changes the digest
+TABLE_DIGESTS = {
+    3: "d5605b195882aa88d743884997aa6f1f111dcbc0c6b69c068abb5ffb8aa09025",
+    5: "3c5c67172c7b9f8a07af8250ac51ff8d9cd9ae54e17e5c8e522bc2c190322c5e",
+    7: "cd472ef82ea8c6aa157f059c8eae4d3b3cd9cfb6c5ad485d45cc5cbd68ebd9fc",
+    9: "39706fb80b18c6107a4f4923fa1a2c7347f82f64b09860c90c7bf42cdefe0884",
+    11: "70955579e370dddab33e007f0113cada9e34342be45d2acdc01a71612e533df1",
+    13: "19f8f0691ab546da640a0126129663f31a55f39cb36fd32e687341dc2e6288fe",
+    17: "886342dbdc6e2d7e2268f459ae0549fc232554a7728a58eb1ec2aaf28407cb77",
+    19: "b9bfb91e4e6b6f2f01a17b1c9bd0972c5360bcd796a746efd79af404f6b3952e",
+    23: "905a8abdcdd5a042c6cfa021549c2303a0858bc6c48aa968df6b45bfab6d0519",
+    25: "18a64809302101109e2bfd456f76ad2e6a48a7a3203c7806113ed7c3530ff21c",
+    27: "d873b484c094b8cde1d72626c99d89a4968f2725bcb9866ab411417cf0dc6be2",
+    29: "3c1a931ed33ebf0bdb8e931cdb3c78405389cdb7f7b86716ab216199c1dd939f",
+    31: "d4e5a28f432cb805e308c27ec3524b2c292a6097b8637aea84e68a10fb0ece2d",
+    37: "29666e83c9056c02c72363f7296f90fef24bc54e887934e672e793eb1ea58e1e",
+    41: "ecd8a37afc22fcb9894e37b65d026bb3f5b26561d23e31da905812df60603213",
+    43: "75a8f12c444016fd3e6ec11e571505db4f2bad9660adae382663d8b0824fe5f8",
+    47: "a1a886e8f1c523e5e366de69cf944a90254091160a8ab4424f97e787f763d870",
+    49: "187e6db22aa203dbe804bce995927d9191cd76f801ca0b9c2aa89858550e2084",
+    53: "75aa558d127a5cd484a6c9382cfc4627e7a87f66b8ce7defb873f908ddb74e30",
+    59: "62658d9a89948a644e8fbe800ede8acba816108574abb2675ee0fda5b3b832e4",
+    61: "beee34bf9ccc288b6c33ff271230e19997511d541a61b788fde5fb2462e8eb51",
+}
+
+
+def table_digest(ctx):
+    names = ("add", "mul", "neg", "inv", "log", "log2", "square", "phi")  # the FieldArrays fields when recorded
+    arrays = [(name, getattr(ctx.arrays, name)) for name in names]
+    record = (
+        (ctx.modulus, ctx.modulus2, ctx.generator, ctx.generator2, ctx.i_elem),
+        (ctx.add_table, ctx.mul_table, ctx.neg_table, ctx.inv_table, ctx.exp, ctx.log, ctx.trace_table),
+        (ctx.exp2, ctx.log2, ctx.trace2_table, ctx.norm2_table),
+        [(name, str(a.dtype), a.tolist()) for name, a in arrays],
+    )
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS)
+def test_every_table_matches_its_recorded_digest(q):
+    assert table_digest(FieldCtx(*factor_prime_power(q))) == TABLE_DIGESTS[q]
+
+
+@pytest.mark.parametrize("q", [5, 9, 27, 49])
+def test_every_array_mirrors_its_scalar_table(q):
+    ctx = field_ctx_for_q(q)
+    scalar = {
+        "add": ctx.add_table,
+        "mul": ctx.mul_table,
+        "neg": ctx.neg_table,
+        "inv": [0] + ctx.inv_table[1:],
+        "log": [0] + ctx.log[1:],
+        "log2": [0] + ctx.log2[1:],
+        "exp2": ctx.exp2,
+        "trace2": ctx.trace2_table,
+        "norm2": ctx.norm2_table,
+        "square": [ctx.is_square(x) for x in range(q)],
+        "phi": [ctx.phi_int(x) for x in range(q)],
+    }
+    names = [f.name for f in dataclasses.fields(ctx.arrays)]
+    assert set(names) <= set(scalar)
+    for name in names:
+        assert getattr(ctx.arrays, name).tolist() == scalar[name], name
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS)
+def test_modulus_is_the_first_irreducible_candidate(q):
+    p, e = factor_prime_power(q)
+    ctx = field_ctx_for_q(q)
+    for cand in modulus_candidates(p, e):
+        if cand == ctx.modulus:
+            break
+        assert not is_irreducible(cand, p), cand
+    assert is_irreducible(ctx.modulus, p)
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS)
+def test_generator_is_the_first_primitive_element(q):
+    ctx = field_ctx_for_q(q)
+    assert order_by_powering(ctx, ctx.generator) == q - 1
+    assert all(order_by_powering(ctx, x) < q - 1 for x in range(1, ctx.generator))
 
 
 def test_gf5_generator_is_two():
@@ -86,7 +204,7 @@ def test_basic_arithmetic_examples():
         assert ctx9.mul(x, ctx9.inv(x)) == 1
 
 
-@pytest.mark.parametrize("q", [5, 7, 9, 13])
+@pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27, 49])
 def test_field_axioms_exhaustive(q):
     ctx = field_ctx_for_q(q)
     for x in ctx.elements():
@@ -102,7 +220,7 @@ def test_field_axioms_exhaustive(q):
                 assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y), ctx.mul(x, z))
 
 
-@pytest.mark.parametrize("q", [5, 9, 13])
+@pytest.mark.parametrize("q", [5, 9, 13, 25, 27, 49])
 def test_frobenius(q):
     ctx = field_ctx_for_q(q)
     frob = [frobenius(ctx, r) for r in range(q * q)]
