@@ -19,15 +19,16 @@ at exactly q(q-1).
 
 N and every product with M read one array, `columns`: the column of
 (a, a^g) for every derangement g and point a; M itself is built only for
-`psl2q dump matrixM`.  The kernel check reads M on the 2(q+1) indicators
-first[x] and second[x] of the pairs (x, .) and (., x): M first[x] =
-M second[x] = 1 for all x exactly when M kills every witness l[a,b] =
-first[a] - first[b] and r[a,b] = second[a] - second[b].  The exact rank
-takes one elimination, of N: over Q, M v = 0 exactly when |M v|^2 =
-v^T N v = 0, so rank(M) = rank(N).  With K the 2q witnesses l[0,b] and
-r[0,b], checked exactly (N K^T = 0 and rank_p(K) = 2q), rank_p(N) =
-q(q+1) - 2q decides rank(N); otherwise a second prime and then Bareiss
-elimination do.
+`psl2q dump matrixM`.  The rank certificate (`rank_of_m`) is witnessed on
+M itself.  M is read on the 2(q+1) indicators first[x] and second[x] of
+the pairs (x, .) and (., x): M first[x] = M second[x] = 1 for all x exactly
+when M kills every witness l[a,b] = first[a] - first[b] and r[a,b] =
+second[a] - second[b].  So M K^T = 0 for K the 2q witnesses l[0,b] and
+r[0,b], and N K^T = M^T (M K^T) = 0 follows without a product with N;
+rank_p(K) = 2q makes them independent.  The exact rank then takes one
+elimination, of N: over Q, M v = 0 exactly when |M v|^2 = v^T N v = 0, so
+rank(M) = rank(N), and rank_p(N) meeting q(q+1) - 2q decides it; otherwise
+a second prime and then Bareiss elimination do.
 
 The target characters' values are integer arrays of reduced numerators, one
 per family conductor (`families`): psi_minus1 and the nu over
@@ -52,9 +53,9 @@ import numpy as np
 from .chartable import CharTable, IrreducibleChar
 from .charsums import CharacterSums
 from .cyclotomic import CycNum, exact_dtype, max_abs
-from .errors import IdentityViolationError, NotInOmegaError, UnsupportedCharacterError
+from .errors import IdentityViolationError, UnsupportedCharacterError
 from .groups import PGL2
-from .intrank import rank_with_kernel
+from .intrank import PRIMES, bareiss_rank, modular_rank
 
 
 def pair_column(a, b, q: int):
@@ -87,7 +88,7 @@ class DerangementModel:
         self._gram: np.ndarray | None = None
         self._indicators: tuple[np.ndarray, np.ndarray] | None = None
         self._kernel: np.ndarray | None = None
-        self._rank_n: tuple[int, str] | None = None
+        self._rank: tuple[int, str] | None = None
         self._position_classes: dict[bool, np.ndarray] = {}
         self._families: dict[int, tuple[list[IrreducibleChar], np.ndarray]] | None = None
         self._restricted_rows: dict[IrreducibleChar, np.ndarray] | None = None
@@ -204,17 +205,24 @@ class DerangementModel:
             total += vt.take(columns[:, x], axis=0)
         return total
 
-    def rank_of_gram(self) -> tuple[int, str]:
-        """rank(N) over Q and the method that decided it; computed once.  The
-        kernel witnesses of M bound it too, since N v = M^T (M v)."""
-        if self._rank_n is None:
-            self._rank_n = rank_with_kernel(self.gram_bruteforce(), self.kernel_basis())
-        return self._rank_n
-
     def rank_of_m(self) -> tuple[int, str]:
-        """rank(M) over Q and the method that decided it: those of rank(N),
-        since M v = 0 exactly when |M v|^2 = v^T N v = 0."""
-        return self.rank_of_gram()
+        """rank(M) over Q and the method that decided it; computed once.  The
+        kernel bound b = q(q+1) - 2q holds only when M witnesses K: the
+        indicator check gives M K^T = 0 and rank_p(K) = 2q.  Then rank_p(N)
+        meeting b decides, at one prime or the other; otherwise Bareiss
+        elimination of N does."""
+        if self._rank is None:
+            q, gram = self.q, self.gram_bruteforce()
+            bound = q * (q + 1) - 2 * q
+            first, second = self.kernel_vectors()
+            prime = None
+            if (self.m_times(np.vstack([first, second])) == 1).all() and modular_rank(self.kernel_basis()) == 2 * q:
+                prime = next((p for p in PRIMES if modular_rank(gram, p) == bound), None)
+            if prime:
+                self._rank = bound, f"mod {prime}, kernel bound {bound}"
+            else:
+                self._rank = bareiss_rank(gram.tolist()), "Bareiss"
+        return self._rank
 
     # -- character moments ----------------------------------------------------------
 
@@ -341,17 +349,6 @@ class DerangementModel:
             out[chi] = sign * table[k, self._doubled_minus_one(np.arange(1, self.q))]
             out[chi][0] = swap * (np.arange(table.shape[2]) == 0)
         return out
-
-    def restricted_sum_closed_form(self, chi: IrreducibleChar, constraint) -> CycNum:
-        """Closed forms for the two constraint shapes used by the assembly:
-        the swap 0 <-> infinity, and 0 -> infinity with 1 -> d."""
-        self._check_supported(chi, allow_lambda1=False)
-        inf = self.group.infinity
-        rows = {((0, inf), (inf, 0)): 0, **{((0, inf), (1, d)): d - 1 for d in range(2, self.q)}}
-        pairs = tuple(map(tuple, constraint))
-        if pairs not in rows:
-            raise NotInOmegaError(f"no closed form for {pairs}: 1 -> d needs d outside {{0, 1, infinity}}")
-        return self._value(chi, self.restricted_closed_forms()[chi][rows[pairs]])
 
     def character_sum_assembled(self, chi: IrreducibleChar) -> CycNum:
         """t(chi) from restricted sums and closed-form Gram entries, branching

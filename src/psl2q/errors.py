@@ -13,10 +13,6 @@ class InvalidConstraintError(ValueError):
     """A point-mapping constraint list is malformed (repeated source or target)."""
 
 
-class NotInOmegaError(ValueError):
-    """A pair of projective points is not an ordered pair of distinct points."""
-
-
 class DomainMismatchError(ValueError):
     """Two functions on F_q do not live over the same field, an argument of
     a character sum is not an element 0..q-1 of F_q, or a character belongs

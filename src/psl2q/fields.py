@@ -336,9 +336,6 @@ class FieldCtx:
     def q2_norm(self, a: int) -> int:
         return self.norm2_table[a]
 
-    def q2_units(self) -> range:
-        return range(1, self.q * self.q)
-
     # -- characters ----------------------------------------------------------
 
     def trivial_char(self) -> MultCharFq:
@@ -349,9 +346,6 @@ class FieldCtx:
 
     def fq_char(self, exponent: int) -> MultCharFq:
         return MultCharFq(exponent % (self.q - 1), self.q - 1)
-
-    def b_char(self, exponent: int) -> MultCharB:
-        return MultCharB(exponent % (self.q + 1), self.q + 1)
 
     def gamma_set(self) -> list[MultCharFq]:
         """Characters of GF(q)* of order > 2, one per inversion pair {k, q-1-k}."""

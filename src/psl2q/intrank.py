@@ -8,25 +8,17 @@ smallest magnitude, which keeps the minors small; row swaps do not affect
 exactness.  The result is the rank over the rationals, hence over any field
 of characteristic zero.
 
-`rank_with_kernel` certifies the same rational rank much faster when a
-basis of (part of) the right kernel is known.  Two bounds meet:
-
-- lower: rank over F_p <= rank over Q, because a minor that is nonzero mod
-  p is a nonzero integer;
-- upper: rank over Q <= cols - k when k linearly independent integer
-  vectors are annihilated by the matrix, checked exactly, and always
-  rank <= rows.
-
-`modular_rank` gives the lower bound by vectorised Gaussian elimination
-over a word-size prime field.  When the two bounds differ, a second prime
-is tried, then Bareiss decides.
+`modular_rank` is the rank over F_p, by vectorised Gaussian elimination over
+a word-size prime field.  It is a lower bound on the rational rank, because
+a minor that is nonzero mod p is a nonzero integer.  A caller that also
+holds an upper bound, such as the columns less the dimension of a kernel it
+has witnessed exactly, certifies the rational rank when the two meet
+(`DerangementModel.rank_of_m`); when they do not, Bareiss decides.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .cyclotomic import exact_dtype, max_abs
 
 # The two largest primes below 2^31: products of reduced entries stay below
 # 2^62, so one multiply-subtract fits in int64 before it is reduced.
@@ -69,17 +61,14 @@ def bareiss_rank(matrix) -> int:
     return rank
 
 
-def _integer_array(matrix, n_cols: int | None = None) -> np.ndarray:
-    """A 2-d integer array: int64 when every entry fits, object dtype otherwise.
-
-    An empty input becomes a (0, n_cols) array."""
+def _integer_array(matrix) -> np.ndarray:
+    """A 2-d integer array: int64 when every entry fits, object dtype
+    otherwise.  An int64 array is read as it is, not copied."""
     try:
-        arr = np.array(matrix, dtype=np.int64)
+        arr = np.asarray(matrix, dtype=np.int64)
     except OverflowError:
         arr = np.array(matrix, dtype=object)
-    if arr.size == 0:
-        return np.zeros((0, n_cols or 0), dtype=np.int64)
-    if arr.ndim != 2:
+    if arr.size and arr.ndim != 2:
         raise ValueError(f"expected a 2-d integer matrix, got shape {arr.shape}")
     return arr
 
@@ -110,34 +99,3 @@ def modular_rank(matrix, p: int = PRIMES[0]) -> int:
             a[below, col:] = (a[below, col:] - a[below, col, None] * prow) % p
         rank += 1
     return rank
-
-
-def _annihilates(a: np.ndarray, kernel: np.ndarray) -> bool:
-    """Exactly whether a @ kernel^T == 0, in int64 only when it cannot overflow."""
-    dtype = exact_dtype(max(max_abs(a), 1) * max(max_abs(kernel), 1) * a.shape[1])
-    return not (a.astype(dtype) @ kernel.astype(dtype).T).any()
-
-
-def rank_with_kernel(matrix, kernel=()) -> tuple[int, str]:
-    """The rational rank of an integer matrix and the method that decided it.
-
-    `kernel` holds integer row vectors claimed to lie in the right kernel.
-    The claim is checked exactly (annihilation, and full row rank mod p)
-    before it bounds the rank; a kernel that fails the check is ignored.
-    The method reads "mod <p>, kernel bound <b>" when the rank over F_p met
-    the upper bound b, and "Bareiss" when fraction-free elimination decided.
-    """
-    a = _integer_array(matrix)
-    if a.size == 0:
-        return 0, "Bareiss"
-    n_rows, n_cols = a.shape
-    k = _integer_array(kernel, n_cols)
-    if k.shape[1] != n_cols:
-        raise ValueError(f"kernel rows have {k.shape[1]} entries, the matrix has {n_cols} columns")
-    if _annihilates(a, k) and modular_rank(k) == k.shape[0]:
-        bound = min(n_rows, n_cols - k.shape[0])
-        for p in PRIMES:
-            rank = modular_rank(a, p)
-            if rank == bound:
-                return rank, f"mod {p}, kernel bound {bound}"
-    return bareiss_rank(a.tolist()), "Bareiss"

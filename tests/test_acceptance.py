@@ -98,19 +98,18 @@ def test_criterion_4_restricted_sums(models):
         ctx = model.ctx
         inf = model.group.infinity
         swap = ((0, inf), (inf, 0))
+        closed_forms = model.restricted_closed_forms()
         for chi in model.target_characters():
             if chi.kind == "lambda1":
                 continue
-            brute = model.restricted_char_sum(chi, swap)
-            closed = model.restricted_sum_closed_form(chi, swap)
-            assert brute == closed
+            # row 0: the swap; row d - 1: 0 -> inf with 1 -> d
+            m = q + 1 if chi.kind == "eta" else q - 1
+            closed = [CycNum.from_zeta_powers(m, row.tolist()) for row in closed_forms[chi]]
+            assert model.restricted_char_sum(chi, swap) == closed[0]
             if chi.kind == "psi_minus1":
-                assert closed == ctx.phi_int(ctx.neg(1)) * (q - 1)
+                assert closed[0] == ctx.phi_int(ctx.neg(1)) * (q - 1)
             for d in range(2, q):
-                constraint = ((0, inf), (1, d))
-                assert model.restricted_char_sum(chi, constraint) == model.restricted_sum_closed_form(
-                    chi, constraint
-                )
+                assert model.restricted_char_sum(chi, ((0, inf), (1, d))) == closed[d - 1]
     _announce(4, "restricted character sums dual path", started)
 
 

@@ -10,11 +10,11 @@ from psl2q.chartable import build_table
 from psl2q.charsums import CharacterSums
 from psl2q.cyclotomic import CycNum
 from psl2q.derangement import DerangementModel
-from psl2q.errors import NotInOmegaError, UnsupportedCharacterError
+from psl2q.errors import UnsupportedCharacterError
 from psl2q.fields import field_ctx_for_q
 from psl2q.groups import PGL2
-from psl2q import intrank
-from psl2q.intrank import PRIMES, bareiss_rank, rank_with_kernel
+from psl2q import derangement
+from psl2q.intrank import PRIMES, bareiss_rank, modular_rank
 from psl2q.verify import run_suite
 
 
@@ -174,17 +174,37 @@ def test_rank(models, q, rank):
     assert bareiss_rank(D.build_m().tolist()) == rank
     assert bareiss_rank(D.gram_bruteforce().tolist()) == rank
     assert rank + 2 * q <= q * (q + 1)
-    # the kernel-witnessed modular rank agrees with Bareiss without falling back
+    # the kernel M witnesses is one of N too, and the modular rank of N
+    # meets its bound at the first prime, in agreement with Bareiss
     kernel = D.kernel_basis()
     assert kernel.shape == (2 * q, q * (q + 1))
-    method = f"mod {PRIMES[0]}, kernel bound {rank}"
-    assert D.rank_of_m() == (rank, method)
+    assert modular_rank(kernel) == 2 * q and not (D.gram_bruteforce() @ kernel.T).any()
+    assert D.rank_of_m() == (rank, f"mod {PRIMES[0]}, kernel bound {rank}")
     assert D.rank_of_m() is D.rank_of_m()
-    assert rank_with_kernel(D.gram_bruteforce(), kernel) == (rank, method)
 
 
 def _fresh_model(q):
     return DerangementModel(build_table(PGL2(field_ctx_for_q(q))))
+
+
+def _short_on_n(monkeypatch, q, primes):
+    """Make the model's `modular_rank` report one less than the truth on N
+    at each of the given primes."""
+    n_cols = q * (q + 1)
+    true_modular_rank = derangement.modular_rank
+
+    def short_on_n(matrix, p=PRIMES[0]):
+        rank = true_modular_rank(matrix, p)
+        return rank - 1 if p in primes and np.shape(matrix) == (n_cols, n_cols) else rank
+
+    monkeypatch.setattr(derangement, "modular_rank", short_on_n)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_rank_of_m_tries_the_second_prime_when_the_first_falls_short(monkeypatch, q):
+    D = _fresh_model(q)
+    _short_on_n(monkeypatch, q, PRIMES[:1])
+    assert D.rank_of_m() == (q * (q - 1), f"mod {PRIMES[1]}, kernel bound {q * (q - 1)}")
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -192,38 +212,44 @@ def test_rank_of_m_follows_n_to_bareiss_when_n_falls_short(monkeypatch, q):
     # a rank of N mod p below the bound must not decide: Bareiss does, for N
     # and so for M, and Bareiss on M itself is the oracle
     D = _fresh_model(q)
-    n_cols = q * (q + 1)
-    true_modular_rank = intrank.modular_rank
-
-    def short_on_n(matrix, p=PRIMES[0]):
-        rank = true_modular_rank(matrix, p)
-        return rank - 1 if np.shape(matrix) == (n_cols, n_cols) else rank
-
-    monkeypatch.setattr(intrank, "modular_rank", short_on_n)
-    expected = (q * (q - 1), "Bareiss")
-    assert D.rank_of_m() == D.rank_of_gram() == expected == (bareiss_rank(D.build_m().tolist()), "Bareiss")
+    _short_on_n(monkeypatch, q, PRIMES)
+    assert D.rank_of_m() == (q * (q - 1), "Bareiss") == (bareiss_rank(D.build_m().tolist()), "Bareiss")
 
 
 def test_rank_of_m_reads_n_without_eliminating_m(monkeypatch):
+    # one elimination of K and one of N, at the first prime; never M
     D = _fresh_model(7)
     shapes = []
-    true_modular_rank = intrank.modular_rank
+    true_modular_rank = derangement.modular_rank
 
     def recording(matrix, p=PRIMES[0]):
-        shapes.append(np.shape(matrix))
+        shapes.append((np.shape(matrix), p))
         return true_modular_rank(matrix, p)
 
-    monkeypatch.setattr(intrank, "modular_rank", recording)
-    assert D.rank_of_m() == D.rank_of_gram() == (42, f"mod {PRIMES[0]}, kernel bound 42")
-    assert D.build_m().shape not in shapes
+    monkeypatch.setattr(derangement, "modular_rank", recording)
+    assert D.rank_of_m() == (42, f"mod {PRIMES[0]}, kernel bound 42")
+    assert shapes == [((14, 56), PRIMES[0]), ((56, 56), PRIMES[0])]
 
 
 def test_unannihilated_kernel_sends_both_ranks_to_bareiss(monkeypatch):
+    # one extra 1 in first[0], at the pair (1, 2): M first[0] is 2 on every
+    # derangement sending 1 to 2, so M witnesses no kernel and Bareiss decides
+    for q in (5, 7):
+        D = _fresh_model(q)
+        first, second = (v.copy() for v in D.kernel_vectors())
+        first[0, D.omega_index[(1, 2)]] += 1
+        monkeypatch.setattr(D, "kernel_vectors", lambda: (first, second))
+        assert D.rank_of_m() == (q * (q - 1), "Bareiss")
+        assert D.rank_certificate()["pass"]
+
+
+def test_dependent_kernel_sends_the_rank_to_bareiss(monkeypatch):
+    # l[0,1] twice: M still kills every row, but the rows span 2q - 1
+    # dimensions, so the bound q(q+1) - 2q is not witnessed
     D = _fresh_model(5)
     kernel = D.kernel_basis().copy()
-    kernel[0, 0] += 1
+    kernel[1] = kernel[0]
     monkeypatch.setattr(D, "kernel_basis", lambda: kernel)
-    assert D.rank_of_gram() == (20, "Bareiss")
     assert D.rank_of_m() == (20, "Bareiss")
 
 
@@ -396,6 +422,16 @@ def test_kernel_affords_doubled_standard_character(models, q):
         assert trace == 2 * T.value_on_class(psi1, label).as_fraction(), label
 
 
+def _restricted_closed_form(D, chi, constraint):
+    """The closed form of chi's restricted sum over one constraint: row 0 of
+    `restricted_closed_forms` for the swap 0 <-> infinity, row d - 1 for
+    0 -> infinity with 1 -> d."""
+    inf = D.group.infinity
+    rows = {((0, inf), (inf, 0)): 0, **{((0, inf), (1, d)): d - 1 for d in range(2, D.q)}}
+    m = D.q + 1 if chi.kind == "eta" else D.q - 1
+    return CycNum.from_zeta_powers(m, D.restricted_closed_forms()[chi][rows[constraint]].tolist())
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_restricted_sums_match_closed_forms(models, q):
     D = models[q]
@@ -405,12 +441,12 @@ def test_restricted_sums_match_closed_forms(models, q):
     targets = [chi for chi in D.target_characters() if chi.kind != "lambda1"]
     for chi in targets:
         brute = D.restricted_char_sum(chi, swap)
-        assert brute == D.restricted_sum_closed_form(chi, swap)
+        assert brute == _restricted_closed_form(D, chi, swap)
         assert brute == D.restricted_char_sum(chi, swap, inverse=False)
         for d in range(2, q):
             constraint = ((0, inf), (1, d))
             brute = D.restricted_char_sum(chi, constraint)
-            assert brute == D.restricted_sum_closed_form(chi, constraint)
+            assert brute == _restricted_closed_form(D, chi, constraint)
             assert brute == D.restricted_char_sum(chi, constraint, inverse=False)
     # the per-element fact behind the rank suite's "g and g^(-1) sums agree"
     assert (D.classes_by_position(True) == D.classes_by_position(False)).all()
@@ -423,11 +459,8 @@ def test_restricted_swap_example_q5(models):
     assert D.restricted_char_sum(psi_m1, ((0, D.group.infinity), (D.group.infinity, 0))) == 4
 
 
-def test_restricted_closed_form_validation(models):
+def test_restricted_sum_rejects_unsupported_characters(models):
     D = models[5]
-    psi_m1 = D.table.chars[3]
-    with pytest.raises(NotInOmegaError):
-        D.restricted_sum_closed_form(psi_m1, ((0, D.group.infinity), (1, 0)))
     psi1 = D.table.chars[2]
     with pytest.raises(UnsupportedCharacterError):
         D.restricted_char_sum(psi1, ((0, D.group.infinity), (D.group.infinity, 0)))
@@ -623,7 +656,7 @@ def test_batched_sums_match_the_per_element_loops(models, q):
         for r, pairs in enumerate(constraints):
             expected = _char_sum_per_element(D, chi, pairs)
             assert CycNum.from_zeta_powers(m, brute[chi][r].tolist()) == expected, (chi.name(), pairs)
-            assert D.restricted_sum_closed_form(chi, pairs) == expected, (chi.name(), pairs)
+            assert _restricted_closed_form(D, chi, pairs) == expected, (chi.name(), pairs)
         assert D.character_sum_assembled(chi) == _assembled_oracle(D, chi), chi.name()
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from psl2q.cyclotomic import CycNum
 from psl2q.errors import BudgetExceededError, DomainMismatchError, NotOddPrimeError
-from psl2q.fields import MAX_Q, FieldCtx, factor_prime_power, field_ctx_for_q
+from psl2q.fields import MAX_Q, FieldCtx, MultCharB, factor_prime_power, field_ctx_for_q
 
 
 def q2_pow(ctx, a, n):
@@ -334,11 +334,11 @@ def test_characters_of_another_field_are_rejected():
         with pytest.raises(DomainMismatchError, match="modulus"):
             ctx5.char_eval(ctx7.fq_char(1), x)
         with pytest.raises(DomainMismatchError, match="modulus"):
-            ctx5.char_eval(ctx7.b_char(1), x)
+            ctx5.char_eval(MultCharB(1, 8), x)
     with pytest.raises(DomainMismatchError, match="modulus"):
         ctx5.gauss_sum(ctx7.fq_char(1))
     with pytest.raises(TypeError):
-        ctx5.gauss_sum(ctx5.b_char(1))
+        ctx5.gauss_sum(MultCharB(1, 6))
     assert ctx5.char_eval(ctx5.fq_char(1), 2) == CycNum.root_of_unity(4, 1)
 
 
@@ -354,9 +354,9 @@ def test_arguments_outside_the_field_are_rejected(q):
     # a beta character is evaluated on GF(q^2)
     for x in (-1, q * q):
         with pytest.raises(DomainMismatchError, match="not an element"):
-            ctx.char_eval(ctx.b_char(1), x)
+            ctx.char_eval(MultCharB(1, q + 1), x)
     assert ctx.char_eval(ctx.fq_char(1), ctx.neg(1)) == -1
-    assert ctx.char_eval(ctx.b_char(1), ctx.i_elem) == ctx.b_char(1).sign_at_i()
+    assert ctx.char_eval(MultCharB(1, q + 1), ctx.i_elem) == MultCharB(1, q + 1).sign_at_i()
     assert ctx.gauss_sum(ctx.fq_char(1), q - 1) * ctx.gauss_sum(ctx.fq_char(1), q - 1).conjugate() == q
 
 

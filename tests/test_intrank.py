@@ -1,5 +1,5 @@
-"""Tests for exact integer rank: fraction-free Bareiss elimination, rank
-over F_p, and the kernel-witnessed modular rank."""
+"""Tests for exact integer rank: fraction-free Bareiss elimination and rank
+over F_p."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2q.intrank import PRIMES, bareiss_rank, modular_rank, rank_with_kernel
+from psl2q import intrank
+from psl2q.intrank import PRIMES, bareiss_rank, modular_rank
 
 P, P2 = PRIMES
 
@@ -92,15 +93,13 @@ wide_entries = st.one_of(
 )
 
 
-def _with_kernel(gen, n_rows, n_cols, rank):
-    """A random integer matrix B [I | X] of rank <= `rank`, and the integer
-    basis [-X^T | I] of the kernel of [I | X], with the columns shuffled."""
+def _low_rank(gen, n_rows, n_cols, rank):
+    """A random integer matrix B [I | X] of rank <= `rank`, with the columns
+    shuffled."""
     x = gen.integers(-4, 5, size=(rank, n_cols - rank))
     b = gen.integers(-3, 4, size=(n_rows, rank))
     rows = np.hstack([np.eye(rank, dtype=np.int64), x])
-    kernel = np.hstack([-x.T, np.eye(n_cols - rank, dtype=np.int64)])
-    perm = gen.permutation(n_cols)
-    return (b @ rows)[:, perm].tolist(), kernel[:, perm].tolist()
+    return (b @ rows)[:, gen.permutation(n_cols)].tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -109,9 +108,6 @@ def test_modular_rank_against_oracles_hypothesis(mat):
     expected = rational_rank(mat)
     assert bareiss_rank(mat) == expected
     assert modular_rank(mat) == modular_rank(mat, P2) == expected
-    # with no kernel the bound is min(rows, cols), met only at full rank
-    full = expected == min(len(mat), len(mat[0]))
-    assert rank_with_kernel(mat) == (expected, f"mod {P}, kernel bound {expected}" if full else "Bareiss")
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,28 +123,20 @@ def test_wide_entries_hypothesis(mat):
     reduced = [[v % P for v in row] for row in mat]
     assert modular_rank(mat) == modular_rank(reduced) <= expected
     assert modular_rank([[-v for v in row] for row in mat]) == modular_rank(mat)
-    assert rank_with_kernel(mat)[0] == expected
 
 
 def test_modular_path_against_oracles_random():
+    # rank-deficient matrices, some with a column of multiples of p
     gen = np.random.default_rng(11)
-    methods = set()
     for _ in range(150):
         n_rows, n_cols = gen.integers(1, 9), gen.integers(2, 9)
         rank = gen.integers(1, min(n_rows, n_cols) + 1)
-        mat, kernel = _with_kernel(gen, n_rows, n_cols, rank)
-        if gen.random() < 0.3:  # a column of multiples of p, which the kernel does not touch
+        mat = _low_rank(gen, n_rows, n_cols, rank)
+        if gen.random() < 0.3:
             mat = [row + [row[0] * P] for row in mat]
-            kernel = [row + [0] for row in kernel]
         expected = rational_rank(mat)
         assert bareiss_rank(mat) == expected
-        got, method = rank_with_kernel(mat, kernel)
-        assert got == expected
-        assert method in ("Bareiss", f"mod {P}, kernel bound {expected}", f"mod {P2}, kernel bound {expected}")
-        methods.add(method.split(",")[0])
-        # a partial kernel gives a weaker bound; the answer must not change
-        assert rank_with_kernel(mat, kernel[1:])[0] == expected
-    assert methods == {"Bareiss", f"mod {P}"}
+        assert modular_rank(mat) == modular_rank(mat, P2) == expected
 
 
 def test_modular_rank_simple_cases():
@@ -157,39 +145,19 @@ def test_modular_rank_simple_cases():
     assert modular_rank([[1, 2], [2, 4]]) == 1
     assert modular_rank([[P, 0], [0, 1]]) == 1  # p is zero in F_p
     assert modular_rank([[P, 0], [0, 1]], P2) == 2
+    # a rank drop mod both primes: rank 1 over F_p, 2 over Q
+    assert modular_rank([[1, 0], [0, P * P2]]) == modular_rank([[1, 0], [0, P * P2]], P2) == 1
+    assert modular_rank(P * np.eye(4, dtype=np.int64)) == 0
+    assert modular_rank(P * np.eye(4, dtype=np.int64), P2) == 4
     with pytest.raises(ValueError):
         modular_rank([[1]], 2**31 + 11)
 
 
-def test_rank_drop_mod_both_primes_falls_back_to_bareiss():
-    kernel = [[0, 0, 1]]
-    mat = [[P * P2, 0, 0], [0, 1, 0], [0, 5, 0]]
-    assert rank_with_kernel(mat, kernel) == (2, "Bareiss")
-    # a drop mod the first prime alone is settled by the second
-    assert rank_with_kernel([[P, 0, 0], [0, 1, 0]], kernel) == (2, f"mod {P2}, kernel bound 2")
-    # p * I: rank 0 mod p, full rank over Q
-    big = (P * np.eye(4, dtype=np.int64)).tolist()
-    assert rank_with_kernel(big, np.zeros((0, 4), dtype=np.int64)) == (4, f"mod {P2}, kernel bound 4")
-    assert rank_with_kernel((P * P2 * np.eye(3, dtype=object)).tolist()) == (3, "Bareiss")
-
-
-def test_unannihilated_kernel_is_not_trusted():
-    # (0, 1) is annihilated mod p and mod the second prime, but not over Q;
-    # trusting it would certify rank 1 from the rank mod p
-    mat = [[1, 0], [0, P * P2]]
-    assert modular_rank(mat) == modular_rank(mat, P2) == 1
-    assert rank_with_kernel(mat, [[0, 1]]) == (2, "Bareiss")
-    assert rank_with_kernel([[1, 2], [3, 4]], [[1, 0]]) == (2, "Bareiss")
-
-
-def test_dependent_kernel_is_not_trusted():
-    # both rows are annihilated but span one dimension; trusting them would
-    # give the bound 1, which the rank mod p meets
-    mat = [[1, 0, 0], [0, P * P2, 0]]
-    assert rank_with_kernel(mat, [[0, 0, 1], [0, 0, 2]]) == (2, "Bareiss")
-    assert rank_with_kernel(mat, [[0, 0, 1]]) == (2, "Bareiss")  # the valid kernel: bound 2, rank mod p 1
-
-
-def test_kernel_shape_is_checked():
-    with pytest.raises(ValueError):
-        rank_with_kernel([[1, 0, 0]], [[1, 0]])
+def test_modular_rank_leaves_its_input_unchanged():
+    # an int64 input is read in place, so the reduction mod p must go to a copy
+    for a in (np.array([[P + 1, -3, 0], [2, 2 * P, 5]]), np.array([[2**70, 1], [-3, 4]], dtype=object)):
+        before = a.copy()
+        assert modular_rank(a) == modular_rank(a, P2) == 2
+        assert a.dtype == before.dtype and (a == before).all()
+    int64 = np.arange(6, dtype=np.int64).reshape(2, 3)
+    assert intrank._integer_array(int64) is int64

@@ -1,6 +1,7 @@
-"""Each test plants one fault in the program and checks that the sums suite
-reports it: the named check fails at q = 5 and 7.  One more checks that every
-caller of the Hermitian form reaches the kernel the fault is planted in."""
+"""Each test plants one fault in the program and checks that the sums or the
+rank suite reports it: the named check fails at q = 5 and 7.  One more
+checks that every caller of the Hermitian form reaches the kernel the fault
+is planted in."""
 
 import numpy as np
 import pytest
@@ -8,13 +9,18 @@ import pytest
 from psl2q import charsums, cyclotomic
 from psl2q.charsums import CharacterSums
 from psl2q.chartable import build_table
+from psl2q.derangement import DerangementModel
 from psl2q.fields import field_ctx_for_q
 from psl2q.groups import PGL2
 from psl2q.verify import run_suite
 
 
-def _failed(q):
-    return {c["name"] for c in run_suite("sums", q)["checks"] if not c["pass"]}
+def _failed(q, suite="sums"):
+    return _failed_checks(run_suite(suite, q))
+
+
+def _failed_checks(report):
+    return {c["name"] for c in report["checks"] if not c["pass"]}
 
 
 def _level_rotated_forward(below, mul, e):
@@ -38,6 +44,32 @@ def _one_numerator_off(conductor, index):
         return table
 
     return perturbed
+
+
+_families = DerangementModel.families
+_kernel_vectors = DerangementModel.kernel_vectors
+
+
+def _nu_numerator_off_by_one(self):
+    """`DerangementModel.families` with one numerator of the first nu row one
+    off on the first split class."""
+    out = dict(_families(self))
+    chars, values = out[self.q - 1]
+    row = next(i for i, chi in enumerate(chars) if chi.kind == "nu")
+    split = next(j for j, label in enumerate(self.table.classes) if label.kind == "split")
+    values = values.copy()
+    values[row, split, 0] += 1
+    out[self.q - 1] = chars, values
+    return out
+
+
+def _kernel_indicator_off(self):
+    """`DerangementModel.kernel_vectors` with one extra 1 in first[0], at the
+    pair (1, 2)."""
+    first, second = _kernel_vectors(self)
+    first = first.copy()
+    first[0, self.omega_index[(1, 2)]] += 1
+    return first, second
 
 
 def _unconjugated_form(calls):
@@ -77,6 +109,20 @@ def test_legendre_numerator_off_by_one(monkeypatch, q):
 def test_hermitian_gram_without_conjugation(monkeypatch, q):
     monkeypatch.setattr(cyclotomic, "hermitian_form", _unconjugated_form([]))
     assert "multiplicative_character_orthogonality" in _failed(q)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_nu_value_off_by_one(monkeypatch, q):
+    monkeypatch.setattr(DerangementModel, "families", _nu_numerator_off_by_one)
+    assert {"restricted_sums_match_closed_forms", "character_sums_triple_equality"} <= _failed(q, "rank")
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_kernel_indicator_off_by_one(monkeypatch, q):
+    monkeypatch.setattr(DerangementModel, "kernel_vectors", _kernel_indicator_off)
+    report = run_suite("rank", q)
+    assert "kernel_witness" in _failed_checks(report)
+    assert report["certificate"]["rank_method"] == "Bareiss"
 
 
 def test_every_form_reaches_the_planted_kernel(monkeypatch):

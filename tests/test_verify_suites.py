@@ -116,6 +116,6 @@ def test_pair_reach_matches_the_constraint_solver(q):
 def test_base_coset_log_shifts_match_the_product_loop(q):
     ctx = field_ctx_for_q(q)
     oracle = {
-        (ctx.log2[ctx.q2_mul(r, u)] - ctx.log2[r]) % (q + 1) for r in ctx.q2_units() for u in range(1, q)
+        (ctx.log2[ctx.q2_mul(r, u)] - ctx.log2[r]) % (q + 1) for r in range(1, q * q) for u in range(1, q)
     }
     assert base_coset_log_shifts(ctx) == oracle
