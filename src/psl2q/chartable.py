@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cyclotomic
-from .cyclotomic import CycNum, zeta_terms
+from .cyclotomic import CycNum, is_rational_diagonal, zeta_terms
 from .errors import IdentityViolationError
 from .fields import MultCharB, MultCharFq
 from .groups import PGL2, ClassLabel
@@ -82,6 +82,7 @@ class CharTable:
         self._char_index = {chi: i for i, chi in enumerate(self.chars)}
         self.values = [self._build_row(chi) for chi in self.chars]
         self._terms: tuple[np.ndarray, ...] | None = None
+        self._orthogonality: tuple[bool, bool] | None = None
 
     def _build_row(self, chi: IrreducibleChar) -> list[CycNum]:
         q = self.q
@@ -196,6 +197,17 @@ class CharTable:
         terms, n = (cls, row, exponent, coef), len(self.classes)
         ones = np.ones(len(self.chars), dtype=np.int64)
         return cyclotomic.hermitian_form(self.conductor, ones, terms, n, terms, n)
+
+    def orthogonality(self) -> tuple[bool, bool]:
+        """(rows, columns): whether `row_gram` is |G| I and `column_gram` is
+        diag(|G| / |C|), the two orthogonality relations; decided once."""
+        if self._orthogonality is None:
+            n = len(self.chars)
+            self._orthogonality = (
+                is_rational_diagonal(self.row_gram(), [self.order] * n),
+                is_rational_diagonal(self.column_gram(), [Fraction(self.order, size) for size in self.sizes]),
+            )
+        return self._orthogonality
 
     def permutation_character(self) -> list[CycNum]:
         """Character of the module spanned by ordered pairs of distinct points:

@@ -323,6 +323,17 @@ def hermitian_form(m: int, weight: np.ndarray, x: tuple, x_rows: int, y: tuple, 
     return out
 
 
+def is_rational_diagonal(gram: np.ndarray, diagonal) -> bool:
+    """gram[a, b] (numerators in Q(zeta_m)) is the rational diagonal[a] when
+    a == b and 0 otherwise, for every a and b."""
+    constant = gram[..., 0].tolist()
+    return not gram[..., 1:].any() and all(
+        value == (diagonal[a] if a == b else 0)
+        for a, line in enumerate(constant)
+        for b, value in enumerate(line)
+    )
+
+
 def _reduce_int_poly(vec: list[int], m: int, deg: int) -> tuple[int, ...]:
     """Reduce an integer polynomial (ascending, any length) mod Phi_m."""
     head = vec[:deg]

@@ -13,22 +13,37 @@ basis vector at (0, infinity) has (0, infinity)-coordinate
 
 computed here three independent ways: the direct double sum, an assembly
 from restricted character sums against closed-form N entries, and closed
-forms in terms of Legendre and Soto-Andrade sums.  Nonvanishing of every
-t(chi) together with the witnessed 2q-dimensional kernel pins the rank of M
-at exactly q(q-1).
+forms in terms of Legendre and Soto-Andrade sums.
 
 N and every product with M read one array, `columns`: the column of
 (a, a^g) for every derangement g and point a; M itself is built only for
-`psl2q dump matrixM`.  The rank certificate (`rank_of_m`) is witnessed on
-M itself.  M is read on the 2(q+1) indicators first[x] and second[x] of
-the pairs (x, .) and (., x): M first[x] = M second[x] = 1 for all x exactly
+`psl2q dump matrixM`.  The rank certificate (`rank_of_m`) eliminates no
+matrix the size of N.
+
+The upper bound is witnessed on M itself (`kernel_witnessed`, decided
+once).  M is read on the 2(q+1) indicators first[x] and second[x] of the
+pairs (x, .) and (., x): M first[x] = M second[x] = 1 for all x exactly
 when M kills every witness l[a,b] = first[a] - first[b] and r[a,b] =
 second[a] - second[b].  So M K^T = 0 for K the 2q witnesses l[0,b] and
 r[0,b], and N K^T = M^T (M K^T) = 0 follows without a product with N;
-rank_p(K) = 2q makes them independent.  The exact rank then takes one
-elimination, of N: over Q, M v = 0 exactly when |M v|^2 = v^T N v = 0, so
-rank(M) = rank(N), and rank_p(N) meeting q(q+1) - 2q decides it; otherwise
-a second prime and then Bareiss elimination do.
+rank_p(K) = 2q makes them independent, and rank(M) <= q(q+1) - 2q.
+
+The lower bound is Schur's lemma on N.  Over Q, M v = 0 exactly when
+|M v|^2 = v^T N v = 0, so rank(M) = rank(N).  When the set D of rows of M
+is a union of whole PGL classes, hDh^(-1) = D for every h, so N commutes
+with the pair action of PGL.  On the constituent V_chi of a target chi
+that occurs once in the pair module, N is then a scalar c_chi, and reading
+N P_chi = c_chi P_chi (P_chi the projection onto V_chi) at
+((0, inf), (0, inf)) gives t(chi) = c_chi * (sum of chi(g^(-1)) over the
+stabilizer of (0, inf)).  So t(chi) != 0 forces c_chi != 0, N is injective
+on V_chi, and rank(N) >= the sum of chi(1) over the targets, the dimension
+ledger q(q-1), which meets the upper bound.  Every hypothesis is decided
+exactly (`schur_hypotheses`): the class union, with no row of M repeated;
+multiplicity one for every target, from the class counts |C| pi(C) of the
+pairs each element fixes; t(chi) != 0 read from N's own (0, inf) row; the
+ledger; and both orthogonality relations of the table.  When one fails,
+rank_p(N) meeting the upper bound decides, at one prime or the other, and
+failing that Bareiss elimination of N does.
 
 The target characters' values are integer arrays of reduced numerators, one
 per family conductor (`families`): psi_minus1 and the nu over
@@ -88,6 +103,8 @@ class DerangementModel:
         self._gram: np.ndarray | None = None
         self._indicators: tuple[np.ndarray, np.ndarray] | None = None
         self._kernel: np.ndarray | None = None
+        self._witnessed: bool | None = None
+        self._schur: dict[str, bool] | None = None
         self._rank: tuple[int, str] | None = None
         self._position_classes: dict[bool, np.ndarray] = {}
         self._families: dict[int, tuple[list[IrreducibleChar], np.ndarray]] | None = None
@@ -205,24 +222,94 @@ class DerangementModel:
             total += vt.take(columns[:, x], axis=0)
         return total
 
+    def kernel_witnessed(self) -> bool:
+        """Whether M witnesses the 2q-dimensional kernel K: M first[x] =
+        M second[x] = 1 for every x, so that M K^T = 0, and rank_p(K) = 2q;
+        decided once."""
+        if self._witnessed is None:
+            first, second = self.kernel_vectors()
+            ones = (self.m_times(np.vstack([first, second])) == 1).all()
+            self._witnessed = bool(ones) and modular_rank(self.kernel_basis()) == 2 * self.q
+        return self._witnessed
+
     def rank_of_m(self) -> tuple[int, str]:
         """rank(M) over Q and the method that decided it; computed once.  The
-        kernel bound b = q(q+1) - 2q holds only when M witnesses K: the
-        indicator check gives M K^T = 0 and rank_p(K) = 2q.  Then rank_p(N)
-        meeting b decides, at one prime or the other; otherwise Bareiss
-        elimination of N does."""
+        kernel bound b = q(q+1) - 2q holds only when M witnesses K, and the
+        Schur bound meeting b decides.  Otherwise rank_p(N) meeting b decides,
+        at one prime or the other, and failing that Bareiss elimination of N
+        does."""
         if self._rank is None:
-            q, gram = self.q, self.gram_bruteforce()
+            q = self.q
             bound = q * (q + 1) - 2 * q
-            first, second = self.kernel_vectors()
-            prime = None
-            if (self.m_times(np.vstack([first, second])) == 1).all() and modular_rank(self.kernel_basis()) == 2 * q:
-                prime = next((p for p in PRIMES if modular_rank(gram, p) == bound), None)
-            if prime:
-                self._rank = bound, f"mod {prime}, kernel bound {bound}"
+            if self.kernel_witnessed() and self.schur_bound() == bound:
+                self._rank = bound, f"Schur, kernel bound {bound}"
             else:
-                self._rank = bareiss_rank(gram.tolist()), "Bareiss"
+                gram = self.gram_bruteforce()
+                primes = PRIMES if self.kernel_witnessed() else ()
+                prime = next((p for p in primes if modular_rank(gram, p) == bound), None)
+                if prime:
+                    self._rank = bound, f"mod {prime}, kernel bound {bound}"
+                else:
+                    self._rank = bareiss_rank(gram.tolist()), "Bareiss"
         return self._rank
+
+    # -- the Schur lower bound ----------------------------------------------------
+
+    def whole_classes(self) -> bool:
+        """Whether D, the set of rows of M, is a union of whole PGL classes: no
+        row repeats, and each class meets D in none or all of the elements
+        that `class_array` puts in it."""
+        k = len(self.table.classes)
+        sizes = np.bincount(self.classes_by_position(inverse=False), minlength=k)
+        counts = np.bincount(self.group.class_array(self.group.derangements()), minlength=k)
+        columns = self.columns()
+        rows = columns[np.lexsort(columns.T)]
+        distinct = bool((rows[1:] != rows[:-1]).any(axis=1).all())
+        return distinct and bool(((counts == 0) | (counts == sizes)).all())
+
+    def pair_counts(self) -> np.ndarray:
+        """|C| pi(C) per class C, in `CharTable.classes` order: pi(g) = f(f-1)
+        ordered pairs of distinct points are fixed by an element g with f
+        fixed points, summed over the elements of C in the PGL image array."""
+        q, k = self.q, len(self.table.classes)
+        fixed = (self.group.pgl_images() == np.arange(q + 1)).sum(axis=1)
+        by_class = np.bincount(self.classes_by_position(inverse=False) * (q + 2) + fixed, minlength=k * (q + 2))
+        f = np.arange(q + 2)
+        return by_class.reshape(k, q + 2) @ (f * (f - 1))
+
+    def targets_occur_once(self) -> bool:
+        """Whether every target occurs exactly once in the pair module: the
+        sum over classes of |C| pi(C) chi(C) is |G|, one `class_sums` product
+        (lambda1: the sum of the counts)."""
+        counts, order = self.pair_counts(), self.table.order
+        sums = self.class_sums(counts[None]).values()
+        return counts.sum() == order and all(rows[0, 0] == order and not rows[0, 1:].any() for rows in sums)
+
+    def schur_hypotheses(self) -> dict[str, bool]:
+        """The hypotheses of the Schur lower bound on rank(N), each decided
+        exactly; computed once.  whole_pgl_classes: hDh^(-1) = D for every h
+        in PGL, so N[(a^h, b^h), (c^h, d^h)] = N[(a, b), (c, d)] and N
+        commutes with PGL.  targets_occur_once: N acts on each target's
+        constituent as a scalar.  scalars_nonzero: t(chi), read from N's own
+        (0, inf) row (`direct_sums`), is nonzero, and so is that scalar.
+        dimension_ledger: the targets' degrees sum to q(q-1).
+        table_orthogonality: the table the argument reads passes both
+        orthogonality relations."""
+        if self._schur is None:
+            q = self.q
+            self._schur = {
+                "whole_pgl_classes": self.whole_classes(),
+                "targets_occur_once": bool(self.targets_occur_once()),
+                "scalars_nonzero": not any(t.is_zero() for t in self.direct_sums().values()),
+                "dimension_ledger": self.dimension_ledger() == q * (q - 1),
+                "table_orthogonality": all(self.table.orthogonality()),
+            }
+        return self._schur
+
+    def schur_bound(self) -> int:
+        """A lower bound on rank(N) = rank(M): the dimension ledger when every
+        Schur hypothesis holds, and 0 otherwise."""
+        return self.dimension_ledger() if all(self.schur_hypotheses().values()) else 0
 
     # -- character moments ----------------------------------------------------------
 

@@ -72,6 +72,7 @@ class PGL2:
         self._classify_cache: dict[Element, ClassLabel] = {}
         self._elements_pgl: list[Element] | None = None
         self._elements_psl: list[Element] | None = None
+        self._derangements: list[Element] | None = None
         self._pgl_images: np.ndarray | None = None
         self._class_table: np.ndarray | None = None
 
@@ -158,11 +159,13 @@ class PGL2:
         raise ValueError(f"unknown group selector {which!r}")
 
     def derangements(self) -> list[Element]:
-        """Fixed-point-free elements of PSL(2,q), in enumeration order."""
-        psl = self.elements("psl")
-        fixed_point_free = np.array([lab.kind in ("nonsplit", "nonsplit_i") for lab in self.class_labels()])
-        keep = fixed_point_free[self.class_array(psl)].tolist()
-        return [g for g, k in zip(psl, keep) if k]
+        """Fixed-point-free elements of PSL(2,q), in enumeration order; built once."""
+        if self._derangements is None:
+            psl = self.elements("psl")
+            fixed_point_free = np.array([lab.kind in ("nonsplit", "nonsplit_i") for lab in self.class_labels()])
+            keep = fixed_point_free[self.class_array(psl)].tolist()
+            self._derangements = [g for g, k in zip(psl, keep) if k]
+        return self._derangements
 
     # -- conjugacy ------------------------------------------------------------
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import cyclotomic
 from .chartable import build_table
 from .charsums import CharacterSums
-from .cyclotomic import CycNum, reduce_zeta_counts, row_products
+from .cyclotomic import CycNum, is_rational_diagonal, reduce_zeta_counts, row_products
 from .derangement import DerangementModel
 from .ekr import (
     IntersectionGraph,
@@ -28,7 +28,6 @@ from .ekr import (
 from .errors import IdentityViolationError
 from .fields import field_ctx_for_q
 from .groups import PGL2
-from .intrank import modular_rank
 
 SUITES = ("table", "sums", "rank", "ekr")
 
@@ -63,17 +62,6 @@ def _report(q: int, suite: str, seed: int, checks: _Checks, extra: dict | None =
 
 
 # -- table suite ---------------------------------------------------------------
-
-
-def _is_diagonal(gram: np.ndarray, diagonal) -> bool:
-    """gram[a, b] (numerators in Q(zeta_L)) is the rational diagonal[a] when
-    a == b and 0 otherwise, for every a and b."""
-    constant = gram[..., 0].tolist()
-    return not gram[..., 1:].any() and all(
-        value == (diagonal[a] if a == b else 0)
-        for a, line in enumerate(constant)
-        for b, value in enumerate(line)
-    )
 
 
 def _distinct_pairs(first: np.ndarray, second: np.ndarray) -> list[tuple[int, int]]:
@@ -121,12 +109,9 @@ def run_table_suite(q: int, seed: int = 0) -> dict:
         f"sum of squared degrees = {q ** 3 - q}",
     )
 
-    order = q**3 - q
-    checks.add("row_orthogonality", _is_diagonal(table.row_gram(), [order] * len(labels)))
-    checks.add(
-        "column_orthogonality",
-        _is_diagonal(table.column_gram(), [Fraction(order, size) for size in table.sizes]),
-    )
+    rows_ok, columns_ok = table.orthogonality()
+    checks.add("row_orthogonality", rows_ok)
+    checks.add("column_orthogonality", columns_ok)
 
     # each element contributes its (class, count) pair; each distinct pair is compared once
     psi1 = table.chars[2]
@@ -239,7 +224,8 @@ def basis_gram_is_diagonal(sums: CharacterSums, basis: list) -> bool:
     squared norms, compared on the reduced numerators and denominators that
     `CharacterSums.gram` returns."""
     _, nums, dens = sums.gram([vec for _, vec, _ in basis])
-    return len(basis) == sums.q and _is_diagonal(nums, [norm * dens[i, i] for i, (_, _, norm) in enumerate(basis)])
+    norms = [norm * dens[i, i] for i, (_, _, norm) in enumerate(basis)]
+    return len(basis) == sums.q and is_rational_diagonal(nums, norms)
 
 
 def character_grams_are_scalar(ctx) -> bool:
@@ -252,7 +238,8 @@ def character_grams_are_scalar(ctx) -> bool:
     for m, logs in ((q - 1, ctx.arrays.log[1:]), (q + 1, np.arange(q + 1))):
         k, point = np.divmod(np.arange(m * m), m)
         terms = (k, point, k * logs[point] % m, np.ones(m * m, dtype=np.int64))
-        ok = ok and _is_diagonal(cyclotomic.hermitian_form(m, np.ones(m, dtype=np.int64), terms, m, terms, m), [m] * m)
+        gram = cyclotomic.hermitian_form(m, np.ones(m, dtype=np.int64), terms, m, terms, m)
+        ok = ok and is_rational_diagonal(gram, [m] * m)
     return ok
 
 
@@ -513,19 +500,35 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
         )
     checks.add("gram_relabeling_invariance_sample", ok, "200 seeded samples")
 
+    # the Schur lower bound on rank(N): every hypothesis is an exact check
+    hypotheses = model.schur_hypotheses()
+    for name, detail in (
+        ("whole_pgl_classes", "D meets each PGL class in none or all of it; no row of M repeats"),
+        ("targets_occur_once", "pair-module multiplicity 1 for every target"),
+        ("scalars_nonzero", "t(chi) from the (0, inf) row of N, every target"),
+        ("dimension_ledger", f"sum of target degrees {model.dimension_ledger()}, expected {q * (q - 1)}"),
+        ("table_orthogonality", "row and column Grams of the table"),
+    ):
+        checks.add(f"schur_{name}", hypotheses[name], detail)
+
     rank_m, method_m = model.rank_of_m()
     checks.add(
         "rank_of_m", rank_m == q * (q - 1), f"rank {rank_m} ({method_m}), expected {q * (q - 1)}"
     )
-    # over Q |M v|^2 = v^T N v, so rank(M) = rank(N): one elimination gives both
-    checks.add("rank_of_gram_matches", True, f"rank(N) = {rank_m} ({method_m})")
+    # over Q |M v|^2 = v^T N v, so rank(M) = rank(N): the Schur lower bound on
+    # rank(N) meets the kernel bound on rank(M) witnessed below
+    schur_bound = model.schur_bound()
+    kernel_bound = q * (q + 1) - 2 * q if model.kernel_witnessed() else None
+    checks.add(
+        "rank_of_gram_matches",
+        schur_bound == kernel_bound,
+        f"Schur bound {schur_bound} on rank(N), kernel bound {kernel_bound} on rank(M)",
+    )
 
     # M 1 = q+1 on every row, so M first[x] = M second[x] = 1 for all x exactly
     # when M kills every l[a,b] = first[a] - first[b] and r[a,b] likewise
-    first, second = model.kernel_vectors()
-    ok = (model.m_times(np.vstack([first, second])) == 1).all()
-    ok = ok and modular_rank(model.kernel_basis()) == 2 * q
-    ok = ok and not (gram @ (first[0] - first[1])).any()
+    first, _ = model.kernel_vectors()
+    ok = model.kernel_witnessed() and not (gram @ (first[0] - first[1])).any()
     # l[0,1] - l[0,2] = l[2,1]
     ok = ok and ((first[0] - first[1]) - (first[0] - first[2]) == first[2] - first[1]).all()
     ok = ok and rank_m + 2 * q <= q * (q + 1)

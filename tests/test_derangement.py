@@ -1,6 +1,7 @@
 """Tests for the derangement matrix, Gram matrix, kernel and character sums."""
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from psl2q.derangement import DerangementModel
 from psl2q.errors import UnsupportedCharacterError
 from psl2q.fields import field_ctx_for_q
 from psl2q.groups import PGL2
-from psl2q import derangement
+from psl2q import derangement, intrank
 from psl2q.intrank import PRIMES, bareiss_rank, modular_rank
 from psl2q.verify import run_suite
 
@@ -174,17 +175,35 @@ def test_rank(models, q, rank):
     assert bareiss_rank(D.build_m().tolist()) == rank
     assert bareiss_rank(D.gram_bruteforce().tolist()) == rank
     assert rank + 2 * q <= q * (q + 1)
-    # the kernel M witnesses is one of N too, and the modular rank of N
-    # meets its bound at the first prime, in agreement with Bareiss
+    # the kernel M witnesses is one of N too, and the Schur bound on N meets
+    # it, in agreement with Bareiss
     kernel = D.kernel_basis()
     assert kernel.shape == (2 * q, q * (q + 1))
     assert modular_rank(kernel) == 2 * q and not (D.gram_bruteforce() @ kernel.T).any()
-    assert D.rank_of_m() == (rank, f"mod {PRIMES[0]}, kernel bound {rank}")
+    assert D.kernel_witnessed() and D.schur_bound() == rank
+    assert D.rank_of_m() == (rank, f"Schur, kernel bound {rank}")
     assert D.rank_of_m() is D.rank_of_m()
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 17, 19, 23, 25])
+def test_elimination_of_n_agrees_with_the_schur_rank(q):
+    # elimination is the independent oracle of the rank the Schur bound decides
+    D = _fresh_model(q)
+    rank, method = D.rank_of_m()
+    assert method == f"Schur, kernel bound {q * (q - 1)}"
+    assert all(modular_rank(D.gram_bruteforce(), p) == rank for p in PRIMES)
 
 
 def _fresh_model(q):
     return DerangementModel(build_table(PGL2(field_ctx_for_q(q))))
+
+
+def _zero_scalar(monkeypatch, D):
+    """Break a Schur hypothesis: the model reads t(psi_minus1) from N as 0."""
+    direct = D.direct_sums()
+    psi = next(chi for chi in direct if chi.kind == "psi_minus1")
+    monkeypatch.setattr(D, "direct_sums", lambda gram=None: {**direct, psi: CycNum.zero()})
+    assert not D.schur_hypotheses()["scalars_nonzero"] and D.schur_bound() == 0
 
 
 def _short_on_n(monkeypatch, q, primes):
@@ -203,6 +222,7 @@ def _short_on_n(monkeypatch, q, primes):
 @pytest.mark.parametrize("q", [5, 7])
 def test_rank_of_m_tries_the_second_prime_when_the_first_falls_short(monkeypatch, q):
     D = _fresh_model(q)
+    _zero_scalar(monkeypatch, D)
     _short_on_n(monkeypatch, q, PRIMES[:1])
     assert D.rank_of_m() == (q * (q - 1), f"mod {PRIMES[1]}, kernel bound {q * (q - 1)}")
 
@@ -212,23 +232,81 @@ def test_rank_of_m_follows_n_to_bareiss_when_n_falls_short(monkeypatch, q):
     # a rank of N mod p below the bound must not decide: Bareiss does, for N
     # and so for M, and Bareiss on M itself is the oracle
     D = _fresh_model(q)
+    _zero_scalar(monkeypatch, D)
     _short_on_n(monkeypatch, q, PRIMES)
     assert D.rank_of_m() == (q * (q - 1), "Bareiss") == (bareiss_rank(D.build_m().tolist()), "Bareiss")
 
 
-def test_rank_of_m_reads_n_without_eliminating_m(monkeypatch):
-    # one elimination of K and one of N, at the first prime; never M
+@pytest.mark.parametrize("q", [5, 7, 9, 25])
+def test_pair_counts_match_the_permutation_character(q):
+    # the action's fixed pairs, summed per class, against |C| pi(C) from the
+    # table's closed form; pi decomposes with every target once
+    D = _fresh_model(q)
+    pi = D.table.permutation_character()
+    assert D.pair_counts().tolist() == [size * v.as_fraction() for size, v in zip(D.table.sizes, pi)]
+    multiplicities = D.table.decompose(pi)
+    assert all(multiplicities[chi.name()] == 1 for chi in D.target_characters())
+    assert D.targets_occur_once()
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_schur_hypotheses_hold(models, q):
+    D = models[q]
+    assert D.schur_hypotheses() == dict.fromkeys(
+        ["whole_pgl_classes", "targets_occur_once", "scalars_nonzero", "dimension_ledger", "table_orthogonality"],
+        True,
+    )
+    assert D.schur_bound() == D.dimension_ledger() == q * (q - 1)
+
+
+def test_a_repeated_row_is_not_a_union_of_classes(monkeypatch):
+    # a derangement replaced by another of its class keeps every class count;
+    # only the repeated row of M shows that D is no longer conjugation-invariant
     D = _fresh_model(7)
-    shapes = []
-    true_modular_rank = derangement.modular_rank
+    ders = D.group.derangements()
+    classes = D.group.class_array(ders)
+    j = int(np.flatnonzero(classes == classes[0])[1])
+    repeated = ders[:j] + [ders[0]] + ders[j + 1 :]
+    monkeypatch.setattr(D.group, "derangements", lambda: repeated)
+    assert np.bincount(D.group.class_array(repeated)).tolist() == np.bincount(classes).tolist()
+    assert not D.whole_classes() and D.schur_bound() == 0
+
+
+def _recording_modular_rank(monkeypatch):
+    """Log the shape and prime of every `modular_rank` call made through any
+    psl2q module."""
+    calls = []
+    true_modular_rank = intrank.modular_rank
 
     def recording(matrix, p=PRIMES[0]):
-        shapes.append((np.shape(matrix), p))
+        calls.append((np.shape(matrix), p))
         return true_modular_rank(matrix, p)
 
-    monkeypatch.setattr(derangement, "modular_rank", recording)
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "psl2q"]:
+        if getattr(module, "modular_rank", None) is true_modular_rank:
+            monkeypatch.setattr(module, "modular_rank", recording)
+    return calls
+
+
+def test_rank_of_m_without_schur_reads_n_without_eliminating_m(monkeypatch):
+    # with a Schur hypothesis broken: one elimination of K and one of N, at
+    # the first prime; never M
+    D = _fresh_model(7)
+    _zero_scalar(monkeypatch, D)
+    calls = _recording_modular_rank(monkeypatch)
     assert D.rank_of_m() == (42, f"mod {PRIMES[0]}, kernel bound 42")
-    assert shapes == [((14, 56), PRIMES[0]), ((56, 56), PRIMES[0])]
+    assert calls == [((14, 56), PRIMES[0]), ((56, 56), PRIMES[0])]
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_rank_suite_eliminates_only_the_kernel_witnesses(monkeypatch, q):
+    # the Schur bound decides, and the kernel check reads the model's one
+    # witness: K, once, is the only matrix eliminated
+    calls = _recording_modular_rank(monkeypatch)
+    report = run_suite("rank", q)
+    assert report["pass"] is True
+    assert report["certificate"]["rank_method"] == f"Schur, kernel bound {q * (q - 1)}"
+    assert calls == [((2 * q, q * (q + 1)), PRIMES[0])]
 
 
 def test_unannihilated_kernel_sends_both_ranks_to_bareiss(monkeypatch):
@@ -509,7 +587,7 @@ def test_rank_certificate(models, q):
     report = models[q].rank_certificate()
     assert report["pass"]
     assert report["rank"] == report["expected_rank"] == q * (q - 1)
-    assert report["rank_method"] == f"mod {PRIMES[0]}, kernel bound {q * (q - 1)}"
+    assert report["rank_method"] == f"Schur, kernel bound {q * (q - 1)}"
     assert all(c["nonzero"] for c in report["characters"])
     kinds = [c["kind"] for c in report["characters"]]
     assert kinds.count("eta") == (q - 1) // 2

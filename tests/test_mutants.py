@@ -1,7 +1,8 @@
 """Each test plants one fault in the program and checks that the sums or the
-rank suite reports it: the named check fails at q = 5 and 7.  One more
-checks that every caller of the Hermitian form reaches the kernel the fault
-is planted in."""
+rank suite reports it: the named check fails at q = 5 and 7, and for the
+faults in the Schur certificate of the rank also at q = 9, 11, 13 and 25.
+One more checks that every caller of the Hermitian form reaches the kernel
+the fault is planted in."""
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ import pytest
 from psl2q import charsums, cyclotomic
 from psl2q.charsums import CharacterSums
 from psl2q.chartable import build_table
+from psl2q.cyclotomic import CycNum
 from psl2q.derangement import DerangementModel
 from psl2q.fields import field_ctx_for_q
 from psl2q.groups import PGL2
+from psl2q.intrank import PRIMES
 from psl2q.verify import run_suite
 
 
@@ -48,6 +51,10 @@ def _one_numerator_off(conductor, index):
 
 _families = DerangementModel.families
 _kernel_vectors = DerangementModel.kernel_vectors
+_direct_sums = DerangementModel.direct_sums
+_pair_counts = DerangementModel.pair_counts
+_derangements = PGL2.derangements
+SCHUR_QS = [5, 7, 9, 11, 13, 25]
 
 
 def _nu_numerator_off_by_one(self):
@@ -70,6 +77,29 @@ def _kernel_indicator_off(self):
     first = first.copy()
     first[0, self.omega_index[(1, 2)]] += 1
     return first, second
+
+
+def _psi_minus1_scalar_zero(self, gram=None):
+    """`DerangementModel.direct_sums` with t(psi_minus1) read as 0."""
+    out = _direct_sums(self, gram)
+    psi = next(chi for chi in out if chi.kind == "psi_minus1")
+    return {**out, psi: CycNum.zero()}
+
+
+def _one_nonsplit_derangement_dropped(self):
+    """`PGL2.derangements` without its first element of a nonsplit class."""
+    ders = _derangements(self)
+    i = next(i for i, g in enumerate(ders) if self.classify(g).kind == "nonsplit")
+    return ders[:i] + ders[i + 1 :]
+
+
+def _pi_off_by_one_on_a_split_class(self):
+    """`DerangementModel.pair_counts` with pi one more on the first split
+    class: |C| more pairs fixed there."""
+    counts = _pair_counts(self).copy()
+    c = next(j for j, label in enumerate(self.table.classes) if label.kind == "split")
+    counts[c] += self.table.sizes[c]
+    return counts
 
 
 def _unconjugated_form(calls):
@@ -123,6 +153,37 @@ def test_kernel_indicator_off_by_one(monkeypatch, q):
     report = run_suite("rank", q)
     assert "kernel_witness" in _failed_checks(report)
     assert report["certificate"]["rank_method"] == "Bareiss"
+
+
+@pytest.mark.parametrize("q", SCHUR_QS)
+def test_a_zero_scalar_fails_the_schur_certificate(monkeypatch, q):
+    # the certificate no longer decides: elimination of N reports the true rank
+    monkeypatch.setattr(DerangementModel, "direct_sums", _psi_minus1_scalar_zero)
+    report = run_suite("rank", q)
+    assert {"schur_scalars_nonzero", "rank_of_gram_matches"} <= _failed_checks(report)
+    expected = q * (q - 1)
+    assert (report["certificate"]["rank"], report["certificate"]["rank_method"]) == (
+        expected, f"mod {PRIMES[0]}, kernel bound {expected}"
+    )
+
+
+@pytest.mark.parametrize("q", SCHUR_QS)
+def test_a_missing_derangement_fails_the_class_union_check(monkeypatch, q):
+    monkeypatch.setattr(PGL2, "derangements", _one_nonsplit_derangement_dropped)
+    report = run_suite("rank", q)
+    assert {"schur_whole_pgl_classes", "rank_of_gram_matches"} <= _failed_checks(report)
+    assert not report["certificate"]["rank_method"].startswith("Schur")
+
+
+@pytest.mark.parametrize("q", SCHUR_QS)
+def test_pi_off_by_one_fails_the_multiplicity_check(monkeypatch, q):
+    monkeypatch.setattr(DerangementModel, "pair_counts", _pi_off_by_one_on_a_split_class)
+    report = run_suite("rank", q)
+    assert {"schur_targets_occur_once", "rank_of_gram_matches"} <= _failed_checks(report)
+    expected = q * (q - 1)
+    assert (report["certificate"]["rank"], report["certificate"]["rank_method"]) == (
+        expected, f"mod {PRIMES[0]}, kernel bound {expected}"
+    )
 
 
 def test_every_form_reaches_the_planted_kernel(monkeypatch):
