@@ -42,8 +42,8 @@ exactly (`schur_hypotheses`): the class union, with no row of M repeated;
 multiplicity one for every target, from the class counts |C| pi(C) of the
 pairs each element fixes; t(chi) != 0 read from N's own (0, inf) row; the
 ledger; and both orthogonality relations of the table.  When one fails,
-rank_p(N) meeting the upper bound decides, at one prime or the other, and
-failing that Bareiss elimination of N does.
+or M witnesses no kernel, the rank is left undecided and nothing is
+eliminated; elimination of N is the tests' independent oracle of the rank.
 
 The target characters' values are integer arrays of reduced numerators, one
 per family conductor (`families`): psi_minus1 and the nu over
@@ -70,7 +70,7 @@ from .charsums import CharacterSums
 from .cyclotomic import CycNum, exact_dtype, max_abs
 from .errors import IdentityViolationError, UnsupportedCharacterError
 from .groups import PGL2
-from .intrank import PRIMES, bareiss_rank, modular_rank
+from .intrank import modular_rank
 
 
 def pair_column(a, b, q: int):
@@ -105,7 +105,6 @@ class DerangementModel:
         self._kernel: np.ndarray | None = None
         self._witnessed: bool | None = None
         self._schur: dict[str, bool] | None = None
-        self._rank: tuple[int, str] | None = None
         self._position_classes: dict[bool, np.ndarray] = {}
         self._families: dict[int, tuple[list[IrreducibleChar], np.ndarray]] | None = None
         self._restricted_rows: dict[IrreducibleChar, np.ndarray] | None = None
@@ -232,39 +231,34 @@ class DerangementModel:
             self._witnessed = bool(ones) and modular_rank(self.kernel_basis()) == 2 * self.q
         return self._witnessed
 
-    def rank_of_m(self) -> tuple[int, str]:
-        """rank(M) over Q and the method that decided it; computed once.  The
-        kernel bound b = q(q+1) - 2q holds only when M witnesses K, and the
-        Schur bound meeting b decides.  Otherwise rank_p(N) meeting b decides,
-        at one prime or the other, and failing that Bareiss elimination of N
-        does."""
-        if self._rank is None:
-            q = self.q
-            bound = q * (q + 1) - 2 * q
-            if self.kernel_witnessed() and self.schur_bound() == bound:
-                self._rank = bound, f"Schur, kernel bound {bound}"
-            else:
-                gram = self.gram_bruteforce()
-                primes = PRIMES if self.kernel_witnessed() else ()
-                prime = next((p for p in primes if modular_rank(gram, p) == bound), None)
-                if prime:
-                    self._rank = bound, f"mod {prime}, kernel bound {bound}"
-                else:
-                    self._rank = bareiss_rank(gram.tolist()), "Bareiss"
-        return self._rank
+    def kernel_bound(self) -> int | None:
+        """The upper bound q(q+1) - 2q on rank(M), when M witnesses K."""
+        return self.q * (self.q + 1) - 2 * self.q if self.kernel_witnessed() else None
+
+    def rank_of_m(self) -> tuple[int | None, str]:
+        """rank(M) over Q and the method that decided it: the Schur bound
+        meeting the kernel bound decides.  Otherwise the rank is None,
+        undecided, and the method names both bounds."""
+        bound, schur = self.kernel_bound(), self.schur_bound()
+        if schur == bound:
+            return bound, f"Schur, kernel bound {bound}"
+        return None, f"undecided (Schur bound {schur}, kernel bound {bound})"
 
     # -- the Schur lower bound ----------------------------------------------------
 
     def whole_classes(self) -> bool:
         """Whether D, the set of rows of M, is a union of whole PGL classes: no
         row repeats, and each class meets D in none or all of the elements
-        that `class_array` puts in it."""
+        that `class_array` puts in it.  PGL(2,q) is sharply 3-transitive, so
+        an element is fixed by the images of 0, 1 and infinity, and a row
+        repeats exactly when its columns at those three points do."""
         k = len(self.table.classes)
         sizes = np.bincount(self.classes_by_position(inverse=False), minlength=k)
         counts = np.bincount(self.group.class_array(self.group.derangements()), minlength=k)
-        columns = self.columns()
-        rows = columns[np.lexsort(columns.T)]
-        distinct = bool((rows[1:] != rows[:-1]).any(axis=1).all())
+        n = len(self.omega)
+        zero, one, inf = self.columns()[:, [0, 1, self.group.infinity]].astype(np.int64).T
+        keys = np.sort((zero * n + one) * n + inf)
+        distinct = bool((keys[1:] != keys[:-1]).all())
         return distinct and bool(((counts == 0) | (counts == sizes)).all())
 
     def pair_counts(self) -> np.ndarray:

@@ -12,10 +12,10 @@ of characteristic zero.
 a word-size prime field.  It is a lower bound on the rational rank, because
 a minor that is nonzero mod p is a nonzero integer.  A caller that also
 holds an upper bound, such as the columns less the dimension of a kernel it
-has witnessed exactly, certifies the rational rank when the two meet; when
-they do not, Bareiss decides.  `DerangementModel.rank_of_m` eliminates only
-its 2q kernel witnesses this way when its Schur certificate holds, and N
-only when a hypothesis of that certificate fails; its tests use both
+has witnessed exactly, certifies the rational rank when the two meet.
+`DerangementModel.kernel_witnessed` eliminates only its 2q kernel
+witnesses this way; `rank_of_m` eliminates nothing and leaves the rank
+undecided when its Schur certificate fails.  The tests use both
 eliminations of N as the independent oracle of the rank.
 """
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import psl2q
 from psl2q.cli import main
+from psl2q.derangement import DerangementModel
 
 
 def test_invalid_q_exits_2(tmp_path, capsys):
@@ -53,6 +54,16 @@ def test_verify_rank_q5(tmp_path, capsys):
     for entry in report["certificate"]["characters"]:
         assert entry["nonzero"] is True
         assert "t_value_exact" in entry and "t_value_approx" in entry
+
+
+def test_an_undecided_rank_fails_the_run(tmp_path, capsys, monkeypatch):
+    # with no Schur bound the rank is left undecided: null in the report, exit 1
+    monkeypatch.setattr(DerangementModel, "schur_bound", lambda self: 0)
+    assert main(["verify", "--q", "5", "--suite", "rank", "--out", str(tmp_path)]) == 1
+    assert "first failing check: q=5 rank/rank_of_m" in capsys.readouterr().err
+    report = json.loads((tmp_path / "verify_q5_rank.json").read_text())
+    assert report["pass"] is False
+    assert report["certificate"]["rank"] is None and report["certificate"]["pass"] is False
 
 
 def test_verify_q3_runs_ekr_only(tmp_path):

@@ -14,7 +14,7 @@ from psl2q.derangement import DerangementModel
 from psl2q.errors import UnsupportedCharacterError
 from psl2q.fields import field_ctx_for_q
 from psl2q.groups import PGL2
-from psl2q import derangement, intrank
+from psl2q import intrank
 from psl2q.intrank import PRIMES, bareiss_rank, modular_rank
 from psl2q.verify import run_suite
 
@@ -182,7 +182,7 @@ def test_rank(models, q, rank):
     assert modular_rank(kernel) == 2 * q and not (D.gram_bruteforce() @ kernel.T).any()
     assert D.kernel_witnessed() and D.schur_bound() == rank
     assert D.rank_of_m() == (rank, f"Schur, kernel bound {rank}")
-    assert D.rank_of_m() is D.rank_of_m()
+    assert D.schur_hypotheses() is D.schur_hypotheses()
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 17, 19, 23, 25])
@@ -204,37 +204,6 @@ def _zero_scalar(monkeypatch, D):
     psi = next(chi for chi in direct if chi.kind == "psi_minus1")
     monkeypatch.setattr(D, "direct_sums", lambda gram=None: {**direct, psi: CycNum.zero()})
     assert not D.schur_hypotheses()["scalars_nonzero"] and D.schur_bound() == 0
-
-
-def _short_on_n(monkeypatch, q, primes):
-    """Make the model's `modular_rank` report one less than the truth on N
-    at each of the given primes."""
-    n_cols = q * (q + 1)
-    true_modular_rank = derangement.modular_rank
-
-    def short_on_n(matrix, p=PRIMES[0]):
-        rank = true_modular_rank(matrix, p)
-        return rank - 1 if p in primes and np.shape(matrix) == (n_cols, n_cols) else rank
-
-    monkeypatch.setattr(derangement, "modular_rank", short_on_n)
-
-
-@pytest.mark.parametrize("q", [5, 7])
-def test_rank_of_m_tries_the_second_prime_when_the_first_falls_short(monkeypatch, q):
-    D = _fresh_model(q)
-    _zero_scalar(monkeypatch, D)
-    _short_on_n(monkeypatch, q, PRIMES[:1])
-    assert D.rank_of_m() == (q * (q - 1), f"mod {PRIMES[1]}, kernel bound {q * (q - 1)}")
-
-
-@pytest.mark.parametrize("q", [5, 7])
-def test_rank_of_m_follows_n_to_bareiss_when_n_falls_short(monkeypatch, q):
-    # a rank of N mod p below the bound must not decide: Bareiss does, for N
-    # and so for M, and Bareiss on M itself is the oracle
-    D = _fresh_model(q)
-    _zero_scalar(monkeypatch, D)
-    _short_on_n(monkeypatch, q, PRIMES)
-    assert D.rank_of_m() == (q * (q - 1), "Bareiss") == (bareiss_rank(D.build_m().tolist()), "Bareiss")
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 25])
@@ -259,16 +228,31 @@ def test_schur_hypotheses_hold(models, q):
     assert D.schur_bound() == D.dimension_ledger() == q * (q - 1)
 
 
-def test_a_repeated_row_is_not_a_union_of_classes(monkeypatch):
-    # a derangement replaced by another of its class keeps every class count;
-    # only the repeated row of M shows that D is no longer conjugation-invariant
-    D = _fresh_model(7)
+@pytest.mark.parametrize("q", [5, 7, 9, 25])
+def test_images_of_zero_one_infinity_fix_an_element(q):
+    # the key `whole_classes` sorts is injective on all of PGL (sharp
+    # 3-transitivity), so it repeats exactly when a row of M does
+    G = _fresh_model(q).group
+    images = G.pgl_images()
+    triples = {tuple(row) for row in images[:, [0, 1, G.infinity]].tolist()}
+    assert len(triples) == len({tuple(row) for row in images.tolist()}) == (q + 1) * q * (q - 1)
+
+
+def _repeated_row(monkeypatch, D):
+    """Replace a derangement by another of its class: every class count is
+    kept, but one row of M repeats."""
     ders = D.group.derangements()
     classes = D.group.class_array(ders)
     j = int(np.flatnonzero(classes == classes[0])[1])
-    repeated = ders[:j] + [ders[0]] + ders[j + 1 :]
-    monkeypatch.setattr(D.group, "derangements", lambda: repeated)
-    assert np.bincount(D.group.class_array(repeated)).tolist() == np.bincount(classes).tolist()
+    monkeypatch.setattr(D.group, "derangements", lambda: ders[:j] + [ders[0]] + ders[j + 1 :])
+
+
+def test_a_repeated_row_is_not_a_union_of_classes(monkeypatch):
+    # only the repeated row of M shows that D is no longer conjugation-invariant
+    D = _fresh_model(7)
+    counts = np.bincount(D.group.class_array(D.group.derangements())).tolist()
+    _repeated_row(monkeypatch, D)
+    assert np.bincount(D.group.class_array(D.group.derangements())).tolist() == counts
     assert not D.whole_classes() and D.schur_bound() == 0
 
 
@@ -288,16 +272,6 @@ def _recording_modular_rank(monkeypatch):
     return calls
 
 
-def test_rank_of_m_without_schur_reads_n_without_eliminating_m(monkeypatch):
-    # with a Schur hypothesis broken: one elimination of K and one of N, at
-    # the first prime; never M
-    D = _fresh_model(7)
-    _zero_scalar(monkeypatch, D)
-    calls = _recording_modular_rank(monkeypatch)
-    assert D.rank_of_m() == (42, f"mod {PRIMES[0]}, kernel bound 42")
-    assert calls == [((14, 56), PRIMES[0]), ((56, 56), PRIMES[0])]
-
-
 @pytest.mark.parametrize("q", [11, 13])
 def test_rank_suite_eliminates_only_the_kernel_witnesses(monkeypatch, q):
     # the Schur bound decides, and the kernel check reads the model's one
@@ -309,26 +283,45 @@ def test_rank_suite_eliminates_only_the_kernel_witnesses(monkeypatch, q):
     assert calls == [((2 * q, q * (q + 1)), PRIMES[0])]
 
 
-def test_unannihilated_kernel_sends_both_ranks_to_bareiss(monkeypatch):
-    # one extra 1 in first[0], at the pair (1, 2): M first[0] is 2 on every
-    # derangement sending 1 to 2, so M witnesses no kernel and Bareiss decides
-    for q in (5, 7):
-        D = _fresh_model(q)
-        first, second = (v.copy() for v in D.kernel_vectors())
-        first[0, D.omega_index[(1, 2)]] += 1
-        monkeypatch.setattr(D, "kernel_vectors", lambda: (first, second))
-        assert D.rank_of_m() == (q * (q - 1), "Bareiss")
-        assert D.rank_certificate()["pass"]
+def _extra_one_in_first(monkeypatch, D):
+    """One extra 1 in first[0], at the pair (1, 2): M first[0] is 2 on every
+    derangement sending 1 to 2, so M witnesses no kernel."""
+    first, second = (v.copy() for v in D.kernel_vectors())
+    first[0, D.omega_index[(1, 2)]] += 1
+    monkeypatch.setattr(D, "kernel_vectors", lambda: (first, second))
 
 
-def test_dependent_kernel_sends_the_rank_to_bareiss(monkeypatch):
-    # l[0,1] twice: M still kills every row, but the rows span 2q - 1
-    # dimensions, so the bound q(q+1) - 2q is not witnessed
-    D = _fresh_model(5)
+def _dependent_kernel(monkeypatch, D):
+    """l[0,1] twice: M still kills every row of K, but the rows span 2q - 1
+    dimensions, so the bound q(q+1) - 2q is not witnessed."""
     kernel = D.kernel_basis().copy()
     kernel[1] = kernel[0]
     monkeypatch.setattr(D, "kernel_basis", lambda: kernel)
-    assert D.rank_of_m() == (20, "Bareiss")
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize(
+    "breaks,schur,witnessed",
+    [
+        (_zero_scalar, False, True),
+        (_extra_one_in_first, True, False),
+        (_dependent_kernel, True, False),
+        (_repeated_row, False, True),
+    ],
+    ids=["zero_scalar", "extra_one_in_first", "dependent_kernel", "repeated_row"],
+)
+def test_a_broken_certificate_leaves_the_rank_undecided(monkeypatch, q, breaks, schur, witnessed):
+    # the rank is reported as undecided, naming both bounds, and no matrix the
+    # size of N is eliminated on the way
+    calls = _recording_modular_rank(monkeypatch)
+    D = _fresh_model(q)
+    breaks(monkeypatch, D)
+    bound = q * (q - 1)
+    schur_bound, kernel_bound = bound if schur else 0, bound if witnessed else None
+    assert D.rank_of_m() == (None, f"undecided (Schur bound {schur_bound}, kernel bound {kernel_bound})")
+    certificate = D.rank_certificate()
+    assert certificate["rank"] is None and certificate["pass"] is False
+    assert all(shape != (q * (q + 1), q * (q + 1)) for shape, _ in calls)
 
 
 @pytest.mark.parametrize("q", [5, 7])
