@@ -43,14 +43,15 @@ arrays.  `l2_inner` and `orthonormal_coefficient_squares` run the cross form
 of one function with one or many, and return each value as a `CycNum` in the
 conductor it lives in.
 
-The Katz sum holds the q-1 Gauss sums g(omega_1^j) once, as the rows of an
-integer matrix; the choice of omega only permutes the rows.  Its sum over k starts from the rows gathered at k + a_1
-and takes one row-wise product (`cyclotomic.row_products`) with the rows
-gathered at each further k + a_i and -k - b_j: 2m - 1 products for m
-parameters.  Then come a rotation of row k by the twist omega^k((-1)^m lambda),
-one reduction of the summed rows, and one product with the k-independent
-inverses of the g(omega^(a_i)) and g(omega^(-b_j)), each checked against its
-Gauss sum.
+The Katz sum reads the q-1 Gauss sums g(omega_1^j) once (`gauss_table`): the
+rows of an integer matrix, their conjugates and one verdict per row, g = -1
+in row 0 and g conj(g) = q in the others; omega only permutes the rows.  The
+sum over k starts from the rows gathered at k + a_1 and takes one row-wise
+product (`cyclotomic.row_products`) with the rows gathered at each further
+k + a_i and -k - b_j: 2m - 1 products for m parameters.  Then come a
+rotation of row k by the twist omega^k((-1)^m lambda), one reduction of the
+summed rows, and one product with the k-independent inverses conj(g)/q
+(-1 in row 0), each read only where its row's verdict holds.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cyclotomic
-from .cyclotomic import CycNum, _canonical, reduce_zeta_counts, row_products, zeta_terms
+from .cyclotomic import CycNum, _canonical, conjugate_rows, reduce_zeta_counts, row_products, zeta_terms
 from .errors import (
     ArityMismatchError,
     DomainMismatchError,
@@ -93,8 +94,7 @@ class CharacterSums:
         self._legendre_cache: dict[tuple[int, int], CycNum] = {}
         self._soto_cache: dict[tuple[int, int], CycNum] = {}
         self._tables: dict[int, np.ndarray] = {}  # conductor -> Legendre or Soto-Andrade table
-        self._gauss: tuple[int, np.ndarray] | None = None
-        self._gauss_inv: dict[int, CycNum] = {}
+        self._gauss: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._greene_tables: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[np.ndarray, Fraction]] = {}
         self._mu = np.array([self.measure(x) for x in range(self.q)], dtype=np.int64)
 
@@ -336,24 +336,18 @@ class CharacterSums:
             raise ArityMismatchError("alpha and beta must be nonempty and of equal length")
         if math.gcd(omega_exponent, q - 1) != 1:
             raise ValueError("omega_exponent must be coprime to q - 1")
-        a_exps = []
-        b_exps = []
-        for val in alpha:
+        exps = []
+        for val in [*alpha, *beta]:
             scaled = Fraction(val) * (q - 1)
             if scaled.denominator != 1:
                 raise NotIntegralParametersError(f"(q-1)*{val} is not an integer")
-            a_exps.append(int(scaled) % (q - 1))
-        for val in beta:
-            scaled = Fraction(val) * (q - 1)
-            if scaled.denominator != 1:
-                raise NotIntegralParametersError(f"(q-1)*{val} is not an integer")
-            b_exps.append(int(scaled) % (q - 1))
+            exps.append(int(scaled) % (q - 1))
+        a_exps, b_exps = exps[: len(alpha)], exps[len(alpha) :]
 
-        m_count = len(alpha)
-        twist = lam if m_count % 2 == 0 else ctx.neg(lam)
+        twist = lam if len(alpha) % 2 == 0 else ctx.neg(lam)
         if twist == 0:
             return CycNum.zero()  # omega^k(0) = 0 under the zero convention
-        m, rows = self.gauss_table()
+        m, rows, conjugates, holds = self.gauss_table()
         n = q - 1
         # row k: the product over the parameters of g(omega^(k+a)) and g(omega^(-k-b))
         k = np.arange(n)
@@ -361,42 +355,40 @@ class CharacterSums:
         product = rows[(exponents[0] * omega_exponent) % n]
         for j in exponents[1:]:
             product = row_products(m, product, rows[(j * omega_exponent) % n])
-        inverses = CycNum.rational(1)  # the k-independent factors
+        # the k-independent factors 1/g: conj(g)/q, and conj(g) = g = -1 for the trivial character
+        inverses, den = np.eye(1, rows.shape[1], dtype=np.int64), q - 1  # 1/(1-q) is -1/(q-1)
         for j in a_exps + [-be for be in b_exps]:
-            inverses = inverses * self._gauss_inverse((j * omega_exponent) % n)
+            j = (j * omega_exponent) % n
+            if not holds[j]:
+                raise IdentityViolationError(f"Gauss sum g({j}) times its claimed inverse is not 1")
+            inverses = row_products(m, inverses, conjugates[j : j + 1])
+            den *= q if j else 1
         # omega^k(twist) = zeta_(q-1)^(e_k): row k rotates by e_k m/(q-1) in Z/m
         e = (omega_exponent * ctx.log[twist] * k) % n * (m // n)
-        counts = np.zeros(m, dtype=object)
-        np.add.at(counts, (e[:, None] + np.arange(rows.shape[1])) % m, product.astype(object))
-        return CycNum.from_zeta_powers(m, counts.tolist()) * inverses * Fraction(1, 1 - q)
+        counts = np.zeros((1, m), dtype=object)
+        np.add.at(counts[0], (e[:, None] + np.arange(rows.shape[1])) % m, product.astype(object))
+        total = row_products(m, reduce_zeta_counts(m, counts), inverses)[0]
+        return _canonical(m, tuple([-c for c in total.tolist()]), den)
 
-    def gauss_table(self) -> tuple[int, np.ndarray]:
-        """The conductor m of the Gauss sums and the integer matrix whose row j
-        holds the reduced numerators of g(omega_1^j), omega_1 the character of
-        exponent 1; the character of exponent s permutes the rows, j -> s*j."""
+    def gauss_table(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """(m, rows, conjugates, holds), built once: row j of rows (conjugates)
+        holds the reduced numerators in Q(zeta_m) of g(omega_1^j) (its complex
+        conjugate), omega_1 the character of exponent 1; exponent s permutes
+        the rows, j -> s*j.  holds[j]: g = -1 if j = 0, else g conj(g) = q."""
         if self._gauss is None:
-            ctx = self.ctx
-            sums = [ctx.gauss_sum(ctx.fq_char(j)) for j in range(self.q - 1)]
+            ctx, q = self.ctx, self.q
+            sums = [ctx.gauss_sum(ctx.fq_char(j)) for j in range(q - 1)]
             m = sums[0].m
             if any(g.m != m or g.den != 1 for g in sums):
                 raise IdentityViolationError("Gauss sums are not algebraic integers of one conductor")
-            self._gauss = (m, np.array([g.nums for g in sums], dtype=np.int64))
+            rows = np.array([g.nums for g in sums], dtype=np.int64)
+            conjugates = conjugate_rows(m, rows)
+            unit = np.eye(1, rows.shape[1], dtype=np.int64)[0]
+            holds = np.empty(q - 1, dtype=bool)
+            holds[0] = (rows[0] == -unit).all()
+            holds[1:] = (row_products(m, rows[1:], conjugates[1:]) == q * unit).all(axis=1)
+            self._gauss = (m, rows, conjugates, holds)
         return self._gauss
-
-    def _gauss_inverse(self, j: int) -> CycNum:
-        """1 / g(omega_1^j), checked against g."""
-        inv = self._gauss_inv.get(j)
-        if inv is None:
-            m, rows = self.gauss_table()
-            g = CycNum(m, tuple(rows[j].tolist()))
-            if j == 0:
-                inv = CycNum.rational(-1)  # g(trivial) = -1
-            else:
-                inv = g.conjugate() * Fraction(1, self.q)  # |g|^2 = q for nontrivial
-            if g * inv != 1:
-                raise IdentityViolationError(f"Gauss sum g({j}) times its claimed inverse is not 1")
-            self._gauss_inv[j] = inv
-        return inv
 
     def f43_deviation_bound(self, n: int) -> tuple[Fraction, int, bool]:
         """For an order-n character gamma (n in {2,3,4,6}, q = 1 mod n), the

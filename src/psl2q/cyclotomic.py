@@ -250,6 +250,15 @@ def reduce_zeta_counts(m: int, counts: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def conjugate_rows(m: int, rows: np.ndarray) -> np.ndarray:
+    """Row i holds the reduced numerators of the complex conjugate of rows[i]
+    in Q(zeta_m): one `reduce_zeta_counts` of numerator j counted at
+    zeta_m^(-j), laid out power-major so that it reads the counts in place."""
+    negated = np.zeros((m, len(rows)), dtype=rows.dtype)
+    negated[-np.arange(rows.shape[1]) % m] = rows.T
+    return reduce_zeta_counts(m, negated.T)
+
+
 def zeta_terms(rows: list[list["CycNum"]], m: int) -> tuple[tuple[np.ndarray, ...], list[int]]:
     """The terms of a matrix over Q(zeta_m), m a multiple of every conductor,
     and the lcm d[r] of the denominators of each row r.  The terms are arrays

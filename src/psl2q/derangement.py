@@ -315,11 +315,11 @@ class DerangementModel:
             raise UnsupportedCharacterError(f"{chi.kind} is outside the target set")
 
     def classes_by_position(self, inverse: bool) -> np.ndarray:
-        """Class index of g^(-1) (or of g) per element g of elements("pgl");
+        """Class index of g^(-1) (or of g) per row g of element_array("pgl");
         each array classified on its own, g^(-1) as (d, -b, -c, a)."""
         if inverse not in self._position_classes:
             group = self.group
-            elements = np.array(group.elements("pgl"))
+            elements = group.element_array("pgl")
             if inverse:
                 neg = group.ctx.arrays.neg
                 a, b, c, d = elements.T

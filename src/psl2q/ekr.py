@@ -48,14 +48,15 @@ def psl_point_cosets(group: PGL2) -> tuple[list[Element], list[tuple[int, ...]],
     """PSL(2,q) as permutations of the q+1 points: its elements, sorted; the
     tuple of images x^g for x = 0..q of each; and coset[x][y], the stabilizer
     coset {g : x^g = y} as a bitmask over the sorted positions."""
-    elements = sorted(group.elements("psl"))
+    psl = group.element_array("psl")
+    elements = psl[np.lexsort(psl.T[::-1])]
     image = group.image_array(elements)
     points = np.arange(group.q + 1)
     coset = []
     for x in points:
         hits = np.packbits(image[:, x] == points[:, None], axis=1, bitorder="little")
         coset.append([int.from_bytes(row.tobytes(), "little") for row in hits])
-    return elements, [tuple(row) for row in image.tolist()], coset
+    return list(map(tuple, elements.tolist())), list(map(tuple, image.tolist())), coset
 
 
 @dataclass(frozen=True)

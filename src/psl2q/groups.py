@@ -8,16 +8,20 @@ A group element is a 4-tuple (a, b, c, d) of GF(q) indices read row-major,
 normalized so that the first nonzero entry equals 1; two matrices represent
 the same element of PGL(2,q) exactly when their normal forms are equal.
 
-`act` computes the action on one point; `image_array` computes it for many
-elements and all q+1 points in one numpy pass over the field tables, and
-the tests check the two against each other.  `pgl_images` is that array for
-`elements("pgl")`, built once per group and stored point by point, so the
-images of one point under every element are contiguous.  A point-mapping
-constraint query (`constraint_mask`) is one boolean mask over it: the AND
-of `images of src == tgt` over the pairs.
+The group holds its elements once: `element_array` is the q^3 - q normal
+forms of PGL(2,q), or those of PSL(2,q) (`psl_mask`: det is a nonzero
+square), as one (n, 4) array of the narrowest unsigned type, built in one
+numpy pass over the multiplication table.  `pgl_images`, `derangements`, the
+table suite, the rank model's class arrays and the clique graph read it;
+`elements` reads its rows as tuples of Python ints, for the ekr suite and
+the per-element methods, and `derangements` is such a list, built once.
 
-`in_psl` tests one element and `psl_mask` many at once (det is a nonzero
-square), which is how `elements("psl")` filters PGL(2,q).
+`image_array` computes `act` for many elements and all q+1 points in one
+numpy pass over the field tables.  `pgl_images` is that array for
+`element_array("pgl")`, built once and stored point by point, so the images
+of one point under every element are contiguous; a constraint query
+(`constraint_mask`) is the AND over the pairs of `images of src == tgt`.
+`class_array`, `psl_mask` and `image_array` take an array or a tuple list.
 
 `classify` names the conjugacy class of one element; `class_array` gives the
 class position, in `class_labels()` order, of many elements in one numpy
@@ -70,8 +74,7 @@ class PGL2:
         self.points = range(ctx.q + 1)
         self.identity: Element = (1, 0, 0, 1)
         self._classify_cache: dict[Element, ClassLabel] = {}
-        self._elements_pgl: list[Element] | None = None
-        self._elements_psl: list[Element] | None = None
+        self._element_arrays: dict[str, np.ndarray] = {}
         self._derangements: list[Element] | None = None
         self._pgl_images: np.ndarray | None = None
         self._class_table: np.ndarray | None = None
@@ -137,34 +140,32 @@ class PGL2:
 
     # -- enumeration ----------------------------------------------------------
 
+    def element_array(self, which: str = "pgl") -> np.ndarray:
+        """The elements as the rows of one (n, 4) array, built once: the normal
+        forms with a = 1 (d != bc), then a = 0, b = 1 (c != 0), each block in
+        ascending (b, c, d); "psl" keeps the rows of PSL(2,q)."""
+        if which not in ("pgl", "psl"):
+            raise ValueError(f"unknown group selector {which!r}")
+        if not self._element_arrays:
+            t, mul = np.arange(self.q), self.ctx.arrays.mul
+            # normal[1 - a, b, c, d]: d != bc where a = 1, and b = 1, c != 0 where a = 0
+            normal = np.stack(np.broadcast_arrays(t != mul[:, :, None], (t == 1)[:, None, None] & (t != 0)[:, None]))
+            pgl = np.empty((np.count_nonzero(normal), 4), dtype=np.min_scalar_type(self.q - 1))
+            for j, index in enumerate(np.nonzero(normal)):  # one column at a time, in the narrow type
+                pgl[:, j] = index if j else 1 - index
+            self._element_arrays = {"pgl": pgl, "psl": pgl[self.psl_mask(pgl)]}
+        return self._element_arrays[which]
+
     def elements(self, which: str = "pgl") -> list[Element]:
-        """All elements in a fixed deterministic order; |PGL| = q^3 - q."""
-        if self._elements_pgl is None:
-            q = self.q
-            ctx = self.ctx
-            out: list[Element] = []
-            # normal forms: a = 1 with d != b*c, or a = 0, b = 1, c != 0
-            for b in range(q):
-                for c in range(q):
-                    bc = ctx.mul(b, c)
-                    out.extend((1, b, c, d) for d in range(q) if d != bc)
-            for c in range(1, q):
-                out.extend((0, 1, c, d) for d in range(q))
-            self._elements_pgl = out
-            self._elements_psl = [g for g, keep in zip(out, self.psl_mask(out).tolist()) if keep]
-        if which == "pgl":
-            return self._elements_pgl
-        if which == "psl":
-            return self._elements_psl
-        raise ValueError(f"unknown group selector {which!r}")
+        """The rows of `element_array`, as tuples of Python ints; |PGL| = q^3 - q."""
+        return list(map(tuple, self.element_array(which).tolist()))
 
     def derangements(self) -> list[Element]:
         """Fixed-point-free elements of PSL(2,q), in enumeration order; built once."""
         if self._derangements is None:
-            psl = self.elements("psl")
+            psl = self.element_array("psl")
             fixed_point_free = np.array([lab.kind in ("nonsplit", "nonsplit_i") for lab in self.class_labels()])
-            keep = fixed_point_free[self.class_array(psl)].tolist()
-            self._derangements = [g for g, k in zip(psl, keep) if k]
+            self._derangements = list(map(tuple, psl[fixed_point_free[self.class_array(psl)]].tolist()))
         return self._derangements
 
     # -- conjugacy ------------------------------------------------------------
@@ -214,7 +215,7 @@ class PGL2:
         The rows need not be normalized: a scalar matrix is the identity, and
         any other is looked up by its (flag, s) key (`_class_keys`) in a table
         filled once per group."""
-        a, b, c, d = np.array(elements, dtype=np.intp).reshape(-1, 4).T
+        a, b, c, d = np.asarray(elements).reshape(-1, 4).T
         flag, s = self._class_keys(a, b, c, d)
         positions = self._lookup_table()[flag, s]
         positions[(b == 0) & (c == 0) & (a == d)] = 0
@@ -226,7 +227,7 @@ class PGL2:
         """`in_psl` of each element given, in one numpy pass: det is a nonzero
         square.  The rows need not be normalized, since scaling a matrix
         multiplies its det by a square."""
-        a, b, c, d = np.array(elements, dtype=np.intp).reshape(-1, 4).T
+        a, b, c, d = np.asarray(elements).reshape(-1, 4).T
         return self.ctx.arrays.square[self._dets(a, b, c, d)]
 
     def _dets(self, a, b, c, d) -> np.ndarray:
@@ -309,7 +310,7 @@ class PGL2:
         The array is the transpose of a C-contiguous one, so each column (the
         images of one point under every element) is contiguous."""
         if self._pgl_images is None:
-            self._pgl_images = np.ascontiguousarray(self.image_array(self.elements("pgl")).T).T
+            self._pgl_images = np.ascontiguousarray(self.image_array(self.element_array("pgl")).T).T
         return self._pgl_images
 
     def image_array(self, elements) -> np.ndarray:
@@ -322,7 +323,7 @@ class PGL2:
         q = self.q
         arrays = self.ctx.arrays
         add, mul, inv = arrays.add, arrays.mul, arrays.inv
-        elements = np.array(elements, dtype=np.intp).reshape(-1, 4)
+        elements = np.asarray(elements).reshape(-1, 4)
         out = np.empty((len(elements), q + 1), dtype=np.min_scalar_type((q + 1) ** 2))
         t, block = np.arange(q), 8192
         for start in range(0, len(elements), block):
@@ -341,8 +342,7 @@ class PGL2:
         exactly q-1 solutions and with three exactly one (sharp
         3-transitivity).
         """
-        pgl = self.elements("pgl")
-        return sorted(pgl[i] for i in np.flatnonzero(self.constraint_mask(pairs)).tolist())
+        return sorted(map(tuple, self.element_array("pgl")[self.constraint_mask(pairs)].tolist()))
 
     def constraint_mask(self, pairs) -> np.ndarray:
         """The elements of `elements_with_constraints` as a boolean mask over

@@ -16,7 +16,7 @@ import numpy as np
 from . import cyclotomic
 from .chartable import build_table
 from .charsums import CharacterSums
-from .cyclotomic import CycNum, is_rational_diagonal, reduce_zeta_counts, row_products
+from .cyclotomic import CycNum, conjugate_rows, is_rational_diagonal, reduce_zeta_counts, row_products
 from .derangement import DerangementModel
 from .ekr import (
     IntersectionGraph,
@@ -45,6 +45,11 @@ class _Checks:
 
 def _rng(seed: int, q: int, suite: str) -> random.Random:
     return random.Random(f"{seed}:{q}:{suite}")
+
+
+def _draw(rng: random.Random, elements: np.ndarray) -> tuple[int, ...]:
+    """A seeded row of an element array: rng.choice's draw from its tuple list."""
+    return tuple(elements[rng.randrange(len(elements))].tolist())
 
 
 def _report(q: int, suite: str, seed: int, checks: _Checks, extra: dict | None = None) -> dict:
@@ -87,12 +92,11 @@ def run_table_suite(q: int, seed: int = 0) -> dict:
     table = build_table(group)
     checks = _Checks()
     rng = _rng(seed, q, "table")
-    pgl = group.elements("pgl")
-    psl = group.elements("psl")
+    pgl = group.element_array("pgl")
+    psl = group.element_array("psl")
     labels = table.classes
-    rows = np.array(pgl, dtype=np.intp)
-    classes = group.class_array(rows)
-    in_psl = group.psl_mask(rows)
+    classes = group.class_array(pgl)
+    in_psl = group.psl_mask(pgl)
     point_images = group.pgl_images()
 
     sizes = np.bincount(classes, minlength=len(labels))
@@ -150,13 +154,13 @@ def run_table_suite(q: int, seed: int = 0) -> dict:
 
     ok = True
     for _ in range(200):
-        g, k = rng.choice(pgl), rng.choice(pgl)
+        g, k = _draw(rng, pgl), _draw(rng, pgl)
         ok = ok and group.classify(group.mul(group.mul(group.inv(k), g), k)) == group.classify(g)
     checks.add("conjugation_invariance_sample", ok, "200 seeded samples")
 
     ok = True
     for _ in range(200):
-        g, k = rng.choice(pgl), rng.choice(psl)
+        g, k = _draw(rng, pgl), _draw(rng, psl)
         ok = ok and group.in_psl(group.mul(group.mul(group.inv(g), k), g))
     checks.add("psl_normality_sample", ok, "200 seeded samples")
 
@@ -174,7 +178,7 @@ def run_table_suite(q: int, seed: int = 0) -> dict:
 
     columns = set()
     for _ in range(50):
-        g = rng.choice(pgl)
+        g = _draw(rng, pgl)
         columns.add((table.class_index[group.classify(g)], table.class_index[group.classify(group.inv(g))]))
     ok = all(row[b] == row[a].conjugate() for a, b in sorted(columns) for row in table.values)
     checks.add("inverse_is_conjugate_sample", ok, "50 seeded samples, all characters")
@@ -204,18 +208,15 @@ def _scaled_equal(a: np.ndarray, a_scale: Fraction, b: np.ndarray, b_scale: Frac
 
 def sum_tables_real_and_symmetric(sums: CharacterSums) -> bool:
     """Row k of the Legendre and the Soto-Andrade table, for each exponent k of
-    the gamma and beta sets, equals its complex conjugate and row -k.  The
-    conjugate counts numerator j at zeta_m^(-j): one `reduce_zeta_counts` of
-    the exponent-negated rows per conductor m."""
+    the gamma and beta sets, equals its complex conjugate (`conjugate_rows`,
+    one call per conductor m) and row -k."""
     ctx = sums.ctx
     ok = True
     for table, chars in ((sums.legendre_table(), ctx.gamma_set()), (sums.soto_andrade_table(), ctx.beta_set())):
         m = len(table)
         k = np.array([c.exponent for c in chars], dtype=np.int64)
         rows = table[k].reshape(-1, table.shape[2])
-        negated = np.zeros((len(rows), m), dtype=rows.dtype)
-        negated[:, -np.arange(rows.shape[1]) % m] = rows
-        ok = ok and (reduce_zeta_counts(m, negated) == rows).all() and (table[-k % m] == table[k]).all()
+        ok = ok and (conjugate_rows(m, rows) == rows).all() and (table[-k % m] == table[k]).all()
     return bool(ok)
 
 
@@ -433,11 +434,8 @@ def run_sums_suite(q: int, seed: int = 0) -> dict:
         ok = ok and Fraction(s) == -2 + q * sums.legendre_phi(arg)
     checks.add("trace_square_double_sum", ok, "all d outside {0, 1}")
 
-    # row k of the Gauss table is g(omega_1^k); all |g|^2 in one row_products
-    m, gauss = sums.gauss_table()
-    conjugates = np.array([CycNum(m, tuple(row)).conjugate().nums for row in gauss[1:].tolist()])
-    norms = row_products(m, gauss[1:], conjugates)
-    ok = ctx.gauss_sum(eps) == -1 and bool((norms[:, 0] == q).all()) and not norms[:, 1:].any()
+    # the Gauss table's verdict per row: g(trivial) = -1 and |g|^2 = q for the rest
+    ok = ctx.gauss_sum(eps) == -1 and bool(sums.gauss_table()[3].all())
     checks.add("gauss_sum_properties", ok, "g(trivial) = -1 and |g|^2 = q")
 
     ok = True
@@ -491,7 +489,7 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
     for _ in range(200):
         r_pair = rng.choice(model.omega)
         c_pair = rng.choice(model.omega)
-        image = images[rng.randrange(len(images))].tolist()  # draws as rng.choice(elements("pgl")) does
+        image = images[rng.randrange(len(images))].tolist()  # draws as _draw does
         moved_r = (image[r_pair[0]], image[r_pair[1]])
         moved_c = (image[c_pair[0]], image[c_pair[1]])
         ok = ok and (

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from psl2q.cyclotomic import (
     CycNum,
     _convolve,
+    conjugate_rows,
     cyclotomic_polynomial,
     hermitian_form,
     reduce_zeta_counts,
@@ -410,6 +411,17 @@ def test_reduce_zeta_counts_matches_from_zeta_powers(m, scale):
     sparse[:, ::2] = 0
     for row, reduced in zip(sparse.tolist(), reduce_zeta_counts(m, sparse)):
         assert tuple(reduced.tolist()) == CycNum.from_zeta_powers(m, row).nums
+
+
+@pytest.mark.parametrize("m", ZETA_CONDUCTORS + [3660])
+def test_conjugate_rows_match_cycnum_conjugates(m):
+    # 3660 = lcm(61, 60) is the conductor of the Gauss sums at q = 61
+    rng = random.Random(m)
+    deg = len(cyclotomic_polynomial(m)) - 1
+    rows = np.array([[rng.randrange(-40, 41) for _ in range(deg)] for _ in range(5)], dtype=np.int64)
+    got = conjugate_rows(m, rows)
+    for row, conjugate in zip(rows.tolist(), got.tolist()):
+        assert tuple(conjugate) == CycNum(m, tuple(row)).conjugate().nums
 
 
 def test_reduce_zeta_counts_rejects_the_wrong_width():

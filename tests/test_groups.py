@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from psl2q.errors import InvalidConstraintError
-from psl2q.fields import field_ctx_for_q
+from psl2q.fields import MAX_Q, factor_prime_power, field_ctx_for_q
 from psl2q.groups import PGL2
 
 
@@ -23,6 +23,38 @@ def test_group_orders(groups, q, pgl, psl):
     assert len(G.elements("pgl")) == pgl
     assert len(G.elements("psl")) == psl
     assert len(set(G.elements("pgl"))) == pgl  # normal forms are unique
+
+
+def _normal_forms(G):
+    """The oracle: every normal form, one at a time, a = 1 with d != bc and
+    then a = 0, b = 1, c != 0, each block in ascending (b, c, d)."""
+    q, ctx = G.q, G.ctx
+    out = []
+    for b in range(q):
+        for c in range(q):
+            bc = ctx.mul(b, c)
+            out.extend((1, b, c, d) for d in range(q) if d != bc)
+    for c in range(1, q):
+        out.extend((0, 1, c, d) for d in range(q))
+    return out
+
+
+@pytest.mark.parametrize("q", [q for q in range(3, MAX_Q + 1) if factor_prime_power(q)])
+def test_element_store_matches_the_normal_form_loop(q):
+    """`element_array` and the tuple lists read off it, in the oracle's order,
+    at every odd prime power in the field budget."""
+    G = PGL2(field_ctx_for_q(q))
+    pgl = _normal_forms(G)
+    for which, expected in (("pgl", pgl), ("psl", [g for g in pgl if G.in_psl(g)])):
+        array = G.element_array(which)
+        assert array is G.element_array(which)
+        assert array.dtype.kind == "u" and array.shape == (len(expected), 4)
+        assert array.tolist() == [list(g) for g in expected]
+        listed = G.elements(which)
+        assert listed == expected
+        assert all(type(v) is int for g in listed for v in g)
+    with pytest.raises(ValueError, match="unknown group selector"):
+        G.elements("bad")
 
 
 def test_action_examples(groups):

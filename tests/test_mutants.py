@@ -1,7 +1,8 @@
 """Each test plants one fault in the program and checks that the sums or the
 rank suite reports it: the named check fails at q = 5 and 7, and for the
 faults in the Schur certificate of the rank also at q = 9, 11, 13 and 25,
-where the rank is reported as undecided.
+where the rank is reported as undecided; a doubled Gauss sum fails its two
+checks at q = 9 and 13.
 One more checks that every caller of the Hermitian form reaches the kernel
 the fault is planted in."""
 
@@ -13,7 +14,7 @@ from psl2q.charsums import CharacterSums
 from psl2q.chartable import build_table
 from psl2q.cyclotomic import CycNum
 from psl2q.derangement import DerangementModel
-from psl2q.fields import field_ctx_for_q
+from psl2q.fields import FieldCtx, field_ctx_for_q
 from psl2q.groups import PGL2
 from psl2q.verify import run_suite
 
@@ -139,6 +140,21 @@ def test_legendre_numerator_off_by_one(monkeypatch, q):
 def test_hermitian_gram_without_conjugation(monkeypatch, q):
     monkeypatch.setattr(cyclotomic, "hermitian_form", _unconjugated_form([]))
     assert "multiplicative_character_orthogonality" in _failed(q)
+
+
+@pytest.mark.parametrize("q", [9, 13])
+def test_a_doubled_gauss_sum_fails_as_reported_checks(monkeypatch, q):
+    # g(omega_1) doubled fails its row's verdict; the Katz sums invert only
+    # the rows of their parameters, never row 1 at q = 9 and 13 (at q = 5
+    # and 7 a 1/(q-1) parameter inverts it, and katz_h raises), so they
+    # report a wrong value instead of raising
+    gauss_sum = FieldCtx.gauss_sum
+
+    def doubled(self, char, additive_index=1):
+        return gauss_sum(self, char, additive_index) * (2 if char.exponent == 1 else 1)
+
+    monkeypatch.setattr(FieldCtx, "gauss_sum", doubled)
+    assert _failed(q) == {"gauss_sum_properties", "katz_conversion_and_generator_independence"}
 
 
 @pytest.mark.parametrize("q", [5, 7])

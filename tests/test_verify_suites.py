@@ -21,6 +21,16 @@ def test_suites_pass_q5(suite):
     assert all(c["pass"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("q", [5, 11, 13])
+def test_rank_suite_reads_no_element_list(monkeypatch, q):
+    # the rank suite reads the element arrays; the tuple lists are for samples and dumps
+    calls = []
+    elements = PGL2.elements
+    monkeypatch.setattr(PGL2, "elements", lambda self, which="pgl": calls.append(which) or elements(self, which))
+    assert run_suite("rank", q)["pass"] is True
+    assert calls == []
+
+
 @pytest.mark.parametrize("q", [25, 27])
 def test_sums_suite_passes_past_the_cli_cap(q):
     # prime powers above the command line's cap, where the Greene tables are largest
