@@ -13,9 +13,12 @@ equal values agree after lifting.
 
 A product is the integer convolution of the two numerator vectors, which
 skips zero coefficients (most factors in the character sums are single
-powers of zeta), reduced mod Phi_m with precomputed rows x^(phi(m)+k) mod
-Phi_m, stored as their nonzero (index, coefficient) pairs because
-cyclotomic polynomials are sparse.
+powers of zeta), reduced mod Phi_m with the rows x^(phi(m)+k) mod Phi_m.
+Everything reduction needs of one conductor is one record built once by
+`_reduction(m)`, one numpy step per row: phi(m), the rows as their nonzero
+(index, coefficient) pairs (cyclotomic polynomials are sparse), rows
+0..phi(m)-2 as a dense int64 matrix with its float64 copy, and the largest
+column sums of |rows| that bound `row_products` and `reduce_zeta_counts`.
 
 Many products at once, row i of A times row i of B for integer matrices of
 reduced numerators, go through `row_products`: one convolution per row, then
@@ -34,11 +37,11 @@ Many sums of roots of unity at once, row i of an integer matrix C with m
 columns standing for sum_j C[i, j] zeta_m^j, go through
 `reduce_zeta_counts`, the batched `CycNum.from_zeta_powers`: column j >= phi(m)
 is added into the columns of the reduction row x^j mod Phi_m, one vector
-operation per nonzero coefficient of those rows, for each power j that
-some count reaches.  The rows are sparse (about
-16 of 480 coefficients at m = 1860), so this does far less work than a dense
-matrix product with them, and nearly every coefficient is +-1, which adds or
-subtracts a row with no product.  Counts built power-major (the transpose of
+operation per nonzero coefficient of those rows, for each power j that some
+count reaches.  The rows are sparse (about 16 of 480 coefficients at
+m = 1860), so this does far less work than a dense matrix product with
+them, and nearly every coefficient is +-1, which adds or subtracts a row
+with no product.  Counts built power-major (the transpose of
 a C-ordered (m, rows) array, as `hermitian_form` builds them) are read in
 place, with no copy of the columns j >= phi(m).  Every entry and partial sum
 is at most max|C| times (1 + the largest column sum of |rows|), which chooses
@@ -72,26 +75,20 @@ Phi_r in one exact division per prime factor, and Phi_m(x) = Phi_r(x^(m/r)).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import IdentityViolationError
 
 _PHI_CACHE: dict[int, list[int]] = {}
-# m -> rows of (index, coefficient) pairs; row k holds the nonzero
-# coefficients of x^(phi(m)+k) reduced mod Phi_m
-_ROW_CACHE: dict[int, list[list[tuple[int, int]]]] = {}
-# m -> (rows 0..deg-2 of _ROW_CACHE[m] as a dense int64 matrix, its float64
-# copy, the largest column sum of its absolute values)
-_DENSE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-# m -> the largest column sum of the absolute values of the m - phi(m) rows of
-# _ROW_CACHE[m] that `reduce_zeta_counts` adds
-_COUNT_COLUMN_CACHE: dict[int, int] = {}
 GRAM_BLOCK = 2**20  # counts, and column products, per block of rows of `hermitian_form`
+ROW_BLOCK = 2**16  # entries per block of rows that `_reduction` scans at once
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -140,40 +137,47 @@ def cyclotomic_polynomial(m: int) -> list[int]:
     return poly
 
 
-def _degree(m: int) -> int:
-    return len(cyclotomic_polynomial(m)) - 1
+class Reduction(NamedTuple):  # the reduction data of Q(zeta_m), built once per m by `_reduction`
+    deg: int  # phi(m)
+    rows: list[list[tuple[int, int]]]  # row k: the nonzero (index, coefficient) pairs of x^(deg+k) mod Phi_m
+    dense: np.ndarray  # rows 0..deg-2 as a dense int64 matrix, for `row_products`
+    dense_float: np.ndarray  # its float64 copy
+    dense_col: int  # the largest column sum of |dense|
+    count_col: int  # the largest column sum of |rows 0..m-deg-1|, the rows `reduce_zeta_counts` adds
 
 
-def _reduction_rows(m: int) -> list[list[tuple[int, int]]]:
-    rows = _ROW_CACHE.get(m)
-    if rows is None:
-        phi_poly = cyclotomic_polynomial(m)
-        deg = len(phi_poly) - 1
-        top = max(m - 1, 2 * deg - 2)
-        rows = []
-        if deg >= 1 and top >= deg:
-            cur = [-c for c in phi_poly[:deg]]  # x^deg mod Phi_m
-            for _ in range(deg, top + 1):
-                rows.append([(i, c) for i, c in enumerate(cur) if c])
-                head = cur[-1]
-                cur = [0] + cur[:-1]
-                if head:
-                    for i, c in rows[0]:
-                        cur[i] += head * c
-        _ROW_CACHE[m] = rows
-    return rows
-
-
-def _dense_reduction(m: int) -> tuple[np.ndarray, np.ndarray, int]:
-    hit = _DENSE_CACHE.get(m)
-    if hit is None:
-        deg = _degree(m)
-        dense = np.zeros((deg - 1, deg), dtype=np.int64)
-        for k, row in enumerate(_reduction_rows(m)[: deg - 1]):
-            for i, c in row:
-                dense[k, i] = c
-        hit = _DENSE_CACHE[m] = (dense, dense.astype(np.float64), max_abs(np.abs(dense).sum(axis=0)))
-    return hit
+@functools.cache
+def _reduction(m: int) -> Reduction:
+    """Row k+1 is row k shifted up one power plus its top coefficient times
+    row 0, one int64 step per row, in blocks of rows that are then scanned
+    at once for their nonzero entries, column sums and largest entry
+    (height).  A step adds at most height * max|row 0| to entries of at
+    most height, so rows * height * (1 + max|row 0|) < 2^63 keeps every step
+    and column sum exact."""
+    first = -np.array(cyclotomic_polynomial(m)[:-1], dtype=np.int64)  # x^deg mod Phi_m
+    deg = len(first)
+    count, step = max(m - deg, deg - 1), max(1, ROW_BLOCK // deg)
+    dense = np.zeros((deg - 1, deg), dtype=np.int64)
+    dense_sums, count_sums = np.zeros(deg, dtype=np.int64), np.zeros(deg, dtype=np.int64)
+    rows, height, cur = [], 0, first
+    for start in range(0, count, step):
+        block = np.empty((min(step, count - start), deg), dtype=np.int64)
+        for row in block:
+            row[:] = cur
+            cur = np.concatenate(([0], cur[:-1])) + cur[-1] * first
+        size, prefix = np.abs(block), max(0, deg - 1 - start)  # prefix: the rows of the block in `dense`
+        height = max(height, int(size.max()))
+        dense[start : start + len(block)] = block[:prefix]
+        dense_sums += size[:prefix].sum(axis=0)
+        count_sums += size[: max(0, m - deg - start)].sum(axis=0)
+        r, i = np.nonzero(block)
+        pairs = list(zip(i.tolist(), block[r, i].tolist()))
+        ends = np.cumsum(np.bincount(r, minlength=len(block))).tolist()
+        rows += [pairs[a:b] for a, b in zip([0, *ends], ends)]
+    if count * height * (1 + max_abs(first)) >= 2**63:
+        raise IdentityViolationError(f"the reduction rows of Phi_{m} pass the int64 range")
+    dense_col, count_col = (max_abs(sums) for sums in (dense_sums, count_sums))
+    return Reduction(deg, rows, dense, dense.astype(np.float64), dense_col, count_col)
 
 
 def max_abs(mat: np.ndarray) -> int:
@@ -198,20 +202,13 @@ def _arithmetic(bound: int):
 def row_products(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i holds the reduced numerators of a[i] * b[i] in Q(zeta_m), where a
     and b are integer matrices of reduced numerators, phi(m) columns each.
-
-    Every value formed, each convolution entry, each partial sum of the
-    product with the reduction rows and the final sum, is an integer of size
-    at most B = deg * max|a| * max|b| * (1 + col), col the largest column sum
-    of |rows|.  For B < 2^53 the work runs in float64, which holds every
-    integer of that size exactly, so each addition and multiplication (fused
-    or not, in any order) returns the exact integer and the int64 cast loses
-    nothing; for B < 2^63 it runs in int64, and otherwise in Python
-    integers."""
-    deg = _degree(m)
-    dense, dense_float, col = _dense_reduction(m)
-    bound = deg * max_abs(a) * max_abs(b) * (1 + col)
-    dtype = _arithmetic(bound)
-    reduction = dense_float if dtype is np.float64 else dense
+    Every value formed is an integer of size at most
+    B = deg * max|a| * max|b| * (1 + col), col the largest column sum of the
+    dense rows, and B picks float64, int64 or Python integers (`_arithmetic`)."""
+    red = _reduction(m)
+    deg = red.deg
+    dtype = _arithmetic(deg * max_abs(a) * max_abs(b) * (1 + red.dense_col))
+    reduction = red.dense_float if dtype is np.float64 else red.dense
     a, b = a.astype(dtype), b.astype(dtype)
     conv = np.array([np.convolve(x, y) for x, y in zip(a, b)], dtype=dtype).reshape(-1, 2 * deg - 1)
     out = conv[:, :deg] + conv[:, deg:] @ reduction.astype(dtype, copy=False)
@@ -225,22 +222,15 @@ def reduce_zeta_counts(m: int, counts: np.ndarray) -> np.ndarray:
     `CycNum.from_zeta_powers(m, counts[i])`."""
     if counts.ndim != 2 or counts.shape[1] != m:
         raise ValueError(f"expected a matrix with {m} columns, got shape {counts.shape}")
-    deg = _degree(m)
-    rows = _reduction_rows(m)[: m - deg]  # row k is x^(deg+k) mod Phi_m
-    col = _COUNT_COLUMN_CACHE.get(m)
-    if col is None:
-        column_sums = [0] * deg
-        for row in rows:
-            for i, c in row:
-                column_sums[i] += abs(c)
-        col = _COUNT_COLUMN_CACHE[m] = max(column_sums)
-    dtype = exact_dtype(max_abs(counts) * (1 + col))
+    red = _reduction(m)
+    deg = red.deg
+    dtype = exact_dtype(max_abs(counts) * (1 + red.count_col))
     # one row per power of zeta, so each step below is a contiguous row operation
     out = np.array(counts[:, :deg].T, dtype=dtype, order="C")
     tail = np.asarray(counts[:, deg:].T, dtype=dtype, order="C")  # read only: no copy of a power-major input
     for k in np.flatnonzero(tail.any(axis=1)):  # a power no count reaches adds nothing
         power = tail[k]
-        for i, c in rows[k]:
+        for i, c in red.rows[k]:  # x^(deg+k) mod Phi_m
             if c == 1:  # most coefficients of cyclotomic polynomials are +-1
                 out[i] += power
             elif c == -1:
@@ -308,7 +298,7 @@ def hermitian_form(m: int, weight: np.ndarray, x: tuple, x_rows: int, y: tuple, 
     a = a.astype(dtype) * weight.astype(dtype)[:, None]
     b = b.astype(dtype, copy=False)
     exact = np.int64 if dtype is np.float64 else dtype  # the counts, which the reduction reads in place
-    out = np.zeros((x_rows, y_rows, _degree(m)), dtype=np.int64)
+    out = np.zeros((x_rows, y_rows, _reduction(m).deg), dtype=np.int64)
     step = max(1, GRAM_BLOCK // max(y_rows * m, x_width * len(y_exp)))  # counts and column products
     counts = np.zeros(m * min(step, x_rows) * y_rows, dtype=exact)  # one buffer for every block
     for start in range(0, x_rows, step):
@@ -343,19 +333,16 @@ def is_rational_diagonal(gram: np.ndarray, diagonal) -> bool:
     )
 
 
-def _reduce_int_poly(vec: list[int], m: int, deg: int) -> tuple[int, ...]:
+def _reduce_int_poly(vec: list[int], m: int) -> tuple[int, ...]:
     """Reduce an integer polynomial (ascending, any length) mod Phi_m."""
-    head = vec[:deg]
-    if len(head) < deg:
-        head += [0] * (deg - len(head))
-    elif len(vec) > deg:
-        rows = _reduction_rows(m)
-        if len(vec) - deg > len(rows):
-            raise ValueError(f"polynomial of degree {len(vec) - 1} is too long to reduce mod Phi_{m}")
-        for c, row in zip(vec[deg:], rows):
-            if c:
-                for i, r in row:
-                    head[i] += c * r
+    deg, rows = _reduction(m)[:2]
+    if len(vec) - deg > len(rows):
+        raise ValueError(f"polynomial of degree {len(vec) - 1} is too long to reduce mod Phi_{m}")
+    head = vec[:deg] + [0] * (deg - len(vec))
+    for c, row in zip(vec[deg:], rows):
+        if c:
+            for i, r in row:
+                head[i] += c * r
     return tuple(head)
 
 
@@ -419,12 +406,12 @@ class CycNum:
         j %= m
         vec = [0] * (j + 1)
         vec[j] = 1
-        return cls(m, _reduce_int_poly(vec, m, _degree(m)))
+        return cls(m, _reduce_int_poly(vec, m))
 
     @classmethod
     def from_zeta_powers(cls, m: int, powers: list[int], scale: Fraction = Fraction(1)) -> "CycNum":
         """sum_j powers[j] * zeta_m^j, times a rational scale."""
-        head = _reduce_int_poly(list(powers), m, _degree(m))
+        head = _reduce_int_poly(list(powers), m)
         return _canonical(m, tuple([c * scale.numerator for c in head]), scale.denominator)
 
     # -- structure ---------------------------------------------------------
@@ -438,7 +425,7 @@ class CycNum:
         step = target // self.m
         vec = [0] * ((len(self.nums) - 1) * step + 1)
         vec[::step] = self.nums
-        return CycNum(target, _reduce_int_poly(vec, target, _degree(target)), self.den)
+        return CycNum(target, _reduce_int_poly(vec, target), self.den)
 
     def _pair(self, other: "CycNum") -> tuple["CycNum", "CycNum"]:
         if self.m == other.m:
@@ -463,7 +450,7 @@ class CycNum:
         vec = [0] * m
         vec[0] = self.nums[0]
         vec[m - len(self.nums) + 1 :] = self.nums[:0:-1]
-        return CycNum(m, _reduce_int_poly(vec, m, len(self.nums)), self.den)
+        return CycNum(m, _reduce_int_poly(vec, m), self.den)
 
     def is_real(self) -> bool:
         return self.conjugate() == self
@@ -515,7 +502,7 @@ class CycNum:
             return CycNum.zero()
         a, b = self._pair(other)
         conv = _convolve(a.nums, b.nums)
-        return _canonical(a.m, _reduce_int_poly(conv, a.m, len(a.nums)), a.den * b.den)
+        return _canonical(a.m, _reduce_int_poly(conv, a.m), a.den * b.den)
 
     __rmul__ = __mul__
 

@@ -17,8 +17,10 @@ forms in terms of Legendre and Soto-Andrade sums.
 
 N and every product with M read one array, `columns`: the column of
 (a, a^g) for every derangement g and point a; M itself is built only for
-`psl2q dump matrixM`.  The rank certificate (`rank_of_m`) eliminates no
-matrix the size of N.
+`psl2q dump matrixM`.  N is counted one point x at a time, into only the
+rows of N that x's column reaches, in a type that holds rows * (q+1)^2, a
+bound for any column array (int32 at q <= 61).  The rank certificate
+(`rank_of_m`) eliminates no matrix the size of N.
 
 The upper bound is witnessed on M itself (`kernel_witnessed`, decided
 once).  M is read on the 2(q+1) indicators first[x] and second[x] of the
@@ -79,6 +81,12 @@ def pair_column(a, b, q: int):
     return a * q + b - (b > a)
 
 
+def _count_dtype(bound: int):
+    """int32 if every count is at most bound in absolute value and bound < 2^31,
+    else int64."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
 def _exact_product(a: np.ndarray, b: np.ndarray, extra: int = 0) -> np.ndarray:
     """a @ b for integer arrays in the dtype `exact_dtype` picks for the bound
     (largest row sum of |a|) * max|b| + extra, extra for constants added later."""
@@ -134,34 +142,37 @@ class DerangementModel:
 
     def gram_bruteforce(self) -> np.ndarray:
         """N = M^T M, counted exactly: each row of M adds one to N at every
-        pair of its q+1 columns."""
+        pair of its q+1 columns, one point x at a time over the rows
+        first.min()..first.max() that x's column first reaches.  No entry
+        passes rows * (q+1)^2, which picks N's type (int32 at q <= 61)."""
         if self._gram is None:
             columns = self.columns()
             n = len(self.omega)
-            gram = np.zeros(n * n, dtype=np.int64)
+            gram = np.zeros((n, n), dtype=_count_dtype(columns.size * columns.shape[1]))
             for first in columns.T:
-                gram += np.bincount((first[:, None] * n + columns).ravel(), minlength=n * n)
-            self._gram = gram.reshape(n, n)
+                lo, hi = int(first.min()), int(first.max()) + 1
+                counts = np.bincount(((first - lo)[:, None] * n + columns).ravel(), minlength=(hi - lo) * n)
+                gram[lo:hi] += counts.reshape(hi - lo, n)
+            self._gram = gram
         return self._gram
 
     # -- closed-form Gram entries ----------------------------------------------
 
     def gram_closed(self) -> np.ndarray:
         """Row (a, b) is the closed-form row (0, inf) read at the images of
-        each (c, d) under an element sending a -> 0 and b -> inf, and all
-        rows are one gather.  Each element g sends the points whose images
-        are 0 and inf there; the first element, in `elements("pgl")` order,
-        of each pair is kept, and by sharp 2-transitivity every pair has one."""
+        each (c, d) under an element h sending a -> 0 and b -> inf: all rows
+        are one gather from that row laid out as a square over (c, d), int32
+        while its entries allow.  One np.unique over (0^g, inf^g) keeps the
+        first g, in `elements("pgl")` order, sending 0 -> a and inf -> b, one
+        per pair by sharp 2-transitivity; h is its inverse permutation."""
         row = self.gram_row_zero_inf_closed()
         images = self.group.pgl_images()
-        by_point = images.T
-        to_zero = np.argmax(by_point == 0, axis=0)
-        to_inf = np.argmax(by_point == self.group.infinity, axis=0)
-        _, first = np.unique(pair_column(to_zero, to_inf, self.q), return_index=True)
-        image = images[first]
+        _, first = np.unique(pair_column(images[:, 0], images[:, self.group.infinity], self.q), return_index=True)
+        h = np.argsort(images[first], axis=1)
         c, d = np.array(self.omega).T
-        columns = pair_column(image[:, c], image[:, d], self.q).ravel()
-        return row.take(columns).reshape(len(c), len(c))
+        square = np.zeros((self.q + 1, self.q + 1), dtype=_count_dtype(max_abs(row)))
+        square[c, d] = row
+        return square[h[:, :, None], h[:, None, :]].reshape(len(h), -1)[:, c * (self.q + 1) + d]
 
     def gram_row_zero_inf_closed(self) -> np.ndarray:
         """Row (0, inf) of N, in `omega` order, by the case analysis of the entry

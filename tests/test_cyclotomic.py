@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psl2q import cyclotomic
 from psl2q.cyclotomic import (
     CycNum,
     _convolve,
+    _reduction,
     conjugate_rows,
     cyclotomic_polynomial,
     hermitian_form,
@@ -21,6 +24,7 @@ from psl2q.cyclotomic import (
     row_products,
     zeta_terms,
 )
+from psl2q.fields import factor_prime_power
 
 
 def test_cyclotomic_polynomials():
@@ -165,13 +169,14 @@ def _ref_rows(m):
     if m not in _REF_ROWS:
         phi = cyclotomic_polynomial(m)
         deg = len(phi) - 1
+        terms = [(i, p) for i, p in enumerate(phi) if p]
         rows = []
         for k in range(deg, max(m, 2 * deg - 1)):
             rem = [0] * k + [1]
             for top in range(k, deg - 1, -1):  # Phi_m is monic
                 c = rem[top]
                 if c:
-                    for i, p in enumerate(phi):
+                    for i, p in terms:
                         rem[top - deg + i] -= c * p
             rows.append(rem[:deg])
         _REF_ROWS[m] = rows
@@ -321,6 +326,140 @@ def test_dense_products_at_the_q19_conductors_match_the_fraction_oracle(operands
     assert _agrees(a2, ra2)
     assert _agrees(a2 * b, ra2.mul(rb))
     assert _agrees(a2 * a2, ra2.mul(ra2))
+
+
+# -- the reduction record -------------------------------------------------------
+
+
+def _dense_rows(record):
+    """The record's sparse rows, scattered back into dense lists."""
+    out = []
+    for row in record.rows:
+        dense = [0] * record.deg
+        for i, c in row:
+            dense[i] = c
+        out.append(dense)
+    return out
+
+
+def test_reduction_rows_match_the_long_division_oracle():
+    for m in range(1, 401):
+        record = _reduction(m)
+        assert record.deg == len(cyclotomic_polynomial(m)) - 1
+        assert _dense_rows(record) == _ref_rows(m), m
+        assert all(c and type(i) is int and type(c) is int for row in record.rows for i, c in row)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 12, 105, 342, 385, 930, 1860])
+def test_reduction_dense_prefix_and_bounds_match_a_brute_recomputation(m):
+    # 105 and 385 are the least conductors whose Phi_m has a coefficient -2
+    record = _reduction(m)
+    deg, rows = record.deg, _dense_rows(record)
+    assert _reduction(m) is record
+    assert record.dense.dtype == np.int64 and record.dense.tolist() == rows[: deg - 1]
+    assert record.dense_float.dtype == np.float64 and (record.dense_float == record.dense).all()
+    assert record.dense_col == max((sum(abs(c) for c in column) for column in zip(*rows[: deg - 1])), default=0)
+    assert record.count_col == max((sum(abs(c) for c in column) for column in zip(*rows[: m - deg])), default=0)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_reduction_records_do_not_depend_on_the_block_size(monkeypatch, block):
+    # blocks of one row, blocks that split the dense prefix and the count rows
+    # mid-block, and primes, whose dense prefix outlasts the count rows
+    monkeypatch.setattr(cyclotomic, "ROW_BLOCK", block)
+    for m in (1, 2, 3, 12, 13, 97, 105, 210):
+        record, default = _reduction.__wrapped__(m), _reduction(m)
+        assert record.rows == default.rows and (record.dense == default.dense).all()
+        assert record[4:] == default[4:], m
+
+
+def reduction_digest(record):
+    h = hashlib.sha256()
+    h.update(repr([[(int(i), int(c)) for i, c in row] for row in record.rows]).encode())
+    h.update(repr((record.dense.shape, str(record.dense.dtype))).encode())
+    h.update(np.ascontiguousarray(record.dense).tobytes())
+    h.update(repr((int(record.dense_col), int(record.count_col))).encode())
+    return h.hexdigest()
+
+
+# SHA-256 of the sparse rows, the dense int64 prefix and the two column bounds
+# of every conductor q - 1, q + 1, lcm(q - 1, q + 1) and lcm(p, q - 1) of the
+# odd prime powers q <= 64, recorded from the pure-Python row recurrence
+REDUCTION_DIGESTS = {
+    2: "ad84df82266a29929c19a0331b709d215d62a91143722ebd2de9524ae3de91aa",
+    4: "154a7e209c4cb1991bcdd4a59d3c05aae55da025e6e82fa953d3fe4d22bd5233",
+    6: "433939253cbd9ebd295983ed1b7277dc217072edbd9cb26e72b28a3e3d0830af",
+    8: "34ed5263cf44647f4756c2d42e4b80eef6234be671e7c05ae8bafac669b0aaf8",
+    10: "808993a620699476aabe2e36a9d16177fae06580009d52892d3cec905b172ff9",
+    12: "3d3786167c947182159e59753061eca91c55be1fccee8bcbc4b12502a41f931d",
+    14: "4a1b0025e6cf2043e244ee890c6f0a860cc0ff14edb38fc40818977d76367a48",
+    16: "5b0770e03d07f9014d1caa14b0c09aeb3c7d22e8347d5185282020b3966a356e",
+    18: "07836cc8f6afc7640fdf1cddbf7a5b05a2aebbddd24bd6b49dd140537f357be3",
+    20: "a52ec48ba4dc6458ff9123a0f727288de038e1dfa68fa875675b410ed2490b09",
+    22: "af33a6bd123dc33089e5187ca6fd880b10a4c3019abb2b018f4136df2e6d8672",
+    24: "9f6f6bdd1f1ccd9ba514f11fb9bafd2687706a413870de6e5f812e592140c3d8",
+    26: "b7196ae9abb26f969b1c4bf5180170e5b72fe8df013adff7f0ba43b80b3f09fc",
+    28: "cd4038b2ff3c91c58375bdbd5f40e9ae99c5ed444474639a3c2c8bb6c7c0dc5e",
+    30: "dc519e0de98cb3108382562204f67659dd2851fd314607095c77db843f9734fd",
+    32: "a0464ac575bb390e1e2c792efbe31355cb3d24122af18ea97e058cda04fc026a",
+    36: "c5800c53af90b31698e24127d1e4464511280da73c8c223412af447b53b47d7f",
+    38: "a7f2091968c8dd8bda1cc1166d47c9537339e4870816c8f74026d053260a91e2",
+    40: "4abb5706b9c64d517794f03030cb98e1da858c09424e3dd7d33c2bf2dd025f6a",
+    42: "60e04cc31fe8a523a4b0917ac90870f9524c05e7dc2bebdd4e022b079c05573c",
+    44: "ea7a68991a5e7b19113f4222a4df8c7ce85a9a9604725dee91fb1eafc3c20bda",
+    46: "557d24fde9e865ebfc78249026a835ea7027cc239e9fba5fc09ace335c24543d",
+    48: "545fc88ce3612024a6238c8f3051f65d6f646da19db396c8a6d4855f75a4a30d",
+    50: "687550352e46ae246881df899c1e07611daa25f934a8b39faab2c7350ed6afd6",
+    52: "83aa1cf4a2044c8e9f35f64b1f9107c8387eabed0782113a32012da56334eded",
+    54: "cd5ec824d3c0def096a726dd58ba14468548fa6559ae3a07b4c757db013efa3f",
+    58: "909188cdb39ab79baf6c09b234c2f645cf7736b798aec9e77e10e979a8a1e320",
+    60: "b7738e68d0e4a6361949e6f0eee1a817db99a28002d8bfe8ceeb4575a398686c",
+    62: "793acd823f858ce30cb5a03cdbf7d41b87fe82d8c451d4aaf6ae5d1c2a08d8f9",
+    78: "3cc079ac2e5f796efd21c97c42479390832db9274faeba3938d6d05471a0db8a",
+    84: "75a90a999c461610dc2030694c46d0b51d9a5e00f9b8bbb6b90947626d8ee5e0",
+    110: "de0419c15fadf762a068e86217119852f5038bcbc81a6df5b3ae9056df3b8153",
+    120: "51015384bd04b356d1e6128bc6e3a3bd0c30fad64e9ef27f1eeda485e7e9f3d5",
+    144: "63408d8f9660cad21db5dda3205c15b5451482ce67948b737c54ae0504638101",
+    156: "a335e9bd96398d879d9d4548cf39b89290a98c9714a47a8afa8e986c11bf61d6",
+    180: "7a49f53f14f9fb2589bd3f759c18b4fe2e1e2a1558df55a726172ddfb88590fe",
+    264: "b582de8feb2201464f7bcd02e3f023f46267405dc8f43ec719b781b536f4ad75",
+    272: "408fd65b02119e82b8ea277eb3936954040025b81afd48765f823d850cb53806",
+    312: "dd829850672abc8ea18f88bf6538dedac444e94a5e26ab7c51f57d098ecffd29",
+    336: "3f70b1b9f29cfbf708ec7b6c27070a3fe9ac86cdc18e7d9cf52469639b2de1b7",
+    342: "b1511f44ce3368e9df5b611ebff63b73ee81d6368b3a9545debf1f638e49c27c",
+    364: "c06c42af7310ac4e7737f40a898ce0b26545684651524a7004d0cd397952bd0e",
+    420: "0256bbd032d4d662e53e4aeee10f842959dcec866d11de46cf334d4d482158de",
+    480: "1b87a70c6f8539d318c5ed0b6cc7905617df0461e48b11291aa42e23be6bf960",
+    506: "470b727a5d2c2ef38714bb6d006c2669a9e13c9afac2d2e8e832f1989b2ec3d9",
+    684: "7ac94270b8446d4943dd67b2b86479396ad80543a37d0998021dd66eaf7494bd",
+    812: "4e5c5b8d6fe0155b37f94b4bdd5ff167cd0d233d992e2a2914bba9073ec7e729",
+    840: "ba4e32bdb19b2f43fe7396b4baaa14cf80e7e4152bd62ca307dfc8dfef75086b",
+    924: "f68109f55229e902180d476104ffe79e8584c5405553adb1b17a7c35f5fac0c1",
+    930: "9a673b1ffa83597119a765359303d41809dbfd78162c2324cf28fc9974d3a5bd",
+    1104: "57305e1d1169cfbb2db030d2d84df013fb7c7a3aba8fda406ccaddeea8d335dd",
+    1200: "d0fbf08bc71965c35403718902ed64638835d72af4a22bc8f87f77fb11672f49",
+    1332: "4320b2cf05cf5ebe6e2c549a7404e83bb0df4a72c7463d1545a26f628d6d03e6",
+    1404: "75c495f3dcf03d3c7317296c96ca4cfdc41c882a7da86b474ccbd252737f8fa8",
+    1640: "ed21f3db2001274b383c395f519229e7374d7eaac58355ddd92c77dee8a75a81",
+    1740: "0ab1528542f4cb3018926a32b79463e2d8ec16adae05400acce01623e313899c",
+    1806: "22310042252df2c93d0c344e37e579c1e42ce69e7bdebfdca8d5ccbbaf0507b8",
+    1860: "f94f5ddc8e8d9f5b3860bc2df98d03663a623939790f3234feda056be8bd4917",
+    2162: "0bd7e8a857a0e1a4277e89a6bd1e455569e9c648555a0a9bf70a46c07a8d68c0",
+    2756: "9a19f54ac29f20b41cfccb0f5e3cf3f8c2fa3db74fba57303b470dd4fc387768",
+    3422: "8849d7ad1748cfa72047e656373443f47c6ccc4d1b96f9dd23dbf8e12918c07d",
+    3660: "51c78893e06e1567d894c22f1d6b880f0ec298b3478e4d8931d2deebfecde32c",
+}
+
+
+def test_every_reduction_record_matches_its_recorded_digest():
+    conductors = set()
+    for q in range(3, 65, 2):
+        if factor_prime_power(q):
+            p = factor_prime_power(q)[0]
+            conductors |= {q - 1, q + 1, math.lcm(q - 1, q + 1), math.lcm(p, q - 1)}
+    assert conductors == set(REDUCTION_DIGESTS)
+    for m in sorted(conductors):
+        assert reduction_digest(_reduction(m)) == REDUCTION_DIGESTS[m], m
 
 
 PRODUCT_CASES = [

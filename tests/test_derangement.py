@@ -39,6 +39,8 @@ def test_gram_is_transpose_product(models, q):
     m = D.build_m()
     gram = D.gram_bruteforce()
     assert m.dtype == np.int8
+    # no entry passes rows * (q+1)^2, which is below 2^31 here: N is int32
+    assert len(m) * (q + 1) ** 2 < 2**31 and gram.dtype == np.int32
     assert (gram == m.astype(np.int64).T @ m).all()
     assert (gram == gram.T).all()
     assert (np.diag(gram) == (q - 1) ** 2 // 4).all()
