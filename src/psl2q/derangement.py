@@ -17,10 +17,15 @@ forms in terms of Legendre and Soto-Andrade sums.
 
 N and every product with M read one array, `columns`: the column of
 (a, a^g) for every derangement g and point a; M itself is built only for
-`psl2q dump matrixM`.  N is counted one point x at a time, into only the
-rows of N that x's column reaches, in a type that holds rows * (q+1)^2, a
-bound for any column array (int32 at q <= 61).  The rank certificate
-(`rank_of_m`) eliminates no matrix the size of N.
+`psl2q dump matrixM`.  The suites hold no dense N: they read its (0, inf)
+row, counted with one bincount over the derangements sending 0 -> inf
+(`gram_row_zero_inf`), and single entries counted in blocks
+(`gram_entries`).  When D is a union of whole PGL classes, N is
+PGL-invariant, which carries row (0, inf) to every row; so that row equal
+to its closed form decides N equal to the closed form entrywise.  The
+dense N (`gram_bruteforce`) and the closed-form N (`gram_closed`) serve
+`psl2q dump matrixN` and the tests.  The rank certificate (`rank_of_m`)
+eliminates no matrix the size of N.
 
 The upper bound is witnessed on M itself (`kernel_witnessed`, decided
 once).  M is read on the 2(q+1) indicators first[x] and second[x] of the
@@ -55,10 +60,10 @@ over many sets are one matrix product per family (`class_sums`), already
 reduced; the class of every element and of its inverse is read once
 (`PGL2.class_array`).  The direct sum is one scatter-add over the cached
 image array (`PGL2.pgl_images`), each g adding N[(0, infinity),
-(0^g, infinity^g)] to the class of g^(-1).  The closed forms of the
-restricted sums, of t(chi) and of the (0, infinity) row of N read the
-Legendre and Soto-Andrade tables (`CharacterSums.legendre_table`), and the
-closed-form Gram matrix is one gather from that row.
+(0^g, infinity^g)], read from the counted row, to the class of g^(-1).
+The closed forms of the restricted sums, of t(chi) and of the
+(0, infinity) row of N read the Legendre and Soto-Andrade tables
+(`CharacterSums.legendre_table`).
 """
 
 from __future__ import annotations
@@ -95,6 +100,8 @@ def _exact_product(a: np.ndarray, b: np.ndarray, extra: int = 0) -> np.ndarray:
 
 
 class DerangementModel:
+    ENTRY_BLOCK = 2**22  # cells `gram_entries` gathers per block
+
     def __init__(self, table: CharTable):
         self.table = table
         self.group: PGL2 = table.group
@@ -119,15 +126,17 @@ class DerangementModel:
         self._assembled: dict[IrreducibleChar, CycNum] = {}
         self._closed_forms: dict[IrreducibleChar, CycNum] = {}
         self._gram_row: np.ndarray | None = None
+        self._gram_row_counted: np.ndarray | None = None
 
     # -- matrices -----------------------------------------------------------
 
     def columns(self) -> np.ndarray:
         """Row i, entry a: the column of (a, a^g) for the i-th derangement g,
-        i.e. where the ones of row i of M sit."""
+        i.e. where the ones of row i of M sit; in the image array's type,
+        which holds (q+1)^2."""
         if self._m_columns is None:
             image = self.group.image_array(self.group.derangements())
-            self._m_columns = pair_column(np.arange(self.q + 1), image, self.q)
+            self._m_columns = pair_column(np.arange(self.q + 1, dtype=image.dtype), image, self.q)
         return self._m_columns
 
     def build_m(self) -> np.ndarray:
@@ -141,28 +150,57 @@ class DerangementModel:
         return self._m_matrix
 
     def gram_bruteforce(self) -> np.ndarray:
-        """N = M^T M, counted exactly: each row of M adds one to N at every
-        pair of its q+1 columns, one point x at a time over the rows
-        first.min()..first.max() that x's column first reaches.  No entry
-        passes rows * (q+1)^2, which picks N's type (int32 at q <= 61)."""
+        """The dense N = M^T M, for `psl2q dump matrixN` and the tests; the
+        suites read `gram_row_zero_inf` and `gram_entries` instead.  Counted
+        exactly: each row of M adds one to N at every pair of its q+1
+        columns, one point x at a time over the rows first.min()..first.max()
+        that x's column first reaches.  No entry passes rows * (q+1)^2, which
+        picks N's type (int32 at q <= 61)."""
         if self._gram is None:
             columns = self.columns()
             n = len(self.omega)
             gram = np.zeros((n, n), dtype=_count_dtype(columns.size * columns.shape[1]))
             for first in columns.T:
                 lo, hi = int(first.min()), int(first.max()) + 1
-                counts = np.bincount(((first - lo)[:, None] * n + columns).ravel(), minlength=(hi - lo) * n)
+                keys = (first - lo).astype(np.int64)[:, None] * n + columns
+                counts = np.bincount(keys.ravel(), minlength=(hi - lo) * n)
                 gram[lo:hi] += counts.reshape(hi - lo, n)
             self._gram = gram
         return self._gram
 
+    def gram_row_zero_inf(self) -> np.ndarray:
+        """Row (0, inf) of N, in `omega` order, counted: one bincount over the
+        columns of the derangements sending 0 -> inf; built once."""
+        if self._gram_row_counted is None:
+            columns = self.columns()
+            to_inf = columns[columns[:, 0] == self.zero_inf]
+            self._gram_row_counted = np.bincount(to_inf.ravel(), minlength=len(self.omega))
+        return self._gram_row_counted
+
+    def gram_entries(self, rows, cols) -> np.ndarray:
+        """N[rows[k], cols[k]] for `omega` indices: the derangements whose
+        column at point a is rows[k] and at point c is cols[k], where
+        a = rows[k] // q and c = cols[k] // q are the pairs' first points.
+        Counted in blocks of entries whose two gathers of whole point rows
+        of `columns`, transposed once, hold at most ENTRY_BLOCK cells each."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        by_point, q = np.ascontiguousarray(self.columns().T), self.q
+        step = max(1, self.ENTRY_BLOCK // by_point.shape[1])
+        counts = np.zeros(len(rows), dtype=np.int64)
+        for lo in range(0, len(rows), step):
+            r, c = rows[lo : lo + step], cols[lo : lo + step]
+            hits = (by_point[r // q] == r[:, None]) & (by_point[c // q] == c[:, None])
+            counts[lo : lo + step] = np.count_nonzero(hits, axis=1)
+        return counts
+
     # -- closed-form Gram entries ----------------------------------------------
 
     def gram_closed(self) -> np.ndarray:
-        """Row (a, b) is the closed-form row (0, inf) read at the images of
-        each (c, d) under an element h sending a -> 0 and b -> inf: all rows
-        are one gather from that row laid out as a square over (c, d), int32
-        while its entries allow.  One np.unique over (0^g, inf^g) keeps the
+        """The closed-form N, the tests' oracle for the dense N.  Row (a, b)
+        is the closed-form row (0, inf) read at the images of each (c, d)
+        under an element h sending a -> 0 and b -> inf: all rows are one
+        gather from that row laid out as a square over (c, d), int32 while
+        its entries allow.  One np.unique over (0^g, inf^g) keeps the
         first g, in `elements("pgl")` order, sending 0 -> a and inf -> b, one
         per pair by sharp 2-transitivity; h is its inverse permutation."""
         row = self.gram_row_zero_inf_closed()
@@ -372,13 +410,13 @@ class DerangementModel:
         return {chi: rows for chars, values in self.families().values()
                 for chi, rows in zip(chars, _exact_product(counts, values))}
 
-    def direct_sums(self, gram: np.ndarray | None = None) -> dict[IrreducibleChar, CycNum]:
+    def direct_sums(self) -> dict[IrreducibleChar, CycNum]:
         """Every target's t(chi), lambda1 included, as the double sum over
-        pairs: one scatter-add of N[(0, inf), (0^g, inf^g)] into the class of
-        g^(-1) over the PGL image array, then `class_sums`."""
-        gram = self.gram_bruteforce() if gram is None else gram
+        pairs: one scatter-add of N[(0, inf), (0^g, inf^g)], read from the
+        counted row, into the class of g^(-1) over the PGL image array, then
+        `class_sums`."""
         image = self.group.pgl_images()
-        weights = gram[self.zero_inf][pair_column(image[:, 0], image[:, self.group.infinity], self.q)]
+        weights = self.gram_row_zero_inf()[pair_column(image[:, 0], image[:, self.group.infinity], self.q)]
         counts = np.zeros(len(self.table.classes), dtype=np.int64)
         np.add.at(counts, self.classes_by_position(inverse=True), weights)
         out = {chi: self._value(chi, rows[0]) for chi, rows in self.class_sums(counts[None]).items()}
@@ -387,9 +425,9 @@ class DerangementModel:
     def _value(self, chi: IrreducibleChar, nums: np.ndarray, scale: Fraction = Fraction(1)) -> CycNum:
         return CycNum.from_zeta_powers(self._conductor(chi), nums.tolist(), scale)
 
-    def character_sum_direct(self, chi: IrreducibleChar, gram: np.ndarray | None = None) -> CycNum:
+    def character_sum_direct(self, chi: IrreducibleChar) -> CycNum:
         self._check_supported(chi, allow_lambda1=True)
-        return self.direct_sums(gram)[chi]
+        return self.direct_sums()[chi]
 
     def restricted_char_sum(self, chi: IrreducibleChar, constraint, inverse: bool = True) -> CycNum:
         """Brute-force sum of chi(g^(-1)) (or chi(g)) over the q-1 elements

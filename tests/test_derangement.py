@@ -93,15 +93,25 @@ def _gram_entry_closed(D, row_pair, col_pair):
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25])
-def test_gram_closed_form_matches(models, q):
+def test_gram_closed_form_matches(models, q, monkeypatch):
     D = models[q] if q in models else _fresh_model(q)
     gram = D.gram_bruteforce()
     assert (gram == D.gram_closed()).all()
     assert D.gram_row_zero_inf_closed().tolist() == [_entry_oracle(D, c, d) for c, d in D.omega]
+    # the suites read N only through its counted row and block-counted entries
+    assert (D.gram_row_zero_inf() == gram[D.zero_inf]).all()
     rng = random.Random(q)
-    for _ in range(30):
-        row, col = rng.choice(D.omega), rng.choice(D.omega)
+    pairs = [(rng.choice(D.omega), rng.choice(D.omega)) for _ in range(30)]
+    for row, col in pairs:
         assert _gram_entry_closed(D, row, col) == gram[D.omega_index[row], D.omega_index[col]]
+    if q <= 9:
+        rows, cols = np.divmod(np.arange(gram.size), len(D.omega))
+    else:
+        rows, cols = np.array([(D.omega_index[r], D.omega_index[c]) for r, c in pairs]).T
+    assert (D.gram_entries(rows, cols) == gram[rows, cols]).all()
+    # blocks of 7 entries, the last one short
+    monkeypatch.setattr(D, "ENTRY_BLOCK", 7 * len(D.columns()))
+    assert (D.gram_entries(rows, cols) == gram[rows, cols]).all()
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -204,7 +214,7 @@ def _zero_scalar(monkeypatch, D):
     """Break a Schur hypothesis: the model reads t(psi_minus1) from N as 0."""
     direct = D.direct_sums()
     psi = next(chi for chi in direct if chi.kind == "psi_minus1")
-    monkeypatch.setattr(D, "direct_sums", lambda gram=None: {**direct, psi: CycNum.zero()})
+    monkeypatch.setattr(D, "direct_sums", lambda: {**direct, psi: CycNum.zero()})
     assert not D.schur_hypotheses()["scalars_nonzero"] and D.schur_bound() == 0
 
 
@@ -406,11 +416,13 @@ def test_a_repeated_column_fails_the_shape_and_kernel_checks(monkeypatch, compen
     assert {"derangement_matrix_shape", "kernel_witness"} <= failed and report["pass"] is False
 
 
-def test_rank_suite_never_builds_m(monkeypatch):
+def test_rank_suite_builds_neither_m_nor_a_dense_n(monkeypatch):
+    # N is read through its counted (0, inf) row and block-counted entries
     def refuse(self):
-        raise AssertionError("the rank suite built M")
+        raise AssertionError("the rank suite built M or a dense N")
 
-    monkeypatch.setattr(DerangementModel, "build_m", refuse)
+    for name in ("build_m", "gram_bruteforce", "gram_closed"):
+        monkeypatch.setattr(DerangementModel, name, refuse)
     assert run_suite("rank", 7)["pass"] is True
 
 
@@ -542,13 +554,12 @@ def test_restricted_sum_rejects_unsupported_characters(models):
 @pytest.mark.parametrize("q", [5, 7, 9])
 def test_character_sums_triple_equality(models, q):
     D = models[q]
-    gram = D.gram_bruteforce()
     lam1 = D.table.chars[0]
-    assert D.character_sum_direct(lam1, gram) == D.lambda1_value()
+    assert D.character_sum_direct(lam1) == D.lambda1_value()
     for chi in D.target_characters():
         if chi.kind == "lambda1":
             continue
-        direct = D.character_sum_direct(chi, gram)
+        direct = D.character_sum_direct(chi)
         assembled = D.character_sum_assembled(chi)
         closed = D.character_sum_closed_form(chi)
         assert direct == assembled == closed, chi.name()
@@ -675,11 +686,11 @@ def test_inverse_classes_are_classified_separately(monkeypatch):
     assert inverses == [G.inv(g) for g in G.elements("pgl")]
 
 
-def _direct_counts_per_element(D, gram):
-    """The oracle: the direct sum's class counts, with one class lookup and
-    one dict lookup per element of PGL(2,q)."""
+def _direct_counts_per_element(D, row):
+    """The oracle: the direct sum's class counts over the (0, inf) row of N,
+    with one class lookup and one dict lookup per element of PGL(2,q)."""
     G, where = D.group, D.table.class_index
-    row = gram[D.zero_inf].tolist()
+    row = row.tolist()
     counts = [0] * len(D.table.classes)
     for g in G.elements("pgl"):
         counts[where[G.classify(G.inv(g))]] += row[D.omega_index[G.act(0, g), G.act(G.infinity, g)]]
@@ -687,17 +698,15 @@ def _direct_counts_per_element(D, gram):
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25])
-def test_character_sum_direct_matches_the_per_element_loop(models, q):
+def test_character_sum_direct_matches_the_per_element_loop(models, q, monkeypatch):
     D = models[q] if q in models else _fresh_model(q)
-    gram = D.gram_bruteforce()
     # any integer row, not only the Gram row, weighs every element the same way
     rng = np.random.default_rng(q)
-    scrambled = gram.copy()
-    scrambled[D.zero_inf] = rng.integers(-50, 50, size=len(D.omega))
-    for matrix in (gram, scrambled):
-        counts = _direct_counts_per_element(D, matrix)
+    for row in (D.gram_bruteforce()[D.zero_inf], rng.integers(-50, 50, size=len(D.omega))):
+        monkeypatch.setattr(D, "gram_row_zero_inf", lambda: row)
+        counts = _direct_counts_per_element(D, row)
         for chi in D.target_characters():
-            assert D.character_sum_direct(chi, matrix) == D.table.class_sum(chi, counts), chi.name()
+            assert D.character_sum_direct(chi) == D.table.class_sum(chi, counts), chi.name()
 
 
 def _assembled_oracle(D, chi):

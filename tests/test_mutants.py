@@ -1,8 +1,9 @@
 """Each test plants one fault in the program and checks that the sums or the
 rank suite reports it: the named check fails at q = 5 and 7, and for the
 faults in the Schur certificate of the rank also at q = 9, 11, 13 and 25,
-where the rank is reported as undecided; a doubled Gauss sum fails its two
-checks at q = 9 and 13.
+where the rank is reported as undecided; a closed (0, inf) row of N one off
+fails exactly the closed-form check of N at q = 5, 7 and 25; a doubled
+Gauss sum fails its two checks at q = 9 and 13.
 One more checks that every caller of the Hermitian form reaches the kernel
 the fault is planted in."""
 
@@ -51,6 +52,7 @@ def _one_numerator_off(conductor, index):
 
 
 _families = DerangementModel.families
+_gram_row_zero_inf_closed = DerangementModel.gram_row_zero_inf_closed
 _kernel_vectors = DerangementModel.kernel_vectors
 _direct_sums = DerangementModel.direct_sums
 _pair_counts = DerangementModel.pair_counts
@@ -71,6 +73,14 @@ def _nu_numerator_off_by_one(self):
     return out
 
 
+def _closed_row_off_by_one(self):
+    """`DerangementModel.gram_row_zero_inf_closed` one more at the pair
+    (1, 0)."""
+    row = _gram_row_zero_inf_closed(self).copy()
+    row[self.omega_index[(1, 0)]] += 1
+    return row
+
+
 def _kernel_indicator_off(self):
     """`DerangementModel.kernel_vectors` with one extra 1 in first[0], at the
     pair (1, 2)."""
@@ -80,9 +90,9 @@ def _kernel_indicator_off(self):
     return first, second
 
 
-def _psi_minus1_scalar_zero(self, gram=None):
+def _psi_minus1_scalar_zero(self):
     """`DerangementModel.direct_sums` with t(psi_minus1) read as 0."""
-    out = _direct_sums(self, gram)
+    out = _direct_sums(self)
     psi = next(chi for chi in out if chi.kind == "psi_minus1")
     return {**out, psi: CycNum.zero()}
 
@@ -163,6 +173,14 @@ def test_nu_value_off_by_one(monkeypatch, q):
     assert {"restricted_sums_match_closed_forms", "character_sums_triple_equality"} <= _failed(q, "rank")
 
 
+@pytest.mark.parametrize("q", [5, 7, 25])
+def test_closed_row_off_by_one(monkeypatch, q):
+    # the counted row of N no longer meets its closed form; no other check
+    # reads the closed row at (1, 0): the assembled sums read it at (1, b), b >= 2
+    monkeypatch.setattr(DerangementModel, "gram_row_zero_inf_closed", _closed_row_off_by_one)
+    assert _failed(q, "rank") == {"gram_equals_closed_form"}
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_kernel_indicator_off_by_one(monkeypatch, q):
     monkeypatch.setattr(DerangementModel, "kernel_vectors", _kernel_indicator_off)
@@ -195,7 +213,7 @@ def test_a_zero_scalar_fails_the_schur_certificate(monkeypatch, q):
 def test_a_missing_derangement_fails_the_class_union_check(monkeypatch, q):
     monkeypatch.setattr(PGL2, "derangements", _one_nonsplit_derangement_dropped)
     report = run_suite("rank", q)
-    assert {"schur_whole_pgl_classes", "rank_of_gram_matches"} <= _failed_checks(report)
+    assert {"schur_whole_pgl_classes", "gram_equals_closed_form", "rank_of_gram_matches"} <= _failed_checks(report)
     _assert_undecided(report, q)
 
 
