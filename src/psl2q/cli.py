@@ -29,8 +29,8 @@ from .groups import PGL2
 from .verify import SUITES, run_suite
 
 # The ekr clique search stops at ekr.MAX_Q = 19, where a fresh-process run
-# takes 6-8 s on a 2-core machine; the other suites take 0.3-0.6 s there,
-# rank the longest.  Larger q is neither budgeted nor timed.
+# takes 6-8 s on a 2-core machine; table, sums and rank take 0.24-0.26 s
+# each there, none reliably the longest.  Larger q is not budgeted.
 MAX_VERIFY_Q = 19
 
 

@@ -86,7 +86,6 @@ import numpy as np
 
 from .errors import IdentityViolationError
 
-_PHI_CACHE: dict[int, list[int]] = {}
 GRAM_BLOCK = 2**20  # counts, and column products, per block of rows of `hermitian_form`
 ROW_BLOCK = 2**16  # entries per block of rows that `_reduction` scans at once
 
@@ -123,18 +122,15 @@ def cyclotomic_polynomial(m: int) -> list[int]:
     """Integer coefficients of Phi_m, ascending; Phi_1 = x - 1."""
     if m < 1:
         raise ValueError("conductor must be positive")
-    poly = _PHI_CACHE.get(m)
-    if poly is None:
-        poly, radical, rest, p = [-1, 1], 1, m, 2
-        while rest > 1:
-            if rest % p == 0:  # p is the least prime factor of rest
-                poly = _poly_div_exact(_stretch(poly, p), poly)
-                radical *= p
-                while rest % p == 0:
-                    rest //= p
-            p += 1
-        poly = _PHI_CACHE[m] = _stretch(poly, m // radical)
-    return poly
+    poly, radical, rest, p = [-1, 1], 1, m, 2
+    while rest > 1:
+        if rest % p == 0:  # p is the least prime factor of rest
+            poly = _poly_div_exact(_stretch(poly, p), poly)
+            radical *= p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return _stretch(poly, m // radical)
 
 
 class Reduction(NamedTuple):  # the reduction data of Q(zeta_m), built once per m by `_reduction`

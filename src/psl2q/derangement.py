@@ -58,12 +58,12 @@ Q(zeta_(q-1)), the eta over Q(zeta_(q+1)).  A character sum over a set of
 elements is an integer vector of class counts, so the sums of every target
 over many sets are one matrix product per family (`class_sums`), already
 reduced; the class of every element and of its inverse is read once
-(`PGL2.class_array`).  The direct sum is one scatter-add over the cached
-image array (`PGL2.pgl_images`), each g adding N[(0, infinity),
-(0^g, infinity^g)], read from the counted row, to the class of g^(-1).
-The closed forms of the restricted sums, of t(chi) and of the
-(0, infinity) row of N read the Legendre and Soto-Andrade tables
-(`CharacterSums.legendre_table`).
+(`PGL2.class_array`), and so are the images of 0, 1 and infinity under
+every element (`zero_one_inf`), which fix it.  The direct sum is one
+scatter-add over them, each g adding N[(0, infinity), (0^g, infinity^g)],
+read from the counted row, to the class of g^(-1).  The closed forms of
+the restricted sums, of t(chi) and of the (0, infinity) row of N read the
+Legendre and Soto-Andrade tables (`CharacterSums.legendre_table`).
 """
 
 from __future__ import annotations
@@ -121,6 +121,7 @@ class DerangementModel:
         self._witnessed: bool | None = None
         self._schur: dict[str, bool] | None = None
         self._position_classes: dict[bool, np.ndarray] = {}
+        self._zero_one_inf: np.ndarray | None = None
         self._families: dict[int, tuple[list[IrreducibleChar], np.ndarray]] | None = None
         self._restricted_rows: dict[IrreducibleChar, np.ndarray] | None = None
         self._assembled: dict[IrreducibleChar, CycNum] = {}
@@ -132,7 +133,7 @@ class DerangementModel:
 
     def columns(self) -> np.ndarray:
         """Row i, entry a: the column of (a, a^g) for the i-th derangement g,
-        i.e. where the ones of row i of M sit; in the image array's type,
+        i.e. where the ones of row i of M sit; in the type of `image_array`,
         which holds (q+1)^2."""
         if self._m_columns is None:
             image = self.group.image_array(self.group.derangements())
@@ -202,11 +203,12 @@ class DerangementModel:
         gather from that row laid out as a square over (c, d), int32 while
         its entries allow.  One np.unique over (0^g, inf^g) keeps the
         first g, in `elements("pgl")` order, sending 0 -> a and inf -> b, one
-        per pair by sharp 2-transitivity; h is its inverse permutation."""
+        per pair by sharp 2-transitivity; h is its inverse permutation, read
+        off the full images of those q(q+1) elements alone."""
         row = self.gram_row_zero_inf_closed()
-        images = self.group.pgl_images()
-        _, first = np.unique(pair_column(images[:, 0], images[:, self.group.infinity], self.q), return_index=True)
-        h = np.argsort(images[first], axis=1)
+        zero, _, inf = self.zero_one_inf()
+        _, first = np.unique(pair_column(zero, inf, self.q), return_index=True)
+        h = np.argsort(self.group.image_array(self.group.element_array("pgl")[first]), axis=1)
         c, d = np.array(self.omega).T
         square = np.zeros((self.q + 1, self.q + 1), dtype=_count_dtype(max_abs(row)))
         square[c, d] = row
@@ -313,9 +315,9 @@ class DerangementModel:
     def pair_counts(self) -> np.ndarray:
         """|C| pi(C) per class C, in `CharTable.classes` order: pi(g) = f(f-1)
         ordered pairs of distinct points are fixed by an element g with f
-        fixed points, summed over the elements of C in the PGL image array."""
+        fixed points, summed over the elements of C (`PGL2.fixed_point_counts`)."""
         q, k = self.q, len(self.table.classes)
-        fixed = (self.group.pgl_images() == np.arange(q + 1)).sum(axis=1)
+        fixed = self.group.fixed_point_counts(self.group.element_array("pgl"))
         by_class = np.bincount(self.classes_by_position(inverse=False) * (q + 2) + fixed, minlength=k * (q + 2))
         f = np.arange(q + 2)
         return by_class.reshape(k, q + 2) @ (f * (f - 1))
@@ -377,6 +379,14 @@ class DerangementModel:
             self._position_classes[inverse] = group.class_array(elements)
         return self._position_classes[inverse]
 
+    def zero_one_inf(self) -> np.ndarray:
+        """The images of 0, 1 and infinity under each row of
+        element_array("pgl"), as the three rows of one array; computed once."""
+        if self._zero_one_inf is None:
+            keys = [0, 1, self.group.infinity]
+            self._zero_one_inf = self.group.image_array(self.group.element_array("pgl"), keys).T
+        return self._zero_one_inf
+
     def class_counts(self, pairs, inverse: bool = True) -> list[int]:
         """Class counts of g^(-1) (or of g) over the elements g matching the
         point constraints, in `CharTable.classes` order."""
@@ -413,10 +423,10 @@ class DerangementModel:
     def direct_sums(self) -> dict[IrreducibleChar, CycNum]:
         """Every target's t(chi), lambda1 included, as the double sum over
         pairs: one scatter-add of N[(0, inf), (0^g, inf^g)], read from the
-        counted row, into the class of g^(-1) over the PGL image array, then
+        counted row, into the class of g^(-1), over `zero_one_inf`, then
         `class_sums`."""
-        image = self.group.pgl_images()
-        weights = self.gram_row_zero_inf()[pair_column(image[:, 0], image[:, self.group.infinity], self.q)]
+        zero, _, inf = self.zero_one_inf()
+        weights = self.gram_row_zero_inf()[pair_column(zero, inf, self.q)]
         counts = np.zeros(len(self.table.classes), dtype=np.int64)
         np.add.at(counts, self.classes_by_position(inverse=True), weights)
         out = {chi: self._value(chi, rows[0]) for chi, rows in self.class_sums(counts[None]).items()}
@@ -439,10 +449,10 @@ class DerangementModel:
         """Class counts of g^(-1): row 0 over the swap 0 <-> infinity, row d-1
         over 0 -> infinity, 1 -> d (d = 2..q-1), keyed by the image of 1."""
         q, inf, k = self.q, self.group.infinity, len(self.table.classes)
-        images, classes = self.group.pgl_images(), self.classes_by_position(inverse=True)
-        to_inf = images[:, 0] == inf
-        by_one = np.bincount(images[to_inf, 1].astype(np.intp) * k + classes[to_inf], minlength=q * k)
-        swap = np.bincount(classes[to_inf & (images[:, inf] == 0)], minlength=k)
+        (zero, one, infinity), classes = self.zero_one_inf(), self.classes_by_position(inverse=True)
+        to_inf = zero == inf
+        by_one = np.bincount(one[to_inf].astype(np.intp) * k + classes[to_inf], minlength=q * k)
+        swap = np.bincount(classes[to_inf & (infinity == 0)], minlength=k)
         return np.vstack([swap, by_one.reshape(q, k)[2:]])
 
     def restricted_sums(self) -> dict[IrreducibleChar, np.ndarray]:

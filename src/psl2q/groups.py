@@ -11,17 +11,16 @@ the same element of PGL(2,q) exactly when their normal forms are equal.
 The group holds its elements once: `element_array` is the q^3 - q normal
 forms of PGL(2,q), or those of PSL(2,q) (`psl_mask`: det is a nonzero
 square), as one (n, 4) array of the narrowest unsigned type, built in one
-numpy pass over the multiplication table.  `pgl_images`, `derangements`, the
-table suite, the rank model's class arrays and the clique graph read it;
-`elements` reads its rows as tuples of Python ints, for the ekr suite and
-the per-element methods, and `derangements` is such a list, built once.
+numpy pass over the multiplication table.  `derangements`, the table suite,
+the rank model's class arrays and the clique graph read it; `elements` reads
+its rows as tuples of Python ints, for the ekr suite and the per-element
+methods, and `derangements` is such a list, built once.
 
-`image_array` computes `act` for many elements and all q+1 points in one
-numpy pass over the field tables.  `pgl_images` is that array for
-`element_array("pgl")`, built once and stored point by point, so the images
-of one point under every element are contiguous; a constraint query
-(`constraint_mask`) is the AND over the pairs of `images of src == tgt`.
-`class_array`, `psl_mask` and `image_array` take an array or a tuple list.
+`image_array` computes `act` for many elements, at every point or only at
+the points given, in one numpy pass over the field tables; no group holds
+the images of every point under every element.  `fixed_point_counts` counts
+fixed points from one discriminant per element.  `class_array`, `psl_mask`,
+`image_array` and `fixed_point_counts` take an array or a tuple list.
 
 `classify` names the conjugacy class of one element; `class_array` gives the
 class position, in `class_labels()` order, of many elements in one numpy
@@ -76,7 +75,6 @@ class PGL2:
         self._classify_cache: dict[Element, ClassLabel] = {}
         self._element_arrays: dict[str, np.ndarray] = {}
         self._derangements: list[Element] | None = None
-        self._pgl_images: np.ndarray | None = None
         self._class_table: np.ndarray | None = None
 
     # -- element plumbing ---------------------------------------------------
@@ -303,35 +301,41 @@ class PGL2:
 
     # -- point images ---------------------------------------------------------
 
-    def pgl_images(self) -> np.ndarray:
-        """`image_array` of `elements("pgl")`, built once: row i holds the
-        images of the points under elements("pgl")[i].
-
-        The array is the transpose of a C-contiguous one, so each column (the
-        images of one point under every element) is contiguous."""
-        if self._pgl_images is None:
-            self._pgl_images = np.ascontiguousarray(self.image_array(self.element_array("pgl")).T).T
-        return self._pgl_images
-
-    def image_array(self, elements) -> np.ndarray:
-        """Row i holds the images x^g of the points x = 0..q under elements[i].
-
-        The same action as `act`, over the field tables a block of elements
-        at a time: a finite t goes to (b + t d) / (a + t c) and infinity to
-        d / c, and to infinity where the denominator is 0.  The type holds
-        (q+1)^2, so pair indices a*q + b computed on it cannot overflow."""
+    def image_array(self, elements, points=None) -> np.ndarray:
+        """Row i holds the images x^g under g = elements[i] of the points x
+        given, every point 0..q by default: `act` over the field tables, a
+        block of 2^16 cells at a time.  The row (u, v), (1, x) for x and
+        (0, 1) for infinity, goes to (u a + v c, u b + v d).  The images of
+        one point are contiguous (the transpose of a C-contiguous array), in
+        a type holding (q+1)^2, so pair indices a*q + b cannot overflow."""
         q = self.q
         arrays = self.ctx.arrays
         add, mul, inv = arrays.add, arrays.mul, arrays.inv
         elements = np.asarray(elements).reshape(-1, 4)
-        out = np.empty((len(elements), q + 1), dtype=np.min_scalar_type((q + 1) ** 2))
-        t, block = np.arange(q), 8192
+        points = np.arange(q + 1) if points is None else np.asarray(points, dtype=np.intp)
+        u, v = (points != q)[:, None], np.where(points == q, 1, points)[:, None]  # u * a is a or 0
+        out = np.empty((len(points), len(elements)), dtype=np.min_scalar_type((q + 1) ** 2))
+        block = max(1, 2**16 // max(1, len(points)))
         for start in range(0, len(elements), block):
-            a, b, c, d = elements[start : start + block].T[:, :, None]
-            den = np.concatenate([add[a, mul[t, c]], c], axis=1)
-            num = np.concatenate([add[b, mul[t, d]], d], axis=1)
-            out[start : start + block] = np.where(den == 0, q, mul[num, inv[den]])
-        return out
+            a, b, c, d = elements[start : start + block].T[:, None, :]
+            den = add[u * a, mul[v, c]]
+            num = add[u * b, mul[v, d]]
+            out[:, start : start + block] = np.where(den == 0, q, mul[num, inv[den]])
+        return out.T
+
+    def fixed_point_counts(self, elements) -> np.ndarray:
+        """The number of points fixed by each element given, with no images:
+        t is fixed exactly when c t^2 + (a - d) t - b = 0 and infinity when
+        c = 0, so a non-scalar matrix fixes 1 + phi((a - d)^2 + 4bc) points
+        and a scalar one all q + 1.  The rows need not be normalized, since
+        scaling a matrix scales that discriminant by a square."""
+        a, b, c, d = np.asarray(elements).reshape(-1, 4).T
+        arrays = self.ctx.arrays
+        add, mul = arrays.add, arrays.mul
+        diff = add[a, arrays.neg[d]]
+        fixed = 1 + arrays.phi[add[mul[diff, diff], mul[self.ctx.embed_int(4), mul[b, c]]]]
+        fixed[(b == 0) & (c == 0) & (a == d)] = self.q + 1
+        return fixed
 
     def elements_with_constraints(self, pairs) -> list[Element]:
         """All elements of PGL(2,q) sending src -> tgt for each (src, tgt)
@@ -347,7 +351,7 @@ class PGL2:
     def constraint_mask(self, pairs) -> np.ndarray:
         """The elements of `elements_with_constraints` as a boolean mask over
         `elements("pgl")`: the intersection of the cosets {g : src^g = tgt},
-        each read off one contiguous column of `pgl_images`."""
+        read off the images of the source points alone."""
         pairs = list(pairs)
         if not 1 <= len(pairs) <= 3:
             raise InvalidConstraintError("need 1 to 3 constraints")
@@ -357,8 +361,8 @@ class PGL2:
                     raise InvalidConstraintError(f"{pt!r} is not a point of PG(1,{self.q})")
         if len({s for s, _ in pairs}) != len(pairs) or len({t for _, t in pairs}) != len(pairs):
             raise InvalidConstraintError("repeated source or target point")
-        columns = self.pgl_images().T
-        return np.logical_and.reduce([columns[src] == tgt for src, tgt in pairs])
+        sources, targets = np.array(pairs).T
+        return (self.image_array(self.element_array("pgl"), sources).T == targets[:, None]).all(axis=0)
 
     def swap_one_infinity(self) -> Element:
         """The unique element fixing 0 and exchanging 1 with infinity.

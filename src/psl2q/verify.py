@@ -77,8 +77,7 @@ def _distinct_pairs(first: np.ndarray, second: np.ndarray) -> list[tuple[int, in
 def _pair_reach(images: np.ndarray, sources) -> dict[tuple[int, int], np.ndarray]:
     """For each source pair (s0, s1), which target pairs (t0, t1), at
     t0 * (q+1) + t1, some row of the image array sends it to."""
-    n = images.shape[1]
-    columns = np.ascontiguousarray(images.T)
+    n, columns = images.shape[1], images.T
     reach = {}
     for s0, s1 in sources:
         hit = np.zeros(n * n, dtype=bool)
@@ -97,7 +96,6 @@ def run_table_suite(q: int, seed: int = 0) -> dict:
     labels = table.classes
     classes = group.class_array(pgl)
     in_psl = group.psl_mask(pgl)
-    point_images = group.pgl_images()
 
     sizes = np.bincount(classes, minlength=len(labels))
     census_ok = (
@@ -119,7 +117,7 @@ def run_table_suite(q: int, seed: int = 0) -> dict:
 
     # each element contributes its (class, count) pair; each distinct pair is compared once
     psi1 = table.chars[2]
-    fixed = (point_images == np.arange(q + 1)).sum(axis=1) - 1
+    fixed = group.fixed_point_counts(pgl) - 1
     ok = all(table.value_on_class(psi1, labels[c]) == n for c, n in _distinct_pairs(classes, fixed))
     checks.add("psi1_counts_fixed_points", ok, "checked on every group element")
 
@@ -130,17 +128,9 @@ def run_table_suite(q: int, seed: int = 0) -> dict:
     )
     checks.add("sign_character_is_psl_indicator", ok)
 
+    # an element with f fixed points fixes f(f-1) ordered pairs of distinct points
     pi = table.permutation_character()
-    pi_brute = []
-    for rep in table.representatives:
-        images = {pt: group.act(pt, rep) for pt in group.points}
-        fixed_pairs = sum(
-            1
-            for a in group.points
-            for b in group.points
-            if a != b and images[a] == a and images[b] == b
-        )
-        pi_brute.append(CycNum.rational(fixed_pairs))
+    pi_brute = [CycNum.rational(f * (f - 1)) for f in group.fixed_point_counts(table.representatives).tolist()]
     dec = table.decompose(pi)
     expected = {
         c.name(): Fraction(2 if c.kind == "psi1" else (0 if c.kind == "lambda_minus1" else 1))
@@ -172,7 +162,7 @@ def run_table_suite(q: int, seed: int = 0) -> dict:
         cases = [(rng.choice(pairs), rng.choice(pairs)) for _ in range(300)]
         note = "300 seeded samples"
     # some g in PSL sends s0 -> t0 and s1 -> t1
-    reach = _pair_reach(point_images[in_psl], {s for s, _ in cases})
+    reach = _pair_reach(group.image_array(psl), {s for s, _ in cases})
     ok = all(reach[s][t[0] * (q + 1) + t[1]] for s, t in cases)
     checks.add("psl_two_point_transitivity", ok, note)
 
@@ -488,13 +478,12 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
         "row (0, inf) counted, every row by PGL invariance",
     )
 
-    images = group.pgl_images()
-    index = model.omega_index
+    # draws of a row pair, a column pair and an element; images after the draws
+    pgl, index = group.element_array("pgl"), model.omega_index
+    drawn = [(rng.choice(model.omega), rng.choice(model.omega), rng.randrange(len(pgl))) for _ in range(200)]
+    images = group.image_array(pgl[[g for _, _, g in drawn]]).tolist()
     sampled, moved = [], []
-    for _ in range(200):
-        r_pair = rng.choice(model.omega)
-        c_pair = rng.choice(model.omega)
-        image = images[rng.randrange(len(images))].tolist()  # draws as _draw does
+    for (r_pair, c_pair, _), image in zip(drawn, images):
         sampled.append((index[r_pair], index[c_pair]))
         moved.append((index[image[r_pair[0]], image[r_pair[1]]], index[image[c_pair[0]], image[c_pair[1]]]))
     entries = model.gram_entries(*np.array(sampled + moved).T)

@@ -245,9 +245,9 @@ def test_images_of_zero_one_infinity_fix_an_element(q):
     # the key `whole_classes` sorts is injective on all of PGL (sharp
     # 3-transitivity), so it repeats exactly when a row of M does
     G = _fresh_model(q).group
-    images = G.pgl_images()
-    triples = {tuple(row) for row in images[:, [0, 1, G.infinity]].tolist()}
-    assert len(triples) == len({tuple(row) for row in images.tolist()}) == (q + 1) * q * (q - 1)
+    pgl = G.element_array("pgl")
+    triples = {tuple(row) for row in G.image_array(pgl, [0, 1, G.infinity]).tolist()}
+    assert len(triples) == len({tuple(row) for row in G.image_array(pgl).tolist()}) == (q + 1) * q * (q - 1)
 
 
 def _repeated_row(monkeypatch, D):

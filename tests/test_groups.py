@@ -239,15 +239,38 @@ def test_two_point_transitivity_q5(groups):
 
 
 @pytest.mark.parametrize("q", [3, 9, 25, 27])
-def test_pgl_images_match_the_action(q):
-    """The cached image array against `act`, one point at a time; q = 9, 25,
-    27 are prime powers with p = 3 and p = 5."""
+def test_image_array_matches_the_action(q):
+    """Full rows and single columns of `image_array` against `act`, one point
+    at a time; q = 9, 25, 27 are prime powers with p = 3 and p = 5."""
     G = PGL2(field_ctx_for_q(q))
-    images = G.pgl_images()
-    assert images is G.pgl_images()
-    assert images.tolist() == [[G.act(x, g) for x in G.points] for g in G.elements("pgl")]
-    assert images.T.flags.c_contiguous
+    pgl = G.element_array("pgl")
+    oracle = [[G.act(x, g) for x in G.points] for g in G.elements("pgl")]
+    images = G.image_array(pgl)
+    assert images.tolist() == oracle and images.T.flags.c_contiguous
     assert images.dtype.kind == "u" and np.iinfo(images.dtype).max >= (q + 1) ** 2
+    for points in ([0, 1, G.infinity], [G.infinity, 0], [2, G.infinity, 1, 0]):
+        assert G.image_array(pgl, points).tolist() == [[row[x] for x in points] for row in oracle]
+    picked = [7, 0, len(pgl) - 1, 7]
+    assert G.image_array(pgl[picked]).tolist() == [oracle[i] for i in picked]
+    assert G.image_array([tuple(r) for r in pgl[picked].tolist()], [G.infinity]).tolist() == [
+        [oracle[i][G.infinity]] for i in picked
+    ]
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
+def test_fixed_point_counts_match_the_action(q):
+    """The discriminant count against `fixed_points` on every element, and on
+    scaled, unnormalized matrices; at p = 3 and p = 5 the 4bc term is bc and
+    -bc."""
+    G = PGL2(field_ctx_for_q(q))
+    pgl = G.elements("pgl")
+    oracle = [len(G.fixed_points(g)) for g in pgl]
+    assert G.fixed_point_counts(G.element_array("pgl")).tolist() == oracle
+    nonsquare = G.ctx.generator
+    scaled = [tuple(G.ctx.mul(nonsquare, v) for v in g) for g in pgl]
+    assert G.fixed_point_counts(scaled).tolist() == oracle
+    # the identity, then the split, unipotent and nonsplit elements
+    assert Counter(oracle) == {q + 1: 1, 2: q * (q + 1) * (q - 2) // 2, 1: q * q - 1, 0: q * q * (q - 1) // 2}
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])

@@ -6,10 +6,11 @@ import pytest
 
 from psl2q.charsums import CharacterSums
 from psl2q.cyclotomic import CycNum
+from psl2q.derangement import DerangementModel
 from psl2q.errors import IdentityViolationError
 from psl2q.fields import field_ctx_for_q
 from psl2q.groups import PGL2
-from psl2q.verify import _pair_reach, base_coset_log_shifts, run_suite
+from psl2q.verify import _pair_reach, _rng, base_coset_log_shifts, run_suite
 
 
 @pytest.mark.parametrize("suite", ["table", "sums", "rank"])
@@ -77,6 +78,34 @@ def test_rank_suite_carries_certificate():
     cert = report["certificate"]
     assert cert["rank"] == 42 and cert["pass"] is True
     assert len(cert["characters"]) == 2 + 3 + 2  # lambda1, psi_minus1, etas, nus
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_relabeling_sample_draws_are_pinned(monkeypatch, q, seed):
+    # the sample passes whether or not a draw changes, so the goldens cannot
+    # see one: the entries it reads must be those of the draws, in order, row
+    # pair, column pair, then an element of PGL that `act` moves both by
+    calls = []
+    gram_entries = DerangementModel.gram_entries
+    monkeypatch.setattr(
+        DerangementModel,
+        "gram_entries",
+        lambda self, rows, cols: calls.append((rows.tolist(), cols.tolist())) or gram_entries(self, rows, cols),
+    )
+    assert run_suite("rank", q, seed=seed)["pass"] is True
+    G = PGL2(field_ctx_for_q(q))
+    omega = [(a, b) for a in G.points for b in G.points if a != b]
+    index, pgl = {pair: i for i, pair in enumerate(omega)}, G.elements("pgl")
+    rng = _rng(seed, q, "rank")
+    sampled, moved = [], []
+    for _ in range(200):
+        r_pair, c_pair = rng.choice(omega), rng.choice(omega)
+        g = pgl[rng.randrange(len(pgl))]
+        sampled.append((index[r_pair], index[c_pair]))
+        moved.append(tuple(index[tuple(G.act(x, g) for x in pair)] for pair in (r_pair, c_pair)))
+    rows, cols = zip(*(sampled + moved))
+    assert calls == [(list(rows), list(cols))]
 
 
 def test_seeded_reports_stable():
