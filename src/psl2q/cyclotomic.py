@@ -11,27 +11,27 @@ combined by lifting both to the least common multiple conductor; the lift
 zeta_m -> zeta_M^(M/m) is a field embedding, so canonical representatives of
 equal values agree after lifting.
 
-A product is the integer convolution of the two numerator vectors, which
-skips zero coefficients (most factors in the character sums are single
-powers of zeta), reduced mod Phi_m with the rows x^(phi(m)+k) mod Phi_m.
-Everything reduction needs of one conductor is one record built once by
-`_reduction(m)`, one numpy step per row: phi(m), the rows as their nonzero
-(index, coefficient) pairs (cyclotomic polynomials are sparse), rows
-0..phi(m)-2 as a dense int64 matrix with its float64 copy, and the largest
-column sums of |rows| that bound `row_products` and `reduce_zeta_counts`.
+Every reduction follows one rule: fold the exponents by x^m = 1, then
+replace x^j, phi(m) <= j < m, by its row x^j mod Phi_m.  A product is the
+integer convolution of the two numerator vectors, which skips zero
+coefficients (most factors in the character sums are single powers of
+zeta), reduced so.  `_reduction(m)` holds the m - phi(m) rows of one
+conductor as their nonzero (index, coefficient) pairs (cyclotomic
+polynomials are sparse), with phi(m) and the largest column sum of |rows|.
 
 Many products at once, row i of A times row i of B for integer matrices of
-reduced numerators, go through `row_products`: one convolution per row, then
-one matrix product with the dense reduction rows R (row k is x^(phi(m)+k) mod
-Phi_m).  Every entry and partial sum is at most
-B = deg * max|A| * max|B| * (1 + the largest column sum of |R|), and B picks
-the arithmetic.  Below 2^53 the work runs in float64, so the product with R
-is a BLAS call: every value it or `np.convolve` (a direct sum, never an FFT)
-forms is an integer of size at most B, which float64 holds exactly, so no
-operation rounds, in whatever order BLAS sums and with or without fused
-multiply-adds, and the result casts back to int64 unchanged.  Below 2^63 the
-same steps run in int64, and past that in Python integers (dtype=object),
-which `np.convolve` and the matrix product handle exactly too.
+reduced numerators, go through `row_products`: one convolution per row,
+folded when 2 phi(m) - 1 > m (odd m), then one matrix product with the rows
+R it reaches, a float64 matrix built on the conductor's first product.  A
+folded count sums at most phi(m) products, so every entry and partial sum
+is at most B = deg * max|A| * max|B| * (1 + the largest column sum of |R|),
+which picks the arithmetic.  Below 2^53 it is float64, and the product with
+R is a BLAS call: every value it or `np.convolve` (a direct sum, never an
+FFT) forms is an integer of size at most B, which float64 holds exactly, so
+no operation rounds, in whatever order BLAS sums and with or without fused
+multiply-adds.  Below 2^63 the same steps run in int64, and past that in
+Python integers (dtype=object), which `np.convolve` and the matrix product
+handle exactly too; R reaches both cast through int64.
 
 Many sums of roots of unity at once, row i of an integer matrix C with m
 columns standing for sum_j C[i, j] zeta_m^j, go through
@@ -90,10 +90,10 @@ GRAM_BLOCK = 2**20  # counts, and column products, per block of rows of `hermiti
 ROW_BLOCK = 2**16  # entries per block of rows that `_reduction` scans at once
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Divide integer polynomials exactly (coefficients ascending)."""
-    num = list(num)
+def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder (len(den) - 1 coefficients) of integer polynomials, ascending."""
     dd = len(den) - 1
+    num = list(num) + [0] * (dd - len(num))
     lead = den[-1]
     quot = [0] * (len(num) - dd)
     for k in range(len(num) - 1, dd - 1, -1):
@@ -106,20 +106,27 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
         quot[k - dd] = f
         for i, d in enumerate(den):
             num[k - dd + i] -= f * d
-    if any(num):
+    return quot, num[:dd]
+
+
+def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
+    """Divide integer polynomials exactly (coefficients ascending)."""
+    quot, rem = _poly_divmod(num, den)
+    if any(rem):
         raise IdentityViolationError("inexact cyclotomic division")
     return quot
 
 
-def _stretch(poly: list[int], k: int) -> list[int]:
+def _stretch(poly, k: int) -> list[int]:
     """The coefficients of poly(x^k)."""
     out = [0] * ((len(poly) - 1) * k + 1)
     out[::k] = poly
     return out
 
 
+@functools.cache
 def cyclotomic_polynomial(m: int) -> list[int]:
-    """Integer coefficients of Phi_m, ascending; Phi_1 = x - 1."""
+    """Integer coefficients of Phi_m, ascending; Phi_1 = x - 1 (one shared list: read only)."""
     if m < 1:
         raise ValueError("conductor must be positive")
     poly, radical, rest, p = [-1, 1], 1, m, 2
@@ -135,11 +142,8 @@ def cyclotomic_polynomial(m: int) -> list[int]:
 
 class Reduction(NamedTuple):  # the reduction data of Q(zeta_m), built once per m by `_reduction`
     deg: int  # phi(m)
-    rows: list[list[tuple[int, int]]]  # row k: the nonzero (index, coefficient) pairs of x^(deg+k) mod Phi_m
-    dense: np.ndarray  # rows 0..deg-2 as a dense int64 matrix, for `row_products`
-    dense_float: np.ndarray  # its float64 copy
-    dense_col: int  # the largest column sum of |dense|
-    count_col: int  # the largest column sum of |rows 0..m-deg-1|, the rows `reduce_zeta_counts` adds
+    rows: list[list[tuple[int, int]]]  # row k < m - deg: the nonzero (index, coefficient) pairs of x^(deg+k) mod Phi_m
+    count_col: int  # the largest column sum of |rows|, which bounds `reduce_zeta_counts`
 
 
 @functools.cache
@@ -152,28 +156,22 @@ def _reduction(m: int) -> Reduction:
     and column sum exact."""
     first = -np.array(cyclotomic_polynomial(m)[:-1], dtype=np.int64)  # x^deg mod Phi_m
     deg = len(first)
-    count, step = max(m - deg, deg - 1), max(1, ROW_BLOCK // deg)
-    dense = np.zeros((deg - 1, deg), dtype=np.int64)
-    dense_sums, count_sums = np.zeros(deg, dtype=np.int64), np.zeros(deg, dtype=np.int64)
-    rows, height, cur = [], 0, first
+    count, step = m - deg, max(1, ROW_BLOCK // deg)
+    rows, height, cur, sums = [], 0, first, np.zeros(deg, dtype=np.int64)
     for start in range(0, count, step):
         block = np.empty((min(step, count - start), deg), dtype=np.int64)
         for row in block:
             row[:] = cur
             cur = np.concatenate(([0], cur[:-1])) + cur[-1] * first
-        size, prefix = np.abs(block), max(0, deg - 1 - start)  # prefix: the rows of the block in `dense`
-        height = max(height, int(size.max()))
-        dense[start : start + len(block)] = block[:prefix]
-        dense_sums += size[:prefix].sum(axis=0)
-        count_sums += size[: max(0, m - deg - start)].sum(axis=0)
+        height = max(height, max_abs(block))
+        sums += np.abs(block).sum(axis=0)
         r, i = np.nonzero(block)
         pairs = list(zip(i.tolist(), block[r, i].tolist()))
         ends = np.cumsum(np.bincount(r, minlength=len(block))).tolist()
         rows += [pairs[a:b] for a, b in zip([0, *ends], ends)]
     if count * height * (1 + max_abs(first)) >= 2**63:
         raise IdentityViolationError(f"the reduction rows of Phi_{m} pass the int64 range")
-    dense_col, count_col = (max_abs(sums) for sums in (dense_sums, count_sums))
-    return Reduction(deg, rows, dense, dense.astype(np.float64), dense_col, count_col)
+    return Reduction(deg, rows, max_abs(sums))
 
 
 def max_abs(mat: np.ndarray) -> int:
@@ -195,19 +193,32 @@ def _arithmetic(bound: int):
     return np.float64 if bound < 2**53 else exact_dtype(bound)
 
 
+@functools.cache
+def _product_rows(m: int) -> tuple[np.ndarray, int]:
+    """The `_reduction(m)` rows a folded product reaches, as float64, and their largest column sum."""
+    deg, rows = _reduction(m)[:2]
+    dense = np.zeros((min(deg - 1, m - deg), deg))
+    for k, row in enumerate(rows[: len(dense)]):
+        dense[k, [i for i, _ in row]] = [c for _, c in row]
+    col = max_abs(np.abs(dense).sum(axis=0))
+    if col >= 2**53:
+        raise IdentityViolationError(f"the product rows of Phi_{m} pass the float64 range")
+    return dense, col
+
+
 def row_products(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i holds the reduced numerators of a[i] * b[i] in Q(zeta_m), where a
-    and b are integer matrices of reduced numerators, phi(m) columns each.
-    Every value formed is an integer of size at most
-    B = deg * max|a| * max|b| * (1 + col), col the largest column sum of the
-    dense rows, and B picks float64, int64 or Python integers (`_arithmetic`)."""
-    red = _reduction(m)
-    deg = red.deg
-    dtype = _arithmetic(deg * max_abs(a) * max_abs(b) * (1 + red.dense_col))
-    reduction = red.dense_float if dtype is np.float64 else red.dense
+    and b are integer matrices of reduced numerators, phi(m) columns each;
+    the bound B on every value formed picks the arithmetic (`_arithmetic`)."""
+    reduction, col = _product_rows(m)
+    deg = reduction.shape[1]
+    dtype = _arithmetic(deg * max_abs(a) * max_abs(b) * (1 + col))
+    if dtype is not np.float64:  # through int64, since float64 cast to object holds floats
+        reduction = reduction.astype(np.int64).astype(dtype, copy=False)
     a, b = a.astype(dtype), b.astype(dtype)
     conv = np.array([np.convolve(x, y) for x, y in zip(a, b)], dtype=dtype).reshape(-1, 2 * deg - 1)
-    out = conv[:, :deg] + conv[:, deg:] @ reduction.astype(dtype, copy=False)
+    conv[:, : max(0, 2 * deg - 1 - m)] += conv[:, m:]  # x^m = 1 folds powers m..2deg-2 (odd m)
+    out = conv[:, :deg] + conv[:, deg : deg + len(reduction)] @ reduction
     return out.astype(np.int64) if dtype is np.float64 else out
 
 
@@ -332,8 +343,8 @@ def is_rational_diagonal(gram: np.ndarray, diagonal) -> bool:
 def _reduce_int_poly(vec: list[int], m: int) -> tuple[int, ...]:
     """Reduce an integer polynomial (ascending, any length) mod Phi_m."""
     deg, rows = _reduction(m)[:2]
-    if len(vec) - deg > len(rows):
-        raise ValueError(f"polynomial of degree {len(vec) - 1} is too long to reduce mod Phi_{m}")
+    if len(vec) > m:
+        vec = [sum(vec[j::m]) for j in range(m)]  # x^m = 1
     head = vec[:deg] + [0] * (deg - len(vec))
     for c, row in zip(vec[deg:], rows):
         if c:
@@ -399,10 +410,7 @@ class CycNum:
     @classmethod
     def root_of_unity(cls, m: int, j: int) -> "CycNum":
         """zeta_m^j as a canonical element of Q(zeta_m)."""
-        j %= m
-        vec = [0] * (j + 1)
-        vec[j] = 1
-        return cls(m, _reduce_int_poly(vec, m))
+        return cls(m, _reduce_int_poly([0] * (j % m) + [1], m))
 
     @classmethod
     def from_zeta_powers(cls, m: int, powers: list[int], scale: Fraction = Fraction(1)) -> "CycNum":
@@ -418,10 +426,7 @@ class CycNum:
             return self
         if target % self.m:
             raise ValueError("conductor lift requires a multiple")
-        step = target // self.m
-        vec = [0] * ((len(self.nums) - 1) * step + 1)
-        vec[::step] = self.nums
-        return CycNum(target, _reduce_int_poly(vec, target), self.den)
+        return CycNum(target, _reduce_int_poly(_stretch(self.nums, target // self.m), target), self.den)
 
     def _pair(self, other: "CycNum") -> tuple["CycNum", "CycNum"]:
         if self.m == other.m:

@@ -16,6 +16,7 @@ from psl2q import cyclotomic
 from psl2q.cyclotomic import (
     CycNum,
     _convolve,
+    _product_rows,
     _reduction,
     conjugate_rows,
     cyclotomic_polynomial,
@@ -328,6 +329,16 @@ def test_dense_products_at_the_q19_conductors_match_the_fraction_oracle(operands
     assert _agrees(a2 * a2, ra2.mul(ra2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(oracle_operands([5, 9, 25]))
+def test_folded_products_at_odd_conductors_match_the_fraction_oracle(operands):
+    # 2 deg - 1 > m: the convolution of two reduced values passes x^(m-1)
+    _, (a, ra), (b, rb) = operands
+    a2, ra2 = a * a.conjugate() + b, ra.mul(ra.conjugate()).add(rb)  # a dense operand
+    assert _agrees(a2 * b, ra2.mul(rb))
+    assert _agrees(a2 * a2, ra2.mul(ra2))
+
+
 # -- the reduction record -------------------------------------------------------
 
 
@@ -346,39 +357,49 @@ def test_reduction_rows_match_the_long_division_oracle():
     for m in range(1, 401):
         record = _reduction(m)
         assert record.deg == len(cyclotomic_polynomial(m)) - 1
-        assert _dense_rows(record) == _ref_rows(m), m
+        assert len(record.rows) == m - record.deg
+        assert _dense_rows(record) == _ref_rows(m)[: m - record.deg], m
         assert all(c and type(i) is int and type(c) is int for row in record.rows for i, c in row)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 12, 105, 342, 385, 930, 1860])
-def test_reduction_dense_prefix_and_bounds_match_a_brute_recomputation(m):
-    # 105 and 385 are the least conductors whose Phi_m has a coefficient -2
+def _column_bound(rows):
+    return max((sum(abs(c) for c in column) for column in zip(*rows)), default=0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 9, 12, 25, 105, 342, 385, 930, 1860])
+def test_product_rows_and_bounds_match_a_brute_recomputation(m):
+    # 105 and 385 are the least conductors whose Phi_m has a coefficient -2;
+    # 5, 9 and 25 are odd, so a product's convolution folds by x^m = 1 and
+    # reaches only m - deg < deg - 1 rows
     record = _reduction(m)
     deg, rows = record.deg, _dense_rows(record)
-    assert _reduction(m) is record
-    assert record.dense.dtype == np.int64 and record.dense.tolist() == rows[: deg - 1]
-    assert record.dense_float.dtype == np.float64 and (record.dense_float == record.dense).all()
-    assert record.dense_col == max((sum(abs(c) for c in column) for column in zip(*rows[: deg - 1])), default=0)
-    assert record.count_col == max((sum(abs(c) for c in column) for column in zip(*rows[: m - deg])), default=0)
+    dense, col = _product_rows(m)
+    assert _reduction(m) is record and _product_rows(m)[0] is dense
+    reached = min(2 * deg - 1, m) - deg
+    assert dense.dtype == np.float64 and dense.shape == (reached, deg) and dense.tolist() == rows[:reached]
+    assert col == _column_bound(rows[:reached])
+    assert record.count_col == _column_bound(rows)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_reduction_records_do_not_depend_on_the_block_size(monkeypatch, block):
-    # blocks of one row, blocks that split the dense prefix and the count rows
-    # mid-block, and primes, whose dense prefix outlasts the count rows
+    # blocks of one row, blocks that end mid-record, and primes, whose
+    # record has fewer rows than deg - 1
     monkeypatch.setattr(cyclotomic, "ROW_BLOCK", block)
     for m in (1, 2, 3, 12, 13, 97, 105, 210):
-        record, default = _reduction.__wrapped__(m), _reduction(m)
-        assert record.rows == default.rows and (record.dense == default.dense).all()
-        assert record[4:] == default[4:], m
+        assert _reduction.__wrapped__(m) == _reduction(m), m
 
 
 def reduction_digest(record):
+    """The sparse rows, the first deg - 1 of them as a dense int64 matrix, its
+    column bound and the record's: every pinned conductor is even, so the
+    record has those rows."""
+    dense = np.array(_dense_rows(record)[: record.deg - 1], dtype=np.int64).reshape(record.deg - 1, record.deg)
     h = hashlib.sha256()
     h.update(repr([[(int(i), int(c)) for i, c in row] for row in record.rows]).encode())
-    h.update(repr((record.dense.shape, str(record.dense.dtype))).encode())
-    h.update(np.ascontiguousarray(record.dense).tobytes())
-    h.update(repr((int(record.dense_col), int(record.count_col))).encode())
+    h.update(repr((dense.shape, str(dense.dtype))).encode())
+    h.update(np.ascontiguousarray(dense).tobytes())
+    h.update(repr((_column_bound(dense.tolist()), int(record.count_col))).encode())
     return h.hexdigest()
 
 
@@ -480,9 +501,10 @@ def test_convolution_matches_schoolbook(a, b):
     assert _convolve(a, b) == _schoolbook(a, b)
 
 
-# conductors of degree 1, small ones, and those of the Gauss sums at q = 9, 17,
-# 19, 25, 27 and 31 (lcm(p, q-1) = 24, 272, 342, 120, 78, 930)
-ROW_CONDUCTORS = [1, 2, 3, 12, 24, 78, 120, 272, 342, 930]
+# conductors of degree 1, small ones, odd ones whose products fold by
+# x^m = 1 (5, 9, 25), and those of the Gauss sums at q = 9, 17, 19, 25, 27
+# and 31 (lcm(p, q-1) = 24, 272, 342, 120, 78, 930)
+ROW_CONDUCTORS = [1, 2, 3, 5, 9, 12, 24, 25, 78, 120, 272, 342, 930]
 
 # regime -> (the largest |entry| of the operands given deg * (1 + col), the
 # range [low, high) of the exactness bound, the result's dtype): the float64
@@ -500,11 +522,12 @@ ROW_REGIMES = {
 @functools.cache
 def _bound_scale(m):
     """deg * (1 + col), col the largest column sum of |x^(deg+k) mod Phi_m|
-    over k = 0..deg-2, from `CycNum.root_of_unity`: the exactness bound of a
-    row product is this times max|a| * max|b|."""
+    over the k < min(deg - 1, m - deg) that a folded convolution reaches,
+    from `CycNum.root_of_unity`: the exactness bound of a row product is
+    this times max|a| * max|b|."""
     deg = len(cyclotomic_polynomial(m)) - 1
-    rows = [CycNum.root_of_unity(m, deg + k).nums for k in range(deg - 1)]
-    return deg * (1 + max((sum(abs(c) for c in column) for column in zip(*rows)), default=0))
+    rows = [CycNum.root_of_unity(m, deg + k).nums for k in range(min(deg - 1, m - deg))]
+    return deg * (1 + _column_bound(rows))
 
 
 @pytest.mark.parametrize("m", ROW_CONDUCTORS)

@@ -3,9 +3,12 @@ rank suite reports it: the named check fails at q = 5 and 7, and for the
 faults in the Schur certificate of the rank also at q = 9, 11, 13 and 25,
 where the rank is reported as undecided; a closed (0, inf) row of N one off
 fails exactly the closed-form check of N at q = 5, 7 and 25; a doubled
-Gauss sum fails its two checks at q = 9 and 13.
+Gauss sum fails its two checks at q = 9 and 13; a reduction row one off
+fails the sampled cyclotomic arithmetic at q = 5 and 7.
 One more checks that every caller of the Hermitian form reaches the kernel
 the fault is planted in."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -51,6 +54,7 @@ def _one_numerator_off(conductor, index):
     return perturbed
 
 
+_reduction = cyclotomic._reduction
 _families = DerangementModel.families
 _gram_row_zero_inf_closed = DerangementModel.gram_row_zero_inf_closed
 _kernel_vectors = DerangementModel.kernel_vectors
@@ -88,6 +92,20 @@ def _kernel_indicator_off(self):
     first = first.copy()
     first[0, self.omega_index[(1, 2)]] += 1
     return first, second
+
+
+def _row_zero_off_by_one(conductor):
+    """`cyclotomic._reduction` with the first coefficient of row 0,
+    x^phi(m) mod Phi_m, one more at the given conductor."""
+
+    def planted(m):
+        record = _reduction(m)
+        if m != conductor:
+            return record
+        (i, c), *rest = record.rows[0]
+        return record._replace(rows=[[(i, c + 1), *rest], *record.rows[1:]])
+
+    return planted
 
 
 def _psi_minus1_scalar_zero(self):
@@ -165,6 +183,15 @@ def test_a_doubled_gauss_sum_fails_as_reported_checks(monkeypatch, q):
 
     monkeypatch.setattr(FieldCtx, "gauss_sum", doubled)
     assert _failed(q) == {"gauss_sum_properties", "katz_conversion_and_generator_independence"}
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_reduction_row_off_by_one(monkeypatch, q):
+    # the sampled products' oracle divides by Phi_(q-1) and reads no row; a
+    # fresh matrix cache keeps no planted product matrix past the test
+    monkeypatch.setattr(cyclotomic, "_reduction", _row_zero_off_by_one(q - 1))
+    monkeypatch.setattr(cyclotomic, "_product_rows", functools.cache(cyclotomic._product_rows.__wrapped__))
+    assert "cyclotomic_arithmetic_sample" in _failed(q)
 
 
 @pytest.mark.parametrize("q", [5, 7])

@@ -1,9 +1,11 @@
 """Tests for the verification suite runners."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
+from psl2q import charsums, cyclotomic, verify
 from psl2q.charsums import CharacterSums
 from psl2q.cyclotomic import CycNum
 from psl2q.derangement import DerangementModel
@@ -30,6 +32,22 @@ def test_rank_suite_reads_no_element_list(monkeypatch, q):
     monkeypatch.setattr(PGL2, "elements", lambda self, which="pgl": calls.append(which) or elements(self, which))
     assert run_suite("rank", q)["pass"] is True
     assert calls == []
+
+
+def test_only_the_sums_suite_builds_product_matrices(monkeypatch):
+    # from a cleared cache, the table, rank and ekr suites multiply no rows
+    # of numerators; the sums suite builds one matrix for each conductor it
+    # multiplies rows in, on the first product there
+    built, multiplied = [], set()
+    product_rows, row_products = cyclotomic._product_rows.__wrapped__, cyclotomic.row_products
+    monkeypatch.setattr(cyclotomic, "_product_rows", functools.cache(lambda m: built.append(m) or product_rows(m)))
+    for suite in ("table", "rank", "ekr"):
+        assert run_suite(suite, 9)["pass"] is True
+    assert built == []
+    for module in (charsums, verify):
+        monkeypatch.setattr(module, "row_products", lambda m, a, b: multiplied.add(m) or row_products(m, a, b))
+    assert run_suite("sums", 9)["pass"] is True
+    assert built and sorted(built) == sorted(multiplied)
 
 
 @pytest.mark.parametrize("q", [25, 27])
