@@ -44,14 +44,16 @@ of one function with one or many, and return each value as a `CycNum` in the
 conductor it lives in.
 
 The Katz sum reads the q-1 Gauss sums g(omega_1^j) once (`gauss_table`): the
-rows of an integer matrix, their conjugates and one verdict per row, g = -1
-in row 0 and g conj(g) = q in the others; omega only permutes the rows.  The
-sum over k starts from the rows gathered at k + a_1 and takes one row-wise
-product (`cyclotomic.row_products`) with the rows gathered at each further
-k + a_i and -k - b_j: 2m - 1 products for m parameters.  Then come a
-rotation of row k by the twist omega^k((-1)^m lambda), one reduction of the
-summed rows, and one product with the k-independent inverses conj(g)/q
-(-1 in row 0), each read only where its row's verdict holds.
+rows of an integer matrix and one verdict per row, g = -1 in row 0 and
+g conj(g) = q in the others; omega only permutes the rows.  The sum over k
+starts from the rows gathered at k + a_1 and takes one row-wise product
+(`cyclotomic.row_products`) with the rows gathered at each further k + a_i
+and -k - b_j: 2m - 1 products for m parameters.  Then come a rotation of
+row k by the twist omega^k((-1)^m lambda), one reduction of the summed
+rows, and one product with the k-independent inverse 1/prod g, read only
+where every used row's verdict holds: row 0 of the product is prod g, so
+the inverse is its conjugate (`cyclotomic.conjugate_rows`) over q^c, c the
+number of nontrivial characters among the parameters.
 """
 
 from __future__ import annotations
@@ -62,7 +64,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import cyclotomic
-from .cyclotomic import CycNum, _canonical, conjugate_rows, reduce_zeta_counts, row_products, zeta_terms
+from .cyclotomic import (
+    CycNum,
+    _canonical,
+    conjugate_rows,
+    exact_dtype,
+    max_abs,
+    reduce_zeta_counts,
+    row_products,
+    zeta_terms,
+)
 from .errors import (
     ArityMismatchError,
     DomainMismatchError,
@@ -94,7 +105,7 @@ class CharacterSums:
         self._legendre_cache: dict[tuple[int, int], CycNum] = {}
         self._soto_cache: dict[tuple[int, int], CycNum] = {}
         self._tables: dict[int, np.ndarray] = {}  # conductor -> Legendre or Soto-Andrade table
-        self._gauss: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._gauss: tuple[int, np.ndarray, np.ndarray] | None = None
         self._greene_tables: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[np.ndarray, Fraction]] = {}
         self._mu = np.array([self.measure(x) for x in range(self.q)], dtype=np.int64)
 
@@ -347,7 +358,7 @@ class CharacterSums:
         twist = lam if len(alpha) % 2 == 0 else ctx.neg(lam)
         if twist == 0:
             return CycNum.zero()  # omega^k(0) = 0 under the zero convention
-        m, rows, conjugates, holds = self.gauss_table()
+        m, rows, holds = self.gauss_table()
         n = q - 1
         # row k: the product over the parameters of g(omega^(k+a)) and g(omega^(-k-b))
         k = np.arange(n)
@@ -355,26 +366,26 @@ class CharacterSums:
         product = rows[(exponents[0] * omega_exponent) % n]
         for j in exponents[1:]:
             product = row_products(m, product, rows[(j * omega_exponent) % n])
-        # the k-independent factors 1/g: conj(g)/q, and conj(g) = g = -1 for the trivial character
-        inverses, den = np.eye(1, rows.shape[1], dtype=np.int64), q - 1  # 1/(1-q) is -1/(q-1)
-        for j in a_exps + [-be for be in b_exps]:
-            j = (j * omega_exponent) % n
+        # the k-independent factor 1/prod g is conj(product row 0)/q^c, c the
+        # number of nontrivial characters: g conj(g) = q, and g = -1 for the
+        # trivial one; 1/(1-q) is -1/(q-1)
+        used = [(j * omega_exponent) % n for j in a_exps + [-be for be in b_exps]]
+        for j in used:
             if not holds[j]:
                 raise IdentityViolationError(f"Gauss sum g({j}) times its claimed inverse is not 1")
-            inverses = row_products(m, inverses, conjugates[j : j + 1])
-            den *= q if j else 1
+        inverse, den = conjugate_rows(m, product[:1]), (q - 1) * q ** sum(1 for j in used if j)
         # omega^k(twist) = zeta_(q-1)^(e_k): row k rotates by e_k m/(q-1) in Z/m
         e = (omega_exponent * ctx.log[twist] * k) % n * (m // n)
-        counts = np.zeros((1, m), dtype=object)
-        np.add.at(counts[0], (e[:, None] + np.arange(rows.shape[1])) % m, product.astype(object))
-        total = row_products(m, reduce_zeta_counts(m, counts), inverses)[0]
+        counts = np.zeros((1, m), dtype=exact_dtype(n * max_abs(product)))
+        np.add.at(counts[0], (e[:, None] + np.arange(rows.shape[1])) % m, product)
+        total = row_products(m, reduce_zeta_counts(m, counts), inverse)[0]
         return _canonical(m, tuple([-c for c in total.tolist()]), den)
 
-    def gauss_table(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """(m, rows, conjugates, holds), built once: row j of rows (conjugates)
-        holds the reduced numerators in Q(zeta_m) of g(omega_1^j) (its complex
-        conjugate), omega_1 the character of exponent 1; exponent s permutes
-        the rows, j -> s*j.  holds[j]: g = -1 if j = 0, else g conj(g) = q."""
+    def gauss_table(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(m, rows, holds), built once: row j of rows holds the reduced
+        numerators in Q(zeta_m) of g(omega_1^j), omega_1 the character of
+        exponent 1; exponent s permutes the rows, j -> s*j.  holds[j]:
+        g = -1 if j = 0, else g conj(g) = q."""
         if self._gauss is None:
             ctx, q = self.ctx, self.q
             sums = [ctx.gauss_sum(ctx.fq_char(j)) for j in range(q - 1)]
@@ -387,7 +398,7 @@ class CharacterSums:
             holds = np.empty(q - 1, dtype=bool)
             holds[0] = (rows[0] == -unit).all()
             holds[1:] = (row_products(m, rows[1:], conjugates[1:]) == q * unit).all(axis=1)
-            self._gauss = (m, rows, conjugates, holds)
+            self._gauss = (m, rows, holds)
         return self._gauss
 
     def f43_deviation_bound(self, n: int) -> tuple[Fraction, int, bool]:

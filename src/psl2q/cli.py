@@ -29,8 +29,8 @@ from .groups import PGL2
 from .verify import SUITES, run_suite
 
 # The ekr clique search stops at ekr.MAX_Q = 19, where a fresh-process run
-# takes 6-8 s on a 2-core machine; table, sums and rank take 0.24-0.26 s
-# each there, none reliably the longest.  Larger q is not budgeted.
+# takes 0.4-0.6 s on a 2-core machine, 0.16-0.27 s of it the suite; table,
+# sums and rank take 0.24-0.26 s each there.  Larger q is not budgeted.
 MAX_VERIFY_Q = 19
 
 

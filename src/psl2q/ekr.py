@@ -12,16 +12,24 @@ such mask, and the neighbourhood of g is the OR over x of the cosets
 {x -> x^g}, less g itself.  By sharp 3-transitivity the images of 0, 1 and
 infinity determine an element; the graph maps those triples back to
 positions, so a right translation g -> g*h is three tuple lookups and one
-dict lookup, with no matrix product.  The public functions take and return
-sets of Element tuples.
+dict lookup, with no matrix product.  The graph's methods work on masks
+(`mask` and `members` convert); the module functions take and return sets of
+Element tuples.
 
 The adjacency is invariant under right translation, so every maximum family
-is a translate of one through the identity.  One branch and bound over the
-identity's neighbourhood, with a greedy coloring bound, finds the largest
-clique size and every clique of that size, and each is re-expanded by all
-right translations.  A stabilizer {g : x^g = x} translates by h to the coset
-{x -> x^h}, so only a family that is no coset (q = 3) is translated element
-by element.
+is a translate of one through the identity e; conjugation by PGL(2,q) fixes
+e and preserves the adjacency too.  So the search branches once per PGL
+class that meets the neighbourhood N(e) (orbital branching): with r the
+class's first vertex, a branch and bound with a greedy coloring bound
+searches N(e) and the neighbourhood of r, less the classes of the earlier
+branches, for the largest cliques; a family with a vertex of an earlier
+class is conjugate to one through that class's representative.  A branch
+is cut only when it falls strictly below the best size so far, so ties are
+kept.  Each clique e + r + C is re-expanded by every conjugation and then
+by every right translation.  A stabilizer {g : x^g = x} conjugates to every
+{z -> z} and translates by h to the coset {x -> x^h}, so only a family that
+is no coset (q = 3) is conjugated (through the group's product) and
+translated element by element.
 """
 
 from __future__ import annotations
@@ -133,6 +141,47 @@ class IntersectionGraph:
         x, y = pair
         return {self.coset[x][image[y]] for image in self.images}
 
+    def conjugate(self, mask: int, h: Element) -> int:
+        """{h^-1 g h : g in mask}, h an element of PGL(2,q)."""
+        mul, inv = self.group.mul, self.group.inv
+        return self.mask(mul(inv(h), mul(g, h)) for g in self.members(mask))
+
+    def conjugates(self, mask: int) -> set[int]:
+        """Every conjugate of a family by PGL(2,q)."""
+        pair = self.coset_of(mask)
+        if pair is not None and pair[0] == pair[1]:
+            return {self.coset[z][z] for z in self.group.points}
+        return {self.conjugate(mask, h) for h in self.group.elements("pgl")}
+
+    def branch_representatives(self) -> tuple[int, list[int], list[int]]:
+        """The identity's position; the first neighbour of the identity in each
+        PGL class that meets its neighbourhood, by class position; and each
+        such class as a mask."""
+        identity = self.index[self.group.identity]
+        neighbours = np.fromiter(mask_bits(self.adjacency[identity]), dtype=np.intp)
+        classes = self.group.class_array(self.vertices)
+        present, first = np.unique(classes[neighbours], return_index=True)
+        orbits = [np.packbits(classes == c, bitorder="little").tobytes() for c in present]
+        return identity, neighbours[first].tolist(), [int.from_bytes(orbit, "little") for orbit in orbits]
+
+    def maximum_families(self) -> tuple[int, list[int]]:
+        """Size of the largest intersecting family and every family of that
+        size, as masks ordered by their sorted elements: the largest cliques
+        through the identity e and one representative r per branch, each
+        expanded by conjugation and right translation."""
+        adj = self.adjacency
+        identity, representatives, orbits = self.branch_representatives()
+        best, found, earlier = 0, [], 0
+        for r, orbit in zip(representatives, orbits):
+            size, cliques = _maximum_cliques(adj, adj[identity] & adj[r] & ~earlier, best)
+            if size > best:
+                best, found = size, []
+            found += [clique | 1 << identity | 1 << r for clique in cliques]
+            earlier |= orbit
+        conjugated = set().union(*(self.conjugates(clique) for clique in found))
+        families = set().union(*(self.translates(mask) for mask in conjugated))
+        return best + 2, sorted(families, key=lambda mask: list(mask_bits(mask)))
+
 
 def _color_bound_order(adj: list[int], cand: int) -> tuple[list[int], list[int]]:
     """Greedy coloring of the candidate set; vertices come back ordered by
@@ -154,15 +203,16 @@ def _color_bound_order(adj: list[int], cand: int) -> tuple[list[int], list[int]]
     return order, bounds
 
 
-def _maximum_cliques(adj: list[int], cand: int) -> tuple[int, list[int]]:
-    """Size of the largest clique inside cand and every clique of that size.
+def _maximum_cliques(adj: list[int], cand: int, floor: int = 0) -> tuple[int, list[int]]:
+    """Size of the largest clique inside cand, or floor if that is larger,
+    and every clique of that size.
 
-    A branch is cut only when it cannot reach the best size so far, so ties
-    are explored; a clique is recorded when nothing extends it, and each
-    clique is reached along one path because a vertex leaves the candidates
-    once its branch is done.
+    A branch is cut only when it cannot reach the best size so far, starting
+    from floor, so ties are explored; a clique is recorded when nothing
+    extends it, and each clique is reached along one path because a vertex
+    leaves the candidates once its branch is done.
     """
-    best, found = 0, []
+    best, found = floor, []
 
     def extend(cand: int, clique: int, size: int):
         nonlocal best, found
@@ -198,13 +248,8 @@ def max_intersecting_families(
     """Size of the largest intersecting family and every family of that size,
     ordered by their sorted elements."""
     graph = _graph_for(group, graph)
-    identity = graph.index[group.identity]
-    size, cliques = _maximum_cliques(graph.adjacency, graph.adjacency[identity])
-    families: set[int] = set()
-    for clique in cliques:
-        families |= graph.translates(clique | 1 << identity)
-    ordered = sorted(families, key=lambda mask: list(mask_bits(mask)))
-    return size + 1, [graph.members(mask) for mask in ordered]
+    size, families = graph.maximum_families()
+    return size, [graph.members(mask) for mask in families]
 
 
 def is_intersecting(group: PGL2, members, graph: IntersectionGraph | None = None) -> bool:

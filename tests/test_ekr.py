@@ -6,8 +6,10 @@ import pytest
 
 from psl2q.ekr import (
     IntersectionGraph,
+    _maximum_cliques,
     classify_family,
     is_intersecting,
+    mask_bits,
     max_intersecting_families,
     psl_point_cosets,
     stabilizer_coset,
@@ -224,3 +226,57 @@ def test_ekr_suite_q11():
     assert report["pass"] is True
     assert report["max_size"] == 55
     assert report["family_count"] == 144
+
+
+def _whole_neighbourhood_families(graph):
+    """The search without orbital branching, as the tests' oracle: one branch
+    and bound over the whole neighbourhood of the identity, each clique
+    expanded by right translation only."""
+    identity = graph.index[graph.group.identity]
+    size, cliques = _maximum_cliques(graph.adjacency, graph.adjacency[identity])
+    families = set()
+    for clique in cliques:
+        families |= graph.translates(clique | 1 << identity)
+    return size + 1, sorted(families, key=lambda mask: list(mask_bits(mask)))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_orbital_search_matches_the_whole_neighbourhood_search(q):
+    graph = IntersectionGraph(PGL2(field_ctx_for_q(q)))
+    size, families = graph.maximum_families()
+    assert (size, families) == _whole_neighbourhood_families(graph)
+    others = [mask for mask in families if graph.coset_of(mask) is None]
+    assert bool(others) == (q == 3)  # the non-coset families of q = 3 come through conjugation too
+
+
+@pytest.mark.parametrize("q", [3, 5, 13])
+def test_branches_are_the_identity_neighbours_classes(q):
+    G = PGL2(field_ctx_for_q(q))
+    graph = IntersectionGraph(G)
+    identity, representatives, orbits = graph.branch_representatives()
+    assert graph.vertices[identity] == G.identity
+    neighbours = set(mask_bits(graph.adjacency[identity]))
+    labels = [G.classify(graph.vertices[r]) for r in representatives]
+    assert len(set(labels)) == len(labels)
+    for r, label, orbit in zip(representatives, labels, orbits):
+        members = {i for i in neighbours if G.classify(graph.vertices[i]) == label}
+        assert set(mask_bits(orbit)) == members and r == min(members)
+    assert set().union(*(mask_bits(orbit) for orbit in orbits)) == neighbours
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_conjugates_match_group_mul(q):
+    G = PGL2(field_ctx_for_q(q))
+    graph = IntersectionGraph(G)
+    rng = random.Random(q)
+    pgl = G.elements("pgl")
+    cosets = [stabilizer_coset(G, x, y) for x in (0, q) for y in (0, 1)]
+    samples = [frozenset(rng.sample(graph.vertices, rng.randint(1, 4))) for _ in range(6)]
+    for family in cosets + samples:
+        got = graph.conjugates(graph.mask(family))
+        expected = {frozenset(G.mul(G.inv(h), G.mul(g, h)) for g in family) for h in pgl}
+        assert {graph.members(mask) for mask in got} == expected
+    for _ in range(50):
+        g, h = rng.choice(graph.vertices), rng.randrange(len(pgl))
+        got = graph.conjugate(1 << graph.index[g], pgl[h])
+        assert graph.members(got) == {G.mul(G.inv(pgl[h]), G.mul(g, pgl[h]))}

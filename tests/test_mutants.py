@@ -1,23 +1,33 @@
-"""Each test plants one fault in the program and checks that the sums or the
-rank suite reports it: the named check fails at q = 5 and 7, and for the
-faults in the Schur certificate of the rank also at q = 9, 11, 13 and 25,
-where the rank is reported as undecided; a closed (0, inf) row of N one off
-fails exactly the closed-form check of N at q = 5, 7 and 25; a doubled
-Gauss sum fails its two checks at q = 9 and 13; a reduction row one off
-fails the sampled cyclotomic arithmetic at q = 5 and 7.
+"""Each test plants one fault in the program and checks that the sums, the
+rank or the ekr suite reports it: the named check fails at q = 5 and 7, and
+for the faults in the Schur certificate of the rank also at q = 9, 11, 13
+and 25, where the rank is reported as undecided; a closed (0, inf) row of N
+one off fails exactly the closed-form check of N at q = 5, 7 and 25; a
+doubled Gauss sum fails its two checks at q = 9 and 13; a reduction row one
+off fails the sampled cyclotomic arithmetic at q = 5 and 7; the two faults
+in the clique search fail at q = 3 too.
 One more checks that every caller of the Hermitian form reaches the kernel
-the fault is planted in."""
+the fault is planted in.
+
+Not planted, because it is equivalent at q >= 5: dropping one branch of the
+clique search together with its class.  Every class of the identity's
+neighbours fixes a point, so each remaining branch finds the stabilizers of
+its representative's fixed points, and conjugation carries them to every
+stabilizer; the reports stay byte-identical at q = 5 to 13 for each branch
+dropped.  At q = 3 the one branch is the unipotent class, and dropping it is
+the skipped search below."""
 
 import functools
 
 import numpy as np
 import pytest
 
-from psl2q import charsums, cyclotomic
+from psl2q import charsums, cyclotomic, ekr
 from psl2q.charsums import CharacterSums
 from psl2q.chartable import build_table
 from psl2q.cyclotomic import CycNum
 from psl2q.derangement import DerangementModel
+from psl2q.ekr import IntersectionGraph
 from psl2q.fields import FieldCtx, field_ctx_for_q
 from psl2q.groups import PGL2
 from psl2q.verify import run_suite
@@ -61,6 +71,7 @@ _kernel_vectors = DerangementModel.kernel_vectors
 _direct_sums = DerangementModel.direct_sums
 _pair_counts = DerangementModel.pair_counts
 _derangements = PGL2.derangements
+_maximum_cliques = ekr._maximum_cliques
 SCHUR_QS = [5, 7, 9, 11, 13, 25]
 
 
@@ -266,3 +277,33 @@ def test_every_form_reaches_the_planted_kernel(monkeypatch):
         before = len(calls)
         form()
         assert len(calls) > before, form
+
+
+def _first_search_skipped():
+    """`ekr._maximum_cliques` finding nothing on its first call: the first
+    class branch is skipped, and its class is still left out of the later
+    branches."""
+    calls = []
+
+    def planted(adj, cand, floor=0):
+        calls.append(cand)
+        return (floor, []) if len(calls) == 1 else _maximum_cliques(adj, cand, floor)
+
+    return planted
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_a_skipped_class_branch_fails_the_size_check(monkeypatch, q):
+    # every maximum family through the identity holds an element of the
+    # first class, the unipotent one
+    monkeypatch.setattr(ekr, "_maximum_cliques", _first_search_skipped())
+    assert {"maximum_family_size", "stabilizer_cosets_are_maximum_families"} <= _failed(q, "ekr")
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_translation_in_place_of_conjugation_misses_cosets(monkeypatch, q):
+    # the stabilizers found translate only to the cosets {x -> y} of their own points x
+    monkeypatch.setattr(IntersectionGraph, "conjugates", IntersectionGraph.translates)
+    failed = _failed(q, "ekr")
+    assert "stabilizer_cosets_are_maximum_families" in failed
+    assert ("all_maximum_families_are_cosets" in failed) == (q != 3)

@@ -3,6 +3,7 @@
 import functools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from psl2q import charsums, cyclotomic, verify
@@ -162,11 +163,27 @@ def test_pair_reach_matches_the_constraint_solver(q):
     G = PGL2(field_ctx_for_q(q))
     pairs = [(a, b) for a in G.points for b in G.points if a != b]
     psl = G.elements("psl")
-    reach = _pair_reach(G.image_array(psl), pairs)
+    reach = _pair_reach(G, G.element_array("psl"), pairs)
     for s in pairs:
         for t in pairs:
             solved = any(G.act(s[0], g) == t[0] and G.act(s[1], g) == t[1] for g in psl)
             assert reach[s][t[0] * (q + 1) + t[1]] == solved
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
+@pytest.mark.parametrize("step", [1, 3])
+def test_pair_reach_matches_the_whole_image_array(q, step):
+    # every source pair, then every third
+    G = PGL2(field_ctx_for_q(q))
+    psl = G.element_array("psl")
+    columns, n = G.image_array(psl).T, q + 1
+    sources = [(a, b) for a in G.points for b in G.points if a != b][::step]
+    reach = _pair_reach(G, psl, sources)
+    assert sorted(reach) == sources
+    for s0, s1 in sources:
+        expected = np.zeros(n * n, dtype=bool)
+        expected[columns[s0] * n + columns[s1]] = True
+        assert (reach[s0, s1] == expected).all()
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
