@@ -39,9 +39,15 @@ The weighted Hermitian form is `cyclotomic.hermitian_form` of the
 functions' terms (`cyclotomic.zeta_terms`), with the measure as the weight.
 `gram` runs it on every ordered pair at once in Q(zeta_L), L the lcm of
 every conductor, and returns the reduced numerators and the denominators as
-arrays.  `l2_inner` and `orthonormal_coefficient_squares` run the cross form
-of one function with one or many, and return each value as a `CycNum` in the
-conductor it lives in.
+arrays.  `l2_inner` runs the cross form of two functions and returns the
+value as a `CycNum` in the conductor it lives in.  The function
+f = phi(1-x) P_phi(x) is rational with denominator q, so the form of f with
+a table function (row k of a Legendre or Soto-Andrade table over q) needs
+no kernel: q^2 <f, row k / q> is the integer weights measure(a) q f(a)
+times row -k, the conjugate of row k, and `f_forms` takes it for many k in
+one product.  The expansion of f (`orthonormal_coefficient_squares`), the
+psi margin (`f_coefficient_identity`) and the rank model's closed forms
+read it, and ||f||^2 is one rational sum.
 
 The Katz sum reads the q-1 Gauss sums g(omega_1^j) once (`gauss_table`): the
 rows of an integer matrix and one verdict per row, g = -1 in row 0 and
@@ -69,6 +75,7 @@ from .cyclotomic import (
     _canonical,
     conjugate_rows,
     exact_dtype,
+    exact_product,
     max_abs,
     reduce_zeta_counts,
     row_products,
@@ -108,6 +115,7 @@ class CharacterSums:
         self._gauss: tuple[int, np.ndarray, np.ndarray] | None = None
         self._greene_tables: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[np.ndarray, Fraction]] = {}
         self._mu = np.array([self.measure(x) for x in range(self.q)], dtype=np.int64)
+        self._f_weights: np.ndarray | None = None
 
     # -- the measure and the inner product ------------------------------------
 
@@ -222,41 +230,33 @@ class CharacterSums:
 
     # -- the orthogonal basis ----------------------------------------------------
 
+    def _basis_elements(self) -> list[tuple[str, MultCharFq | MultCharB, Fraction]]:
+        """(name, character, expected squared norm) for each basis element,
+        in `orthogonal_basis` order: q times the element is the character's
+        row of the Legendre or the Soto-Andrade table, less q-1 for
+        P_eps_shifted."""
+        ctx, q = self.ctx, self.q
+        return [
+            ("P_eps_shifted", ctx.trivial_char(), Fraction(q * q - 1, q)),
+            ("P_phi", ctx.quadratic_char(), Fraction(q * q - 1, q * q)),
+            *((f"P_gamma[{gamma.exponent}]", gamma, Fraction(q - 1, q)) for gamma in ctx.gamma_set()),
+            *((f"R_beta[{beta.exponent}]", beta, Fraction(q + 1, q)) for beta in ctx.beta_set()),
+        ]
+
     def orthogonal_basis(self) -> list[tuple[str, list[CycNum], Fraction]]:
         """(name, values over F_q, expected squared norm) for each basis element:
         the shifted trivial sum, P_phi, the P_gamma and the R_beta."""
-        ctx = self.ctx
         q = self.q
-        eps = ctx.trivial_char()
         shift = Fraction(q - 1, q)
-        out = [
-            (
-                "P_eps_shifted",
-                [self.legendre_sum(eps, a) - shift for a in range(q)],
-                Fraction(q * q - 1, q),
-            ),
-            (
-                "P_phi",
-                [self.legendre_sum(ctx.quadratic_char(), a) for a in range(q)],
-                Fraction(q * q - 1, q * q),
-            ),
-        ]
-        for gamma in ctx.gamma_set():
-            out.append(
-                (
-                    f"P_gamma[{gamma.exponent}]",
-                    [self.legendre_sum(gamma, a) for a in range(q)],
-                    Fraction(q - 1, q),
-                )
-            )
-        for beta in ctx.beta_set():
-            out.append(
-                (
-                    f"R_beta[{beta.exponent}]",
-                    [self.soto_andrade_sum(beta, a) for a in range(q)],
-                    Fraction(q + 1, q),
-                )
-            )
+        out = []
+        for name, char, norm_sq in self._basis_elements():
+            if isinstance(char, MultCharB):
+                values = [self.soto_andrade_sum(char, a) for a in range(q)]
+            elif char.is_trivial():
+                values = [self.legendre_sum(char, a) - shift for a in range(q)]
+            else:
+                values = [self.legendre_sum(char, a) for a in range(q)]
+            out.append((name, values, norm_sq))
         return out
 
     # -- hypergeometric sums -------------------------------------------------------
@@ -429,18 +429,45 @@ class CharacterSums:
             self.legendre_sum(phi, x) * ctx.phi_int(ctx.sub(1, x)) for x in range(self.q)
         ]
 
+    def f_weights(self) -> np.ndarray:
+        """measure(a) * q * f(a) for every a, integers since f has
+        denominator q; built once."""
+        if self._f_weights is None:
+            q = self.q
+            self._f_weights = self._mu * np.array([int(v.as_fraction() * q) for v in self.f_vector()], dtype=np.int64)
+        return self._f_weights
+
+    def f_forms(self, table: np.ndarray, ks, extra: int = 0) -> np.ndarray:
+        """Row i: the reduced numerators of q^2 <f, g>, g = row ks[i] of a
+        Legendre or Soto-Andrade table over q, in the table's conductor.  It
+        is the weights (`f_weights`) times the rows -ks[i], the conjugates of
+        the rows ks[i]: one integer product, in the dtype `exact_product`
+        picks with extra as there."""
+        return exact_product(self.f_weights(), table[-np.asarray(ks) % len(table)], extra)
+
     def f_norm_squared(self) -> Fraction:
-        f = self.f_vector()
-        return self.l2_inner(f, f).as_fraction()
+        """The sum over a of measure(a) f(a)^2, f being rational."""
+        return sum((self.measure(a) * v.as_fraction() ** 2 for a, v in enumerate(self.f_vector())), Fraction(0))
 
     def orthonormal_coefficient_squares(self) -> list[tuple[str, CycNum]]:
         """Squares of the coefficients of f in the orthonormalized basis,
-        i.e. <f, b>^2 / ||b||^2 per basis element.  Each coefficient is real;
-        the squares sum to ||f||^2."""
-        basis = self.orthogonal_basis()
-        coefficients = self._forms(self.f_vector(), [vec for _, vec, _ in basis])
+        i.e. <f, b>^2 / ||b||^2 per basis element, in `orthogonal_basis`
+        order.  Each coefficient is real; the squares sum to ||f||^2.  The
+        forms are one `f_forms` product per table; the shift (q-1)/q of
+        P_eps_shifted takes q-1 times the sum of the weights off its form."""
+        q = self.q
+        elements = self._basis_elements()
+        tables = {MultCharFq: self.legendre_table(), MultCharB: self.soto_andrade_table()}
+        forms = {
+            family: iter(self.f_forms(table, [char.exponent for _, char, _ in elements if type(char) is family]))
+            for family, table in tables.items()
+        }
         out = []
-        for (name, _, norm_sq), c in zip(basis, coefficients):
+        for name, char, norm_sq in elements:
+            nums = next(forms[type(char)]).tolist()
+            if name == "P_eps_shifted":
+                nums[0] -= (q - 1) * int(self.f_weights().sum())
+            c = _canonical(len(tables[type(char)]), tuple(nums), q * q)
             if not c.is_real():
                 raise IdentityViolationError(f"coefficient <f, {name}> is not real")
             out.append((name, c * c * (Fraction(1) / norm_sq)))
@@ -455,9 +482,8 @@ class CharacterSums:
         q = self.q
         phi = ctx.quadratic_char()
         eps = ctx.trivial_char()
-        f = self.f_vector()
-        p_gamma = [self.legendre_sum(gamma, a) for a in range(q)]
-        lhs = self.l2_inner(f, p_gamma) * (ctx.phi_int(ctx.embed_int(2)) * q * q)
+        form = self.f_forms(self.legendre_table(), [gamma.exponent])[0] * ctx.phi_int(ctx.embed_int(2))
+        lhs = _canonical(q - 1, tuple(form.tolist()), 1)
         sign = ctx.phi_int(ctx.neg(1)) * (-1 if gamma.exponent % 2 else 1)
         rhs = self.greene_nfn([gamma, gamma.conj(), phi, phi], [eps, eps, eps], 1) * q**3 + sign * q
         return lhs, rhs

@@ -186,6 +186,13 @@ def exact_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
+def exact_product(a: np.ndarray, b: np.ndarray, extra: int = 0) -> np.ndarray:
+    """a @ b for integer arrays in the dtype `exact_dtype` picks for the bound
+    (largest row sum of |a|) * max|b| + extra, extra for constants added later."""
+    dtype = exact_dtype(max_abs(np.abs(a).sum(axis=-1)) * max_abs(b) + extra)
+    return a.astype(dtype) @ b.astype(dtype)
+
+
 def _arithmetic(bound: int):
     """float64 if bound < 2^53, where it holds every integer up to bound
     exactly, so no sum or product of such integers rounds, in whatever order

@@ -74,7 +74,7 @@ import numpy as np
 
 from .chartable import CharTable, IrreducibleChar
 from .charsums import CharacterSums
-from .cyclotomic import CycNum, exact_dtype, max_abs
+from .cyclotomic import CycNum, exact_product, max_abs
 from .errors import IdentityViolationError, UnsupportedCharacterError
 from .groups import PGL2
 from .intrank import modular_rank
@@ -90,13 +90,6 @@ def _count_dtype(bound: int):
     """int32 if every count is at most bound in absolute value and bound < 2^31,
     else int64."""
     return np.int32 if bound < 2**31 else np.int64
-
-
-def _exact_product(a: np.ndarray, b: np.ndarray, extra: int = 0) -> np.ndarray:
-    """a @ b for integer arrays in the dtype `exact_dtype` picks for the bound
-    (largest row sum of |a|) * max|b| + extra, extra for constants added later."""
-    dtype = exact_dtype(max_abs(np.abs(a).sum(axis=-1)) * max_abs(b) + extra)
-    return a.astype(dtype) @ b.astype(dtype)
 
 
 class DerangementModel:
@@ -136,7 +129,7 @@ class DerangementModel:
         i.e. where the ones of row i of M sit; in the type of `image_array`,
         which holds (q+1)^2."""
         if self._m_columns is None:
-            image = self.group.image_array(self.group.derangements())
+            image = self.group.image_array(self.group.derangement_array())
             self._m_columns = pair_column(np.arange(self.q + 1, dtype=image.dtype), image, self.q)
         return self._m_columns
 
@@ -305,7 +298,7 @@ class DerangementModel:
         repeats exactly when its columns at those three points do."""
         k = len(self.table.classes)
         sizes = np.bincount(self.classes_by_position(inverse=False), minlength=k)
-        counts = np.bincount(self.group.class_array(self.group.derangements()), minlength=k)
+        counts = np.bincount(self.group.class_array(self.group.derangement_array()), minlength=k)
         n = len(self.omega)
         zero, one, inf = self.columns()[:, [0, 1, self.group.infinity]].astype(np.int64).T
         keys = np.sort((zero * n + one) * n + inf)
@@ -418,7 +411,7 @@ class DerangementModel:
         sum over the class counts of row r, one matrix product per family."""
         counts = np.asarray(counts)
         return {chi: rows for chars, values in self.families().values()
-                for chi, rows in zip(chars, _exact_product(counts, values))}
+                for chi, rows in zip(chars, exact_product(counts, values))}
 
     def direct_sums(self) -> dict[IrreducibleChar, CycNum]:
         """Every target's t(chi), lambda1 included, as the double sum over
@@ -502,7 +495,7 @@ class DerangementModel:
             h = self.group.image_array([self.group.swap_one_infinity()])[0]
             np.add.at(weights, h[b] - 1, (q - 1) * self.gram_row_zero_inf_closed()[pair_column(1, b, q)])
             for other, rows in self.restricted_sums().items():
-                total = _exact_product(weights, rows, (q - 1) ** 3)
+                total = exact_product(weights, rows, (q - 1) ** 3)
                 total[0] += (q - 1) ** 3 // 4
                 self._assembled[other] = self._value(other, total)
         return self._assembled[chi]
@@ -511,9 +504,9 @@ class DerangementModel:
         """t(chi) from the Legendre/Soto-Andrade closed forms, all targets at
         once, checked against the form through <f, .>.  With u = q P_phi and
         S = q P_gamma or q R_beta, the cross sum is the sum over b = 2..q-1 of
-        u(2b-1) S(2 b^h - 1), and q^2 <f, S/q> the sum over a of
-        measure(a) q f(a) S_(-k)(a), f having denominator q: each an integer
-        weight vector times table rows."""
+        u(2b-1) S(2 b^h - 1), an integer weight vector times table rows, and
+        q^2 <f, S/q> is `CharacterSums.f_forms`: per family, one product of
+        each kind over the family's rows."""
         self._check_supported(chi, allow_lambda1=False)
         if not self._closed_forms:
             q, sums = self.q, self.sums
@@ -522,16 +515,18 @@ class DerangementModel:
             h = self.group.image_array([self.group.swap_one_infinity()])[0]
             cross = np.zeros(q, dtype=np.int64)
             np.add.at(cross, self._doubled_minus_one(h[b]), u[self._doubled_minus_one(b)])
-            f_weights = np.array([sums.measure(a) * int(v.as_fraction() * q) for a, v in enumerate(sums.f_vector())])
             phi2, closed = self.ctx.phi_int(self.ctx.embed_int(2)), {}
-            for other in self._targets():
-                table, k, sign, _, c, c_f = self._closed_terms(other)
-                value = -sign * _exact_product(cross, table[k], 2 * q * q)
-                alt = -phi2 * sign * _exact_product(f_weights, table[-k % len(table)], 2 * q * q)
-                value[0], alt[0] = value[0] + c, alt[0] + c_f
-                if not np.array_equal(value, alt):
-                    raise IdentityViolationError(f"closed forms disagree for {other.name()}")
-                closed[other] = self._value(other, value, Fraction(q - 1, 4))
+            for chars, _ in self.families().values():
+                terms = [self._closed_terms(other) for other in chars]
+                table, ks = terms[0][0], [k for _, k, *_ in terms]
+                values = exact_product(cross, table[ks], 2 * q * q)
+                alts = sums.f_forms(table, ks, 2 * q * q)
+                for other, (_, _, sign, _, c, c_f), value, alt in zip(chars, terms, values, alts):
+                    value, alt = -sign * value, -phi2 * sign * alt
+                    value[0], alt[0] = value[0] + c, alt[0] + c_f
+                    if not np.array_equal(value, alt):
+                        raise IdentityViolationError(f"closed forms disagree for {other.name()}")
+                    closed[other] = self._value(other, value, Fraction(q - 1, 4))
             self._closed_forms = closed
         return self._closed_forms[chi]
 

@@ -27,9 +27,10 @@ class is conjugate to one through that class's representative.  A branch
 is cut only when it falls strictly below the best size so far, so ties are
 kept.  Each clique e + r + C is re-expanded by every conjugation and then
 by every right translation.  A stabilizer {g : x^g = x} conjugates to every
-{z -> z} and translates by h to the coset {x -> x^h}, so only a family that
-is no coset (q = 3) is conjugated (through the group's product) and
-translated element by element.
+{z -> z} and translates by h to the coset {x -> x^h}, so to every {x -> z}
+(PSL(2,q) is transitive on the points), and only a family that is no coset
+(q = 3) is conjugated (through the group's product) and translated element
+by element.
 """
 
 from __future__ import annotations
@@ -134,12 +135,13 @@ class IntersectionGraph:
         return out
 
     def translates(self, mask: int) -> set[int]:
-        """Every right translate of a family."""
+        """Every right translate of a family.  A coset {x -> y} translates by
+        h to {x -> y^h}, and PSL(2,q) is transitive on the points, so its
+        translates are the q+1 cosets {x -> z}."""
         pair = self.coset_of(mask)
         if pair is None:
             return {self.translate(mask, h) for h in range(len(self.vertices))}
-        x, y = pair
-        return {self.coset[x][image[y]] for image in self.images}
+        return set(self.coset[pair[0]])
 
     def conjugate(self, mask: int, h: Element) -> int:
         """{h^-1 g h : g in mask}, h an element of PGL(2,q)."""

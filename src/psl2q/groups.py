@@ -11,10 +11,11 @@ the same element of PGL(2,q) exactly when their normal forms are equal.
 The group holds its elements once: `element_array` is the q^3 - q normal
 forms of PGL(2,q), or those of PSL(2,q) (`psl_mask`: det is a nonzero
 square), as one (n, 4) array of the narrowest unsigned type, built in one
-numpy pass over the multiplication table.  `derangements`, the table suite,
-the rank model's class arrays and the clique graph read it; `elements` reads
-its rows as tuples of Python ints, for the ekr suite and the per-element
-methods, and `derangements` is such a list, built once.
+numpy pass over the multiplication table.  The table suite, the rank
+model's class arrays and the clique graph read it, and so does
+`derangement_array`, its rows that fix no point, built once; `elements` and
+`derangements` read rows as tuples of Python ints, for the ekr suite, the
+matrixM dump and the per-element methods.
 
 `image_array` computes `act` for many elements, at every point or only at
 the points given, in one numpy pass over the field tables; no group holds
@@ -74,7 +75,7 @@ class PGL2:
         self.identity: Element = (1, 0, 0, 1)
         self._classify_cache: dict[Element, ClassLabel] = {}
         self._element_arrays: dict[str, np.ndarray] = {}
-        self._derangements: list[Element] | None = None
+        self._derangements: np.ndarray | None = None
         self._class_table: np.ndarray | None = None
 
     # -- element plumbing ---------------------------------------------------
@@ -158,13 +159,16 @@ class PGL2:
         """The rows of `element_array`, as tuples of Python ints; |PGL| = q^3 - q."""
         return list(map(tuple, self.element_array(which).tolist()))
 
-    def derangements(self) -> list[Element]:
-        """Fixed-point-free elements of PSL(2,q), in enumeration order; built once."""
+    def derangement_array(self) -> np.ndarray:
+        """The rows of `element_array("psl")` that fix no point, in order; built once."""
         if self._derangements is None:
             psl = self.element_array("psl")
-            fixed_point_free = np.array([lab.kind in ("nonsplit", "nonsplit_i") for lab in self.class_labels()])
-            self._derangements = list(map(tuple, psl[fixed_point_free[self.class_array(psl)]].tolist()))
+            self._derangements = psl[self.fixed_point_counts(psl) == 0]
         return self._derangements
+
+    def derangements(self) -> list[Element]:
+        """The rows of `derangement_array`, as tuples of Python ints."""
+        return list(map(tuple, self.derangement_array().tolist()))
 
     # -- conjugacy ------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from . import cyclotomic
 from .chartable import build_table
 from .charsums import CharacterSums
 from .cyclotomic import CycNum, conjugate_rows, is_rational_diagonal, reduce_zeta_counts, row_products
-from .derangement import DerangementModel
+from .derangement import DerangementModel, pair_column
 from .ekr import IntersectionGraph, is_intersecting
 from .errors import IdentityViolationError
 from .fields import field_ctx_for_q
@@ -483,18 +483,17 @@ def run_rank_suite(q: int, seed: int = 0, approx_digits: int = 12) -> dict:
         "row (0, inf) counted, every row by PGL invariance",
     )
 
-    # draws of a row pair, a column pair and an element; images after the draws
-    pgl, index = group.element_array("pgl"), model.omega_index
+    # draws of a row pair, a column pair and an element; images after the
+    # draws; the 200 (a, b, c, d) and their images read as pair columns
+    pgl = group.element_array("pgl")
     drawn = [(rng.choice(model.omega), rng.choice(model.omega), rng.randrange(len(pgl))) for _ in range(200)]
-    images = group.image_array(pgl[[g for _, _, g in drawn]]).tolist()
-    sampled, moved = [], []
-    for (r_pair, c_pair, _), image in zip(drawn, images):
-        sampled.append((index[r_pair], index[c_pair]))
-        moved.append((index[image[r_pair[0]], image[r_pair[1]]], index[image[c_pair[0]], image[c_pair[1]]]))
-    entries = model.gram_entries(*np.array(sampled + moved).T)
+    points = np.array([(*r_pair, *c_pair) for r_pair, c_pair, _ in drawn])
+    images = group.image_array(pgl[[g for _, _, g in drawn]])
+    a, b, c, d = np.vstack([points, np.take_along_axis(images, points, axis=1)]).T
+    entries = model.gram_entries(pair_column(a, b, q), pair_column(c, d, q))
     checks.add(
         "gram_relabeling_invariance_sample",
-        bool((entries[: len(sampled)] == entries[len(sampled) :]).all()),
+        bool((entries[: len(drawn)] == entries[len(drawn) :]).all()),
         "200 seeded samples",
     )
 

@@ -457,6 +457,27 @@ def test_f_coefficient_identity(sums, q):
         S.f_coefficient_identity(ctx.trivial_char())
 
 
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27])
+def test_f_forms_match_l2_inner(sums, q):
+    # every row of both tables, so every basis function but the shifted
+    # trivial sum and the conjugate of each, against the general form; the
+    # coefficient squares against that form on `orthogonal_basis`
+    S = sums[q]
+    f = S.f_vector()
+    for table in (S.legendre_table(), S.soto_andrade_table()):
+        m = len(table)
+        forms = S.f_forms(table, range(m))
+        for k in range(m):
+            g = [_canonical(m, tuple(row.tolist()), q) for row in table[k]]
+            assert _canonical(m, tuple(forms[k].tolist()), q * q) == S.l2_inner(f, g), (m, k)
+    assert S.f_norm_squared() == S.l2_inner(f, f).as_fraction()
+    expected = []
+    for name, vec, norm in S.orthogonal_basis():
+        c = S.l2_inner(f, vec)
+        expected.append((name, c * c * (1 / norm)))
+    assert S.orthonormal_coefficient_squares() == expected
+
+
 @pytest.mark.parametrize("q", [5, 7, 9])
 def test_trace_square_double_sum(sums, q):
     # sum over x != 0 of phi((x + 1/x)^2 - 4d) = -2 + q * P_phi(2d - 1)

@@ -7,12 +7,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import psl2q
 from psl2q.chartable import build_table
 from psl2q.charsums import CharacterSums
-from psl2q.cyclotomic import CycNum, _poly_div_exact
+from psl2q.cyclotomic import _poly_div_exact
 from psl2q.derangement import DerangementModel
 from psl2q.errors import IdentityViolationError
 from psl2q.fields import field_ctx_for_q
@@ -54,8 +55,9 @@ def test_wrong_gauss_sum_inverse_raises(monkeypatch):
 
 
 def test_non_real_coefficient_raises(monkeypatch):
+    # every form read as zeta, a primitive 4th or 6th root of unity at q = 5
     sums = CharacterSums(field_ctx_for_q(5))
-    monkeypatch.setattr(sums, "_forms", lambda f, g: [CycNum.root_of_unity(4, 1)] * len(g))
+    monkeypatch.setattr(sums, "f_forms", lambda table, ks, extra=0: np.tile([0, 1], (len(ks), 1)))
     with pytest.raises(IdentityViolationError, match="not real"):
         sums.orthonormal_coefficient_squares()
 

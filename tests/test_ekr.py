@@ -280,3 +280,16 @@ def test_conjugates_match_group_mul(q):
         g, h = rng.choice(graph.vertices), rng.randrange(len(pgl))
         got = graph.conjugate(1 << graph.index[g], pgl[h])
         assert graph.members(got) == {G.mul(G.inv(pgl[h]), G.mul(g, pgl[h]))}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_coset_translates_match_the_walk(q):
+    # every coset {x -> y}: its translates against the walk over every
+    # element's images, and at q <= 5 against element-by-element translation
+    graph = IntersectionGraph(PGL2(field_ctx_for_q(q)))
+    for x, row in enumerate(graph.coset):
+        for y, mask in enumerate(row):
+            got = graph.translates(mask)
+            assert got == {graph.coset[x][image[y]] for image in graph.images}, (x, y)
+            if q <= 5:
+                assert got == {graph.translate(mask, h) for h in range(len(graph.vertices))}, (x, y)

@@ -5,7 +5,8 @@ and 25, where the rank is reported as undecided; a closed (0, inf) row of N
 one off fails exactly the closed-form check of N at q = 5, 7 and 25; a
 doubled Gauss sum fails its two checks at q = 9 and 13; a reduction row one
 off fails the sampled cyclotomic arithmetic at q = 5 and 7; the two faults
-in the clique search fail at q = 3 too.
+in the clique search fail at q = 3 too; a form of f one off fails the
+expansion of f at q = 5 and 7 and makes the rank suite's closed forms raise.
 One more checks that every caller of the Hermitian form reaches the kernel
 the fault is planted in.
 
@@ -28,6 +29,7 @@ from psl2q.chartable import build_table
 from psl2q.cyclotomic import CycNum
 from psl2q.derangement import DerangementModel
 from psl2q.ekr import IntersectionGraph
+from psl2q.errors import IdentityViolationError
 from psl2q.fields import FieldCtx, field_ctx_for_q
 from psl2q.groups import PGL2
 from psl2q.verify import run_suite
@@ -70,8 +72,9 @@ _gram_row_zero_inf_closed = DerangementModel.gram_row_zero_inf_closed
 _kernel_vectors = DerangementModel.kernel_vectors
 _direct_sums = DerangementModel.direct_sums
 _pair_counts = DerangementModel.pair_counts
-_derangements = PGL2.derangements
+_derangement_array = PGL2.derangement_array
 _maximum_cliques = ekr._maximum_cliques
+_f_forms = CharacterSums.f_forms
 SCHUR_QS = [5, 7, 9, 11, 13, 25]
 
 
@@ -127,10 +130,11 @@ def _psi_minus1_scalar_zero(self):
 
 
 def _one_nonsplit_derangement_dropped(self):
-    """`PGL2.derangements` without its first element of a nonsplit class."""
-    ders = _derangements(self)
-    i = next(i for i, g in enumerate(ders) if self.classify(g).kind == "nonsplit")
-    return ders[:i] + ders[i + 1 :]
+    """`PGL2.derangement_array` without its first element of a nonsplit class."""
+    ders = _derangement_array(self)
+    labels = self.class_labels()
+    i = next(i for i, c in enumerate(self.class_array(ders)) if labels[c].kind == "nonsplit")
+    return np.delete(ders, i, axis=0)
 
 
 def _pi_off_by_one_on_a_split_class(self):
@@ -205,6 +209,24 @@ def test_reduction_row_off_by_one(monkeypatch, q):
     assert "cyclotomic_arithmetic_sample" in _failed(q)
 
 
+def _f_form_one_off(self, table, ks, extra=0):
+    """`CharacterSums.f_forms` with the first numerator of its first row one
+    more: a rational more in one <f, .> value of each call."""
+    forms = _f_forms(self, table, ks, extra).copy()
+    forms[0, 0] += 1
+    return forms
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_an_f_form_one_off_fails_the_expansion(monkeypatch, q):
+    # the squares no longer sum to ||f||^2; the rank suite's closed forms
+    # read the same product and raise before its margins are checked
+    monkeypatch.setattr(CharacterSums, "f_forms", _f_form_one_off)
+    assert _failed(q) == {"f_norm_and_expansion"}
+    with pytest.raises(IdentityViolationError, match="closed forms disagree"):
+        run_suite("rank", q)
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_nu_value_off_by_one(monkeypatch, q):
     monkeypatch.setattr(DerangementModel, "families", _nu_numerator_off_by_one)
@@ -249,7 +271,7 @@ def test_a_zero_scalar_fails_the_schur_certificate(monkeypatch, q):
 
 @pytest.mark.parametrize("q", SCHUR_QS)
 def test_a_missing_derangement_fails_the_class_union_check(monkeypatch, q):
-    monkeypatch.setattr(PGL2, "derangements", _one_nonsplit_derangement_dropped)
+    monkeypatch.setattr(PGL2, "derangement_array", _one_nonsplit_derangement_dropped)
     report = run_suite("rank", q)
     assert {"schur_whole_pgl_classes", "gram_equals_closed_form", "rank_of_gram_matches"} <= _failed_checks(report)
     _assert_undecided(report, q)
@@ -273,7 +295,7 @@ def test_every_form_reaches_the_planted_kernel(monkeypatch):
     calls = []
     monkeypatch.setattr(cyclotomic, "hermitian_form", _unconjugated_form(calls))
     assert S.l2_inner(chi, chi) != honest and calls
-    for form in (T.row_gram, T.column_gram, lambda: S.gram([chi, chi]), S.orthonormal_coefficient_squares):
+    for form in (T.row_gram, T.column_gram, lambda: S.gram([chi, chi])):
         before = len(calls)
         form()
         assert len(calls) > before, form

@@ -127,6 +127,17 @@ def test_relabeling_sample_draws_are_pinned(monkeypatch, q, seed):
     assert calls == [(list(rows), list(cols))]
 
 
+def test_rank_and_sums_suites_read_f_through_the_table_product(monkeypatch):
+    # every <f, .> value of both suites is one `CharacterSums.f_forms`
+    # product: no pointwise form of f runs
+    def no_pointwise_form(self, f, functions):
+        raise RuntimeError("CharacterSums._forms called")
+
+    monkeypatch.setattr(CharacterSums, "_forms", no_pointwise_form)
+    assert run_suite("rank", 7)["pass"] is True
+    assert run_suite("sums", 7)["pass"] is True
+
+
 def test_seeded_reports_stable():
     a = run_suite("table", 5, seed=123)
     b = run_suite("table", 5, seed=123)
